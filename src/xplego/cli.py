@@ -237,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xplego")
     parser.add_argument("--tolerance", type=float, default=1e-9,
                         help="numeric tolerance for dense checks")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; execution is single-process")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("show", help="pretty-print a check matrix")

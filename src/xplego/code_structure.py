@@ -15,12 +15,11 @@ regular codes, and the generator-counting certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .ring_linalg import ModMatrix, howell_form, kernel_mod, rref_gf2, solve_linear_mod
+from .ring_linalg import ModMatrix, howell_form, kernel_mod, solve_linear_mod
 from .xp_algebra import (
     XpOperator,
     conjugate,
@@ -40,6 +39,20 @@ class PrecisionError(ValueError):
 
 class NonRegularError(ValueError):
     """Logical-structure extraction is only supported for regular codes."""
+
+
+class SizeLimitError(ValueError):
+    """The input is larger than an exponential stage can hold in memory."""
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed; the result would be wrong."""
+
+
+# The Z-support scan holds one boolean per basis string: 64 MiB at 26 qubits.
+Z_SUPPORT_MAX_QUBITS = 26
+# Each support string costs about 100 bytes of Python ints downstream.
+Z_SUPPORT_MAX_STRINGS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -78,11 +91,34 @@ def int_to_bits(e: int, n: int) -> tuple[int, ...]:
     return tuple((e >> (n - 1 - i)) & 1 for i in range(n))
 
 
-def bits_to_int(bits: Sequence[int]) -> int:
-    v = 0
-    for b in bits:
-        v = (v << 1) | (int(b) & 1)
-    return v
+def _support_bits(strings: Sequence[int], n: int) -> np.ndarray:
+    """0/1 array of shape (n, len(strings)); row i is qubit i (big endian)."""
+    values = np.asarray(strings, dtype=np.int64).reshape(-1)
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    return (values[None, :] >> shifts[:, None]) & 1
+
+
+def _xor_basis(dirs: Sequence[int]) -> list[int]:
+    """Reduced GF(2) basis of the span of ``dirs``.
+
+    No basis vector has the leading bit of another set, so clearing leading
+    bits one vector at a time, in any order, gives the least coset element.
+    """
+    basis: list[int] = []
+    for d in dirs:
+        for b in basis:
+            d = min(d, d ^ b)
+        if d:
+            basis = [min(b, b ^ d) for b in basis] + [d]
+    return basis
+
+
+def _coset_min(values: np.ndarray, basis: Sequence[int]) -> np.ndarray:
+    """min(v ^ s for s in span) per entry, for a basis from ``_xor_basis``."""
+    out = np.asarray(values, dtype=np.int64)
+    for b in basis:
+        out = np.minimum(out, out ^ b)
+    return out
 
 
 def _diag_to_vec(op: XpOperator) -> tuple[int, ...]:
@@ -173,38 +209,48 @@ def phase_identity(g: XpGroup) -> XpOperator | None:
     return None
 
 
+def _exponent_table(z: Sequence[int], two_n: int) -> np.ndarray:
+    """sum_i 2 z_i b_i (mod 2N) for every big-endian bit string b of len(z)."""
+    k = len(z)
+    bits = _support_bits(np.arange(1 << k), k)
+    return (2 * np.asarray(z, dtype=np.int64)[:, None] * bits).sum(axis=0) % two_n
+
+
 def z_support(g: XpGroup) -> tuple[int, ...]:
     """Basis indices on which every diagonal generator acts with phase one.
 
+    A generator's exponent on a string is a table entry for its high half
+    plus one for its low half, so one broadcast comparison per generator
+    fills a 2^n boolean mask; no wider array is held.
+
     Raises:
+        SizeLimitError: above ``Z_SUPPORT_MAX_QUBITS`` qubits, before any
+            allocation, or when the support has more than
+            ``Z_SUPPORT_MAX_STRINGS`` strings.
         EmptyCodeError: when no basis string survives, or the group contains
             a phase-of-identity element (an inconsistent presentation).
     """
+    if g.n > Z_SUPPORT_MAX_QUBITS:
+        raise SizeLimitError(
+            f"Z-support scan of {g.n} qubits exceeds the {Z_SUPPORT_MAX_QUBITS}-qubit limit")
     g = canonical_form(g)
     if phase_identity(g) is not None:
         raise EmptyCodeError("group contains a nontrivial phase times identity")
-    n = g.n
-    idx = np.arange(2 ** n, dtype=np.int64)
-    ok = np.ones(2 ** n, dtype=bool)
+    n, two_n = g.n, 2 * g.precision
+    high = n // 2
+    ok = np.ones((1 << high, 1 << (n - high)), dtype=bool)
+    hit = np.empty_like(ok)
     for op in g.z_block:
-        expo = np.full(2 ** n, op.phase, dtype=np.int64)
-        for i, zi in enumerate(op.z):
-            if zi:
-                expo += 2 * zi * ((idx >> (n - 1 - i)) & 1)
-        ok &= (expo % (2 * g.precision)) == 0
-    support = np.flatnonzero(ok)
-    if support.size == 0:
+        need = (-op.phase - _exponent_table(op.z[:high], two_n)) % two_n
+        np.equal(need[:, None], _exponent_table(op.z[high:], two_n)[None, :], out=hit)
+        ok &= hit
+    count = int(np.count_nonzero(ok))
+    if count == 0:
         raise EmptyCodeError("diagonal generators stabilize no basis string")
-    return tuple(int(e) for e in support)
-
-
-def _xor_span(dirs: Sequence[int]) -> list[int]:
-    span = [0]
-    for d in dirs:
-        if d not in span:
-            span = span + [s ^ d for s in span]
-    # Deduplicate while keeping subset-product enumeration exact.
-    return sorted(set(span))
+    if count > Z_SUPPORT_MAX_STRINGS:
+        raise SizeLimitError(
+            f"Z-support of {count} strings exceeds the {Z_SUPPORT_MAX_STRINGS}-string limit")
+    return tuple(np.flatnonzero(ok).tolist())
 
 
 @dataclass(frozen=True)
@@ -219,47 +265,41 @@ class OrbitDecomposition:
 
 def orbit_decomposition(g: XpGroup) -> OrbitDecomposition:
     g = canonical_form(g)
-    support = z_support(g)
-    dirs = [op.x_mask for op in g.x_block]
-    span = _xor_span(dirs)
-    rep = {e: min(e ^ s for s in span) for e in support}
-    e_m = tuple(sorted(set(rep.values())))
-    rep_set = set(e_m)
-    # Sanity: orbits of stabilized strings stay inside the support.
-    for e in support:
-        assert all((e ^ s) in rep for s in span)
+    support = np.array(z_support(g), dtype=np.int64)
+    span_basis = _xor_basis([op.x_mask for op in g.x_block])
+    in_support = np.zeros(1 << g.n, dtype=bool)
+    in_support[support] = True
+    if not all(in_support[support ^ b].all() for b in span_basis):
+        raise InvariantError("an x-orbit of a stabilized string leaves the Z-support")
+    # An orbit is labelled by its least string.
+    reps = support[_coset_min(support, span_basis) == support]
+    e_m = tuple(reps.tolist())
 
-    m0 = e_m[0]
-    def label(e: int) -> int:
-        return min(e ^ s for s in span)
-
-    candidates = {label(m0 ^ m) for m in e_m}
-    invariant = [d for d in candidates if {label(m ^ d) for m in e_m} == rep_set]
-    w_group = set(invariant)
+    # Shifts d with label(m ^ d) in e_m for every m; the map m -> label(m ^ d)
+    # is injective on labels, so that makes it a permutation of e_m.
+    is_rep = np.zeros_like(in_support)
+    is_rep[reps] = True
+    candidates = sorted(set(_coset_min(reps[0] ^ reps, span_basis).tolist()))
+    w_group = [d for d in candidates if is_rep[_coset_min(reps ^ d, span_basis)].all()]
     regular = len(w_group) == len(e_m)
 
     # Transversal of the representative set under the invariant shifts.
     seen: set[int] = set()
     core: list[int] = []
-    for m in sorted(e_m):
+    for m in e_m:
         if m in seen:
             continue
-        orbit = {label(m ^ d) for d in w_group}
-        seen |= orbit
-        core.append(min(orbit))
+        orbit = _coset_min(m ^ np.array(w_group, dtype=np.int64), span_basis)
+        seen.update(orbit.tolist())
+        core.append(int(orbit.min()))
 
     # Independent direction basis modulo the x-block span.
     basis: list[int] = []
-    v_basis = list(dirs)
-    for d in sorted(w_group):
-        if d == 0:
-            continue
-        pool = v_basis + basis
-        mat = ModMatrix.from_rows([int_to_bits(v, g.n) for v in pool], 2)
-        if pool and solve_linear_mod(mat, int_to_bits(d, g.n)) is not None:
-            continue
-        basis.append(d)
-    assert 2 ** len(basis) == len(w_group)
+    for d in w_group:
+        if len(_xor_basis(span_basis + basis + [d])) > len(span_basis) + len(basis):
+            basis.append(d)
+    if 2 ** len(basis) != len(w_group):
+        raise InvariantError("invariant shifts do not form a group")
     return OrbitDecomposition(e_m, tuple(sorted(core)), regular, tuple(basis))
 
 
@@ -274,12 +314,9 @@ def r_z_generators(g: XpGroup) -> list[XpOperator]:
         raise PrecisionError("Pauli extraction needs even precision")
     support = z_support(g)
     e0 = support[0]
-    diffs = sorted({e ^ e0 for e in support if e != e0})
-    if diffs:
-        dmat, _ = rref_gf2(ModMatrix.from_rows([int_to_bits(d, g.n) for d in diffs], 2))
-        cols = ModMatrix.from_rows(
-            [[row[i] for row in dmat.entries] for i in range(g.n)], 2)
-        vs = kernel_mod(cols).entries
+    dirs = sorted(_xor_basis([e ^ e0 for e in support]), reverse=True)
+    if dirs:
+        vs = kernel_mod(ModMatrix.from_rows(_support_bits(dirs, g.n).tolist(), 2)).entries
     else:
         vs = ModMatrix.identity(g.n, 2).entries
     half = g.precision // 2
@@ -314,86 +351,91 @@ def codewords(g: XpGroup) -> CodewordTable:
     """Orbit expansion of each representative under the x-block generators."""
     g = canonical_form(g)
     od = orbit_decomposition(g)
-    sx = g.x_block
-    entries = []
-    for m in od.e_m:
-        pairs = []
-        for exps in product((0, 1), repeat=len(sx)):
-            op = XpOperator.identity(g.n, g.precision)
-            for e, s in zip(exps, sx):
-                if e:
-                    op = multiply(op, s)
-            pairs.append((m ^ op.x_mask, op.action_phase(m)))
-        seen = [e for e, _ in pairs]
-        assert len(seen) == len(set(seen))
-        entries.append(tuple(sorted(pairs)))
-    return CodewordTable(g.precision, g.n, tuple(entries), od.e_m, od.e_q)
+    # The 2^|S_X| subset products of the x block, shared by every orbit.
+    prods = [XpOperator.identity(g.n, g.precision)]
+    for s in g.x_block:
+        prods += [multiply(op, s) for op in prods]
+    masks = np.array([op.x_mask for op in prods], dtype=np.int64)
+    if len(set(masks.tolist())) != masks.size:
+        raise InvariantError("two x-block products move a string to the same place")
+    z = np.array([op.z for op in prods], dtype=np.int64)
+    p = np.array([op.phase for op in prods], dtype=np.int64)
+    reps = np.array(od.e_m, dtype=np.int64)
+    # Product k sends |m> to w^phases[k, m] |strings[k, m]>.
+    strings = masks[:, None] ^ reps[None, :]
+    phases = np.repeat(p[:, None], reps.size, axis=1)
+    for zi, bits in zip(2 * z.T, _support_bits(reps, g.n)):
+        phases += zi[:, None] * bits[None, :]
+    phases %= 2 * g.precision
+    entries = tuple(tuple(sorted(zip(es, ps)))
+                    for es, ps in zip(strings.T.tolist(), phases.T.tolist()))
+    return CodewordTable(g.precision, g.n, entries, od.e_m, od.e_q)
 
 
-def _solve_diagonal_constraints(n: int, precision: int,
-                                constraints: Sequence[tuple[int, int]]) -> XpOperator | None:
-    """Find a diagonal operator with prescribed action phases.
+def _constraint_matrix(n: int, precision: int, strings: Sequence[int],
+                       orbit_ids: Sequence[int] | None = None) -> ModMatrix:
+    """Action-phase constraints on a diagonal operator, as a matrix over Z_2N.
 
-    Each constraint (e, r) demands  p + 2 z . bits(e) == r (mod 2N).  The
-    embedding unknowns are u_i = 2 z_i and p; auxiliary columns force u_i
-    even.  Returns the operator, or None when the system is unsolvable.
+    The unknowns, one per row, are u_i = 2 z_i, the phase p and, with
+    ``orbit_ids``, a constant gamma_j per orbit j >= 1 (orbit 0 has none).
+    Column c is the exponent p + u . bits(e) + gamma_orbit(e) on the string
+    e = ``strings[c]``; n trailing columns N u_i keep every u_i even.
+    """
+    cols = len(strings)
+    n_gamma = max(orbit_ids, default=0) if orbit_ids is not None else 0
+    mat = np.zeros((n + 1 + n_gamma, cols + n), dtype=np.int64)
+    mat[:n, :cols] = _support_bits(strings, n)
+    mat[:n, cols:] = precision * np.eye(n, dtype=np.int64)
+    mat[n, :cols] = 1
+    if n_gamma:
+        mat[n + 1:, :cols] = np.arange(1, n_gamma + 1)[:, None] == np.asarray(orbit_ids)[None, :]
+    return ModMatrix(2 * precision, tuple(map(tuple, (mat % (2 * precision)).tolist())))
+
+
+def solve_diagonal_constraints(n: int, precision: int, strings: Sequence[int],
+                               targets: Sequence[int],
+                               orbit_ids: Sequence[int] | None = None,
+                               ) -> tuple[XpOperator, tuple[int, ...]] | None:
+    """A diagonal operator acting on ``strings[c]`` with exponent ``targets[c]``.
+
+    With ``orbit_ids`` the exponent on each string may exceed its target by
+    a constant gamma per orbit, zero on orbit 0.  Returns the operator and
+    the gammas, or None when the system (mod 2N) has no solution.
     """
     two_n = 2 * precision
-    rows = []
-    for i in range(n):
-        row = [int_to_bits(e, n)[i] for e, _ in constraints] + [0] * n
-        row[len(constraints) + i] = precision
-        rows.append(row)
-    rows.append([1] * len(constraints) + [0] * n)
-    mat = ModMatrix.from_rows(rows, two_n)
-    rhs = [r % two_n for _, r in constraints] + [0] * n
-    sol = solve_linear_mod(mat, rhs)
+    mat = _constraint_matrix(n, precision, strings, orbit_ids)
+    sol = solve_linear_mod(mat, [t % two_n for t in targets] + [0] * n)
     if sol is None:
         return None
-    z = tuple(sol[i] // 2 for i in range(n))
-    return XpOperator(precision, (0,) * n, z, sol[n])
+    op = XpOperator(precision, (0,) * n, tuple(u // 2 for u in sol[:n]), sol[n])
+    return op, (0,) + tuple(sol[n + 1:])
 
 
-def _solve_orbit_constraints(g: XpGroup, rhs: dict[int, int],
-                             orbit_of: dict[int, int], n_orbits: int,
-                             ) -> tuple[XpOperator, tuple[int, ...]] | None:
-    """Diagonal completion with a free constant phase per codeword orbit.
+def complete_logical_x(table: CodewordTable, w: int,
+                       ) -> tuple[XpOperator, tuple[int, ...]] | None:
+    """Non-diagonal logical along direction ``w`` of a codeword table.
 
-    Solves  p + 2 z . bits(e) + gamma_orbit(e) == rhs[e]  over Z_2N with
-    gamma fixed to zero on the first orbit.  Returns the diagonal part and
-    the per-orbit phases, or None.
+    The diagonal completion maps every codeword to a codeword: the base
+    orbit with phase one, every other orbit with a constant phase, which is
+    all a valid logical needs.  Returns the logical and the per-orbit
+    phases (gamma), or None when no XP completion exists.
     """
-    n, precision = g.n, g.precision
-    two_n = 2 * precision
-    support = sorted(rhs)
-    cols = len(support)
-    n_aux = n  # evenness columns
-    rows = []
-    for i in range(n):
-        row = [int_to_bits(e, n)[i] for e in support] + [0] * n_aux
-        row[cols + i] = precision
-        rows.append(row)
-    rows.append([1] * cols + [0] * n_aux)
-    for j in range(1, n_orbits):
-        rows.append([1 if orbit_of[e] == j else 0 for e in support] + [0] * n_aux)
-    mat = ModMatrix.from_rows(rows, two_n)
-    b = [rhs[e] % two_n for e in support] + [0] * n_aux
-    sol = solve_linear_mod(mat, b)
-    if sol is None:
+    phases = table.phase_map()
+    support = sorted(phases)
+    orbit_of = {e: idx for idx, cw in enumerate(table.entries) for e, _ in cw}
+    solved = solve_diagonal_constraints(
+        table.n, table.precision, support,
+        [phases[e ^ w] - phases[e] for e in support],
+        [orbit_of[e] for e in support])
+    if solved is None:
         return None
-    z = tuple(sol[i] // 2 for i in range(n))
-    gammas = (0,) + tuple(sol[n + 1 + j] for j in range(n_orbits - 1))
-    return XpOperator(precision, (0,) * n, z, sol[n]), gammas
+    diag, gammas = solved
+    return XpOperator(table.precision, int_to_bits(w, table.n), diag.z, diag.phase), gammas
 
 
 def logical_x_operators(g: XpGroup) -> list[XpOperator]:
-    """Non-diagonal logical generators of a regular code.
-
-    Each returned operator carries one direction of the representative
-    space and a diagonal completion that maps every codeword to a codeword;
-    the base orbit is mapped with phase one, the other orbits may pick up a
-    constant phase each, which is all a valid logical needs.
-    """
+    """Non-diagonal logical generators of a regular code, one per logical
+    direction of the representative space (see ``complete_logical_x``)."""
     g = canonical_form(g)
     if g.precision & (g.precision - 1):
         raise PrecisionError("logical extraction needs a power-of-two precision")
@@ -401,52 +443,51 @@ def logical_x_operators(g: XpGroup) -> list[XpOperator]:
     if not od.regular:
         raise NonRegularError("code core has more than one element")
     table = codewords(g)
-    phases = table.phase_map()
-    orbit_of = {}
-    for idx, cw in enumerate(table.entries):
-        for e, _ in cw:
-            orbit_of[e] = idx
     out = []
     for w in od.logical_x_dirs:
-        rhs = {e: phases[e ^ w] - phases[e] for e in phases}
-        solved = _solve_orbit_constraints(g, rhs, orbit_of, len(table.entries))
+        solved = complete_logical_x(table, w)
         if solved is None:
             raise NonRegularError("no XP completion for a logical direction")
-        diag, _ = solved
-        out.append(XpOperator(g.precision, int_to_bits(w, g.n), diag.z, diag.phase))
+        out.append(solved[0])
     return out
+
+
+def logical_coordinates(g: XpGroup) -> dict[int, tuple[int, ...]]:
+    """Coordinates c of each orbit representative m of a regular code, with
+    m ^ q0 == sum_j c_j w_j (mod the x-block span) over the logical
+    directions w_j, q0 being the core string."""
+    g = canonical_form(g)
+    od = orbit_decomposition(g)
+    if not od.regular:
+        raise NonRegularError("code core has more than one element")
+    dirs = [op.x_mask for op in g.x_block]
+    pool = ModMatrix.from_rows(
+        [int_to_bits(v, g.n) for v in dirs + list(od.logical_x_dirs)], 2)
+    coords = {}
+    for m in od.e_m:
+        sol = solve_linear_mod(pool, int_to_bits(m ^ od.e_q[0], g.n)) if pool.rows else ()
+        if sol is None:
+            raise InvariantError("orbit representative outside the logical span")
+        coords[m] = sol[len(dirs):]
+    return coords
 
 
 def diagonal_logical_operators(g: XpGroup) -> list[XpOperator]:
     """Diagonal logicals, one per logical direction, acting as -1 on the
     codewords whose representative carries that direction."""
     g = canonical_form(g)
-    od = orbit_decomposition(g)
-    if not od.regular:
-        raise NonRegularError("code core has more than one element")
+    coords = logical_coordinates(g)
     support = z_support(g)
-    dirs = [op.x_mask for op in g.x_block]
-    span = _xor_span(dirs)
-    q0 = od.e_q[0]
-
-    def coords(e: int) -> tuple[int, ...]:
-        m = min(e ^ s for s in span)
-        target = int_to_bits(m ^ q0, g.n)
-        pool = [int_to_bits(v, g.n) for v in dirs] + \
-               [int_to_bits(w, g.n) for w in od.logical_x_dirs]
-        if not pool:
-            return ()
-        sol = solve_linear_mod(ModMatrix.from_rows(pool, 2), target)
-        assert sol is not None
-        return tuple(sol[len(dirs):])
-
+    span_basis = _xor_basis([op.x_mask for op in g.x_block])
+    labels = _coset_min(np.array(support, dtype=np.int64), span_basis).tolist()
     out = []
-    for j in range(len(od.logical_x_dirs)):
-        constraints = [(e, g.precision * coords(e)[j]) for e in support]
-        op = _solve_diagonal_constraints(g.n, g.precision, constraints)
-        if op is None:
+    # One column of coordinates over the support per logical direction.
+    for column in zip(*(coords[m] for m in labels)):
+        solved = solve_diagonal_constraints(
+            g.n, g.precision, support, [g.precision * c for c in column])
+        if solved is None:
             raise NonRegularError("no diagonal logical for a direction")
-        out.append(op)
+        out.append(solved[0])
     return out
 
 
@@ -454,17 +495,10 @@ def diagonal_span_kernel(n: int, precision: int, support: Sequence[int]) -> list
     """All diagonal operators acting with phase one on every support string.
 
     Returns a Howell basis of the solution module of p + 2 z . bits(e) == 0
-    (mod 2N) over the given strings; auxiliary columns keep the z slots even.
+    (mod 2N) over the given strings.
     """
     two_n = 2 * precision
-    cols = len(support)
-    rows = []
-    for i in range(n):
-        row = [int_to_bits(e, n)[i] for e in support] + [0] * n
-        row[cols + i] = precision
-        rows.append(row)
-    rows.append([1] * cols + [0] * n)
-    kern = kernel_mod(ModMatrix.from_rows(rows, two_n))
+    kern = kernel_mod(_constraint_matrix(n, precision, support))
     return [
         XpOperator(precision, (0,) * n, tuple(v // 2 for v in krow[:n]), krow[n])
         for krow in kern.entries
@@ -481,17 +515,18 @@ def complete_lid(g: XpGroup) -> XpGroup:
     the output always contains the input group.
     """
     g = canonical_form(g)
-    table = codewords(g)
-    phases = table.phase_map()
+    phases = codewords(g).phase_map()
     support = sorted(phases)
     diag = diagonal_span_kernel(g.n, g.precision, support)
     xs = []
     for op in g.x_block:
         w = op.x_mask
-        constraints = [(e, phases[e ^ w] - phases[e]) for e in support]
-        d = _solve_diagonal_constraints(g.n, g.precision, constraints)
-        assert d is not None, "stabilizer row lost its own completion"
-        xs.append(XpOperator(g.precision, int_to_bits(w, g.n), d.z, d.phase))
+        solved = solve_diagonal_constraints(
+            g.n, g.precision, support, [phases[e ^ w] - phases[e] for e in support])
+        if solved is None:
+            raise InvariantError("stabilizer row lost its own completion")
+        d, _ = solved
+        xs.append(XpOperator(g.precision, op.x, d.z, d.phase))
     return canonical_form(XpGroup(g.precision, g.n, tuple(xs + diag)))
 
 
@@ -510,27 +545,19 @@ def lid_from_phase_table(pairs: Sequence[tuple[int, int]], n: int, precision: in
     phases = {e: ph % (2 * precision) for e, ph in pairs}
     support = sorted(phases)
     e0 = support[0]
-    diffs = sorted({e ^ e0 for e in support if e != e0})
-    if diffs:
-        dmat, _ = rref_gf2(ModMatrix.from_rows([int_to_bits(d, n) for d in diffs], 2))
-        dirs = [bits_to_int(row) for row in dmat.entries]
-    else:
-        dirs = []
+    # The support is affine exactly when it fills the span of its shifts.
+    dirs = sorted(_xor_basis([e ^ e0 for e in support]), reverse=True)
     if len(support) != 2 ** len(dirs):
-        return None
-    span = {0}
-    for d in dirs:
-        span |= {s ^ d for s in span}
-    if {e ^ e0 for e in support} != span:
         return None
 
     diag_gens = diagonal_span_kernel(n, precision, support)
     x_gens = []
     for d in dirs:
-        constraints = [(e, phases[e ^ d] - phases[e]) for e in support]
-        op = _solve_diagonal_constraints(n, precision, constraints)
-        if op is None:
+        solved = solve_diagonal_constraints(
+            n, precision, support, [phases[e ^ d] - phases[e] for e in support])
+        if solved is None:
             return None
+        op, _ = solved
         x_gens.append(XpOperator(precision, int_to_bits(d, n), op.z, op.phase))
     group = canonical_form(XpGroup.from_generators(x_gens + diag_gens, n=n, precision=precision))
     if len(codewords(group).entries) != 1:

@@ -35,13 +35,13 @@ from .code_structure import (
     EmptyCodeError,
     NonRegularError,
     XpGroup,
-    _solve_orbit_constraints,
     canonical_form,
     codewords,
     complete_lid,
+    complete_logical_x,
     diagonal_logical_operators,
-    int_to_bits,
     lid_from_phase_table,
+    logical_coordinates,
     orbit_decomposition,
     permute_legs,
 )
@@ -422,36 +422,18 @@ def materialize_logical(lego: Lego, logical_index: int = 0) -> Lego:
     n = group.n
 
     table = codewords(group)
-    phases = table.phase_map()
-    orbit_of = {e: idx for idx, cw in enumerate(table.entries) for e, _ in cw}
-    w = od.logical_x_dirs[logical_index]
-    rhs = {e: phases[e ^ w] - phases[e] for e in phases}
-    solved = _solve_orbit_constraints(group, rhs, orbit_of, len(table.entries))
+    solved = complete_logical_x(table, od.logical_x_dirs[logical_index])
     if solved is None:
         raise NonRegularError("no XP completion for the logical direction")
-    diag, gammas = solved
-    xbar = XpOperator(precision, int_to_bits(w, n), diag.z, diag.phase)
+    xbar, gammas = solved
     zbar = diagonal_logical_operators(group)[logical_index]
 
     # The per-orbit phases must be constant on each slice of the chosen
     # logical bit and differ by an even amount between the slices.
-    span = [op.x_mask for op in group.x_block]
-    coords_cache: dict[int, int] = {}
-
-    def bit_of(orbit_idx: int) -> int:
-        m = table.e_m[orbit_idx]
-        if m not in coords_cache:
-            target = int_to_bits(m ^ od.e_q[0], n)
-            pool = [int_to_bits(v, n) for v in span] + \
-                   [int_to_bits(v, n) for v in od.logical_x_dirs]
-            sol = solve_linear_mod(ModMatrix.from_rows(pool, 2), target)
-            assert sol is not None
-            coords_cache[m] = sol[len(span) + logical_index]
-        return coords_cache[m]
-
+    coords = logical_coordinates(group)
     slice_phase = {0: None, 1: None}
     for idx in range(len(table.entries)):
-        b = bit_of(idx)
+        b = coords[table.e_m[idx]][logical_index]
         if slice_phase[b] is None:
             slice_phase[b] = gammas[idx]
         elif slice_phase[b] != gammas[idx]:

@@ -41,22 +41,13 @@ class ModMatrix:
         widths = {len(r) for r in self.entries}
         if len(widths) > 1:
             raise DimensionError("ragged rows in matrix")
-        for r in self.entries:
-            for v in r:
-                if not 0 <= v < self.modulus:
-                    raise ValueError("entry not reduced modulo the modulus")
+        if any(min(r) < 0 or max(r) >= self.modulus for r in self.entries if r):
+            raise ValueError("entry not reduced modulo the modulus")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], modulus: int, cols: int | None = None) -> "ModMatrix":
-        """Build a matrix, reducing every entry modulo ``modulus``.
-
-        ``cols`` pins the width for empty row lists, where it cannot be inferred.
-        """
-        reduced = tuple(tuple(int(v) % modulus for v in r) for r in rows)
-        if not reduced and cols is not None:
-            # Width is carried implicitly by callers; an empty matrix is fine.
-            pass
-        return cls(modulus, reduced)
+    def from_rows(cls, rows: Iterable[Sequence[int]], modulus: int) -> "ModMatrix":
+        """Build a matrix, reducing every entry modulo ``modulus``."""
+        return cls(modulus, tuple(tuple([int(v) % modulus for v in r]) for r in rows))
 
     @classmethod
     def identity(cls, size: int, modulus: int) -> "ModMatrix":
@@ -199,17 +190,14 @@ def howell_form(m: ModMatrix) -> ModMatrix:
             q = placed[j][col] // g
             if q:
                 placed[j] = _row_addmul(placed[j], row, -q, mod)
-    placed = [r for r in placed if any(r)]
-    return ModMatrix.from_rows(placed, mod)
+    return ModMatrix(mod, tuple(tuple(r) for r in placed if any(r)))
 
 
 def _augmented_howell(a: ModMatrix) -> tuple[ModMatrix, int]:
     """Howell form of [a | I], used by the solver and kernel routines."""
     n = a.rows
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(a.entries)]
-    if not aug:
-        return ModMatrix.from_rows([], a.modulus), a.cols
-    return howell_form(ModMatrix.from_rows(aug, a.modulus)), a.cols
+    aug = tuple(r + tuple(1 if i == j else 0 for j in range(n)) for i, r in enumerate(a.entries))
+    return howell_form(ModMatrix(a.modulus, aug)), a.cols
 
 
 def solve_linear_mod(a: ModMatrix, b: Sequence[int]) -> tuple[int, ...] | None:

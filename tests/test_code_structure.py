@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from xplego import code_structure
 from xplego.code_structure import (
+    Z_SUPPORT_MAX_QUBITS,
     EmptyCodeError,
+    InvariantError,
     PrecisionError,
+    SizeLimitError,
     XpGroup,
     canonical_form,
     codewords,
@@ -94,6 +99,35 @@ def test_empty_code_detection():
         [XpOperator(4, (0,), (2,), 0), XpOperator(4, (0,), (2,), 4)])
     with pytest.raises(EmptyCodeError):
         z_support(g)
+
+
+def test_z_support_refuses_oversized_groups_before_allocating():
+    n = 30
+    assert n > Z_SUPPORT_MAX_QUBITS
+    g = XpGroup.from_generators([XpOperator(8, (0,) * n, (4,) + (0,) * (n - 1), 0)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="30 qubits"):
+            z_support(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_z_support_refuses_oversized_supports():
+    # No diagonal generator: all 2^21 strings survive, above the string limit.
+    g = XpGroup(8, 21, ())
+    with pytest.raises(SizeLimitError, match="strings"):
+        z_support(g)
+
+
+def test_orbit_closure_is_checked_without_assert(monkeypatch):
+    # The x generator pairs 0 with 1; a support holding only 0 breaks closure.
+    g = XpGroup.from_generators([XpOperator(4, (1,), (0,), 0)])
+    monkeypatch.setattr(code_structure, "z_support", lambda group: (0,))
+    with pytest.raises(InvariantError):
+        orbit_decomposition(g)
 
 
 def test_orbit_decomposition_for_states_and_codes():

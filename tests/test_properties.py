@@ -1,0 +1,200 @@
+"""Property tests of the support-sized stages on random XP groups.
+
+Each vectorized stage is compared with the per-string loop it replaced,
+kept here as the reference, at precisions N in {2, 4, 8, 16}.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xplego.code_structure import (
+    EmptyCodeError,
+    XpGroup,
+    canonical_form,
+    codewords,
+    diagonal_span_kernel,
+    orbit_decomposition,
+    solve_diagonal_constraints,
+    z_support,
+)
+from xplego.xp_algebra import XpOperator, multiply
+
+PRECISIONS = (2, 4, 8, 16)
+PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
+
+
+@st.composite
+def xp_groups(draw, max_n=10, max_x=3, max_diag=4):
+    precision = draw(st.sampled_from(PRECISIONS))
+    n = draw(st.integers(1, max_n))
+    zs = st.tuples(*[st.integers(0, precision - 1)] * n)
+    phases = st.integers(0, 2 * precision - 1)
+    gens = []
+    for _ in range(draw(st.integers(0, max_x))):
+        x = draw(st.tuples(*[st.integers(0, 1)] * n))
+        gens.append(XpOperator(precision, x, draw(zs), draw(phases)))
+    for _ in range(draw(st.integers(0, max_diag))):
+        gens.append(XpOperator(precision, (0,) * n, draw(zs), draw(phases)))
+    return XpGroup.from_generators(gens, n=n, precision=precision)
+
+
+def brute_support(ops, n):
+    return tuple(e for e in range(2 ** n) if all(op.action_phase(e) == 0 for op in ops))
+
+
+def reference_codewords(g):
+    """Per-representative product formula: every x-block subset product
+    applied to every orbit representative."""
+    g = canonical_form(g)
+    sx = g.x_block
+    entries = []
+    for m in orbit_decomposition(g).e_m:
+        pairs = []
+        for exps in product((0, 1), repeat=len(sx)):
+            op = XpOperator.identity(g.n, g.precision)
+            for e, s in zip(exps, sx):
+                if e:
+                    op = multiply(op, s)
+            pairs.append((m ^ op.x_mask, op.action_phase(m)))
+        entries.append(tuple(sorted(pairs)))
+    return tuple(entries)
+
+
+def reference_orbits(g):
+    """Orbit decomposition by enumerating the x span string by string."""
+    g = canonical_form(g)
+    support = set(z_support(g))
+    dirs = [op.x_mask for op in g.x_block]
+    span = {0}
+    for d in dirs:
+        span |= {s ^ d for s in span}
+    assert all(e ^ s in support for e in support for s in span)
+
+    def label(e):
+        return min(e ^ s for s in span)
+
+    e_m = sorted({label(e) for e in support})
+    reps = set(e_m)
+    w_group = sorted(d for d in {label(e_m[0] ^ m) for m in e_m}
+                     if {label(m ^ d) for m in e_m} == reps)
+    seen, core = set(), []
+    for m in e_m:
+        if m not in seen:
+            orbit = {label(m ^ d) for d in w_group}
+            seen |= orbit
+            core.append(min(orbit))
+    basis, covered = [], set(span)
+    for d in w_group:
+        if d not in covered:
+            basis.append(d)
+            covered |= {c ^ d for c in covered}
+    return tuple(e_m), tuple(sorted(core)), len(w_group) == len(e_m), tuple(basis)
+
+
+@PROPERTY_SETTINGS
+@given(xp_groups(max_x=0))
+def test_z_support_of_diagonal_groups_matches_brute_force(g):
+    want = brute_support(g.generators, g.n)
+    if not want:
+        with pytest.raises(EmptyCodeError):
+            z_support(g)
+    else:
+        assert z_support(g) == want
+
+
+@PROPERTY_SETTINGS
+@given(xp_groups())
+def test_z_support_of_xp_groups_matches_brute_force(g):
+    want = brute_support(canonical_form(g).z_block, g.n)
+    if not want:
+        with pytest.raises(EmptyCodeError):
+            z_support(g)
+    else:
+        assert z_support(g) == want
+
+
+@PROPERTY_SETTINGS
+@given(xp_groups(max_n=8))
+def test_codewords_and_orbits_match_the_per_string_loops(g):
+    try:
+        table = codewords(g)
+    except EmptyCodeError:
+        with pytest.raises(EmptyCodeError):
+            z_support(g)
+        return
+    assert table.entries == reference_codewords(g)
+    od = orbit_decomposition(g)
+    assert (od.e_m, od.e_q, od.regular, od.logical_x_dirs) == reference_orbits(g)
+
+
+# Qubit counts at which every diagonal operator can be enumerated.
+BRUTE_MAX_N = {2: 4, 4: 3, 8: 2, 16: 2}
+
+
+@st.composite
+def constraint_systems(draw, with_orbits=False):
+    precision = draw(st.sampled_from(PRECISIONS))
+    n = draw(st.integers(1, BRUTE_MAX_N[precision]))
+    strings = sorted(draw(st.sets(st.integers(0, 2 ** n - 1), min_size=1)))
+    targets = [draw(st.integers(0, 2 * precision - 1)) for _ in strings]
+    orbit_ids = None
+    if with_orbits:
+        orbit_ids = [draw(st.integers(0, 1)) for _ in strings]
+        orbit_ids[0] = 0
+    return precision, n, strings, targets, orbit_ids
+
+
+def brute_solvable(precision, n, strings, targets, orbit_ids):
+    two_n = 2 * precision
+    zs = np.array(list(product(range(precision), repeat=n)), dtype=np.int64)
+    bits = np.array([[(e >> (n - 1 - i)) & 1 for i in range(n)] for e in strings])
+    base = 2 * zs @ bits.T                      # (operators, strings)
+    offsets = np.zeros(len(strings), dtype=np.int64)
+    gammas = range(two_n) if orbit_ids is not None and any(orbit_ids) else (0,)
+    for gamma in gammas:
+        if orbit_ids is not None:
+            offsets = gamma * np.array(orbit_ids)
+        for p in range(two_n):
+            hits = (base + p + offsets - np.array(targets)) % two_n == 0
+            if hits.all(axis=1).any():
+                return True
+    return False
+
+
+@PROPERTY_SETTINGS
+@given(constraint_systems())
+def test_diagonal_constraint_solution_matches_brute_force(system):
+    precision, n, strings, targets, _ = system
+    solved = solve_diagonal_constraints(n, precision, strings, targets)
+    assert (solved is not None) == brute_solvable(precision, n, strings, targets, None)
+    if solved is not None:
+        op, gammas = solved
+        assert gammas == (0,)
+        assert [op.action_phase(e) for e in strings] == [t % (2 * precision) for t in targets]
+
+
+@PROPERTY_SETTINGS
+@given(constraint_systems(with_orbits=True))
+def test_orbit_constraint_solution_matches_brute_force(system):
+    precision, n, strings, targets, orbit_ids = system
+    solved = solve_diagonal_constraints(n, precision, strings, targets, orbit_ids)
+    assert (solved is not None) == brute_solvable(precision, n, strings, targets, orbit_ids)
+    if solved is not None:
+        op, gammas = solved
+        two_n = 2 * precision
+        for e, t, j in zip(strings, targets, orbit_ids):
+            assert (op.action_phase(e) + gammas[j] - t) % two_n == 0
+
+
+@PROPERTY_SETTINGS
+@given(constraint_systems())
+def test_diagonal_span_kernel_fixes_every_string(system):
+    precision, n, strings, _, _ = system
+    for op in diagonal_span_kernel(n, precision, strings):
+        assert all(op.action_phase(e) == 0 for e in strings)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -176,3 +176,49 @@ def test_cli_decode_with_kraus_file(tmp_path):
                       "--channel", f"kraus:{path}", "--shots", "30", "--seed", "2")
     assert rc == 0
     assert json.loads(out)["shots"] == 30
+
+
+def chain_network(tmp_path, bonds):
+    """Network file chaining len(bonds) + 1 copies of 722, one bond per pair."""
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "legos": [{"name": "722"}] * (len(bonds) + 1),
+        "bonds": [[i, a, i + 1, b] for i, (a, b) in enumerate(bonds)],
+    }))
+    return path
+
+
+# Canonical rows (x, z, p) of two 722 copies bonded on legs 2 and 4.
+CHAIN_722_BOND_2_4 = (
+    ((1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1), (0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 3, 4), 7),
+    ((0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 1, 2, 3, 4, 0, 0, 0, 0, 0, 0), 14),
+    ((0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0), 9),
+    ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), (1, 3, 0, 0, 0, 0, 0, 0, 0, 4, 4, 4), 8),
+    ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), (0, 4, 0, 0, 0, 0, 0, 0, 0, 4, 4, 4), 8),
+    ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 4, 4, 4, 4, 0, 0, 0, 0, 0, 0), 8),
+    ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1, 0, 7, 0, 0, 0), 0),
+    ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1, 7, 0, 0, 0), 0),
+)
+
+
+def test_cli_trace_of_two_722_copies_is_pinned(tmp_path):
+    rc, out = run_cli("trace", str(chain_network(tmp_path, [(2, 4)])))
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["matrix"]["n"] == 12 and doc["matrix"]["precision"] == 8
+    assert doc["matrix"]["designation"] == ["P"] * 12
+    rows = tuple((tuple(r["x"]), tuple(r["z"]), r["p"]) for r in doc["matrix"]["rows"])
+    assert rows == CHAIN_722_BOND_2_4
+    assert doc["counting_check"] is True
+    assert doc["state_counting_check"] is False
+    assert doc["warnings"] == []
+
+
+def test_cli_trace_over_the_support_limit_exits_with_message(tmp_path):
+    # Four 722 copies: the first trace scans a 28-qubit support.
+    path = chain_network(tmp_path, [(2, 4), (3, 5), (1, 6)])
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc, _ = run_cli("trace", str(path))
+    assert rc == 1
+    assert err.getvalue().startswith("error: Z-support scan of 28 qubits")
