@@ -392,6 +392,16 @@ def _constraint_matrix(n: int, precision: int, strings: Sequence[int],
     return ModMatrix(2 * precision, tuple(map(tuple, (mat % (2 * precision)).tolist())))
 
 
+def _solve_constraints(mat: ModMatrix, n: int, targets: Sequence[int],
+                       ) -> tuple[XpOperator, tuple[int, ...]] | None:
+    """Solve a ``_constraint_matrix`` system for per-string ``targets``."""
+    sol = solve_linear_mod(mat, list(targets) + [0] * n)
+    if sol is None:
+        return None
+    op = XpOperator(mat.modulus // 2, (0,) * n, tuple(u // 2 for u in sol[:n]), sol[n])
+    return op, (0,) + tuple(sol[n + 1:])
+
+
 def solve_diagonal_constraints(n: int, precision: int, strings: Sequence[int],
                                targets: Sequence[int],
                                orbit_ids: Sequence[int] | None = None,
@@ -402,13 +412,7 @@ def solve_diagonal_constraints(n: int, precision: int, strings: Sequence[int],
     a constant gamma per orbit, zero on orbit 0.  Returns the operator and
     the gammas, or None when the system (mod 2N) has no solution.
     """
-    two_n = 2 * precision
-    mat = _constraint_matrix(n, precision, strings, orbit_ids)
-    sol = solve_linear_mod(mat, [t % two_n for t in targets] + [0] * n)
-    if sol is None:
-        return None
-    op = XpOperator(precision, (0,) * n, tuple(u // 2 for u in sol[:n]), sol[n])
-    return op, (0,) + tuple(sol[n + 1:])
+    return _solve_constraints(_constraint_matrix(n, precision, strings, orbit_ids), n, targets)
 
 
 def complete_logical_x(table: CodewordTable, w: int,
@@ -480,11 +484,11 @@ def diagonal_logical_operators(g: XpGroup) -> list[XpOperator]:
     support = z_support(g)
     span_basis = _xor_basis([op.x_mask for op in g.x_block])
     labels = _coset_min(np.array(support, dtype=np.int64), span_basis).tolist()
+    mat = _constraint_matrix(g.n, g.precision, support)
     out = []
     # One column of coordinates over the support per logical direction.
     for column in zip(*(coords[m] for m in labels)):
-        solved = solve_diagonal_constraints(
-            g.n, g.precision, support, [g.precision * c for c in column])
+        solved = _solve_constraints(mat, g.n, [g.precision * c for c in column])
         if solved is None:
             raise NonRegularError("no diagonal logical for a direction")
         out.append(solved[0])
@@ -497,13 +501,30 @@ def diagonal_span_kernel(n: int, precision: int, support: Sequence[int]) -> list
     Returns a Howell basis of the solution module of p + 2 z . bits(e) == 0
     (mod 2N) over the given strings.
     """
-    two_n = 2 * precision
-    kern = kernel_mod(_constraint_matrix(n, precision, support))
-    return [
-        XpOperator(precision, (0,) * n, tuple(v // 2 for v in krow[:n]), krow[n])
-        for krow in kern.entries
-        if any(krow[:n]) or krow[n] % two_n
-    ]
+    return list(_lid(dict.fromkeys(support, 0), (), n, precision).generators)
+
+
+def _lid(phases: dict[int, int], dirs: Sequence[int], n: int, precision: int,
+         ) -> XpGroup | None:
+    """Canonical group of the diagonal operators fixing every string of
+    ``phases`` and, per direction w in ``dirs``, the completion of X^w that
+    carries each w^phases[e] |e> to w^phases[e ^ w] |e ^ w>; None when a
+    direction has no completion.  One constraint matrix, factored once,
+    serves every solve and the kernel.
+    """
+    support = sorted(phases)
+    mat = _constraint_matrix(n, precision, support)
+    gens = []
+    for w in dirs:
+        solved = _solve_constraints(mat, n, [phases[e ^ w] - phases[e] for e in support])
+        if solved is None:
+            return None
+        d, _ = solved
+        gens.append(XpOperator(precision, int_to_bits(w, n), d.z, d.phase))
+    # Kernel rows are (2z|p) vectors; howell_form has dropped the zero ones.
+    gens += [XpOperator(precision, (0,) * n, tuple(u // 2 for u in krow[:n]), krow[n])
+             for krow in kernel_mod(mat).entries]
+    return canonical_form(XpGroup(precision, n, tuple(gens)))
 
 
 def complete_lid(g: XpGroup) -> XpGroup:
@@ -515,19 +536,10 @@ def complete_lid(g: XpGroup) -> XpGroup:
     the output always contains the input group.
     """
     g = canonical_form(g)
-    phases = codewords(g).phase_map()
-    support = sorted(phases)
-    diag = diagonal_span_kernel(g.n, g.precision, support)
-    xs = []
-    for op in g.x_block:
-        w = op.x_mask
-        solved = solve_diagonal_constraints(
-            g.n, g.precision, support, [phases[e ^ w] - phases[e] for e in support])
-        if solved is None:
-            raise InvariantError("stabilizer row lost its own completion")
-        d, _ = solved
-        xs.append(XpOperator(g.precision, op.x, d.z, d.phase))
-    return canonical_form(XpGroup(g.precision, g.n, tuple(xs + diag)))
+    lid = _lid(codewords(g).phase_map(), [op.x_mask for op in g.x_block], g.n, g.precision)
+    if lid is None:
+        raise InvariantError("stabilizer row lost its own completion")
+    return lid
 
 
 def lid_from_phase_table(pairs: Sequence[tuple[int, int]], n: int, precision: int,
@@ -544,23 +556,12 @@ def lid_from_phase_table(pairs: Sequence[tuple[int, int]], n: int, precision: in
         return None
     phases = {e: ph % (2 * precision) for e, ph in pairs}
     support = sorted(phases)
-    e0 = support[0]
     # The support is affine exactly when it fills the span of its shifts.
-    dirs = sorted(_xor_basis([e ^ e0 for e in support]), reverse=True)
+    dirs = sorted(_xor_basis([e ^ support[0] for e in support]), reverse=True)
     if len(support) != 2 ** len(dirs):
         return None
-
-    diag_gens = diagonal_span_kernel(n, precision, support)
-    x_gens = []
-    for d in dirs:
-        solved = solve_diagonal_constraints(
-            n, precision, support, [phases[e ^ d] - phases[e] for e in support])
-        if solved is None:
-            return None
-        op, _ = solved
-        x_gens.append(XpOperator(precision, int_to_bits(d, n), op.z, op.phase))
-    group = canonical_form(XpGroup.from_generators(x_gens + diag_gens, n=n, precision=precision))
-    if len(codewords(group).entries) != 1:
+    group = _lid(phases, dirs, n, precision)
+    if group is None or len(codewords(group).entries) != 1:
         return None
     return group
 

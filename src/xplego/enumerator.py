@@ -18,6 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .dense_oracle import omega_table
+
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -116,21 +118,6 @@ def pauli_weights(n: int) -> np.ndarray:
     return w
 
 
-def _weight_channel(mat: np.ndarray, z: float) -> np.ndarray:
-    """Apply (rho -> rho + z(X rho X + Y rho Y + Z rho Z)) on every qubit."""
-    n = int(np.log2(mat.shape[0]))
-    kernel = np.zeros((2, 2, 2, 2), dtype=complex)  # [r', c', r, c]
-    for p in PAULI_LIST[1:]:
-        kernel += z * np.einsum("ab,cd->acbd", p, p.conj())
-    kernel += np.einsum("ab,cd->acbd", PAULI["I"], PAULI["I"])
-    t = mat.reshape((2,) * (2 * n))
-    for i in range(n):
-        t = np.tensordot(t, kernel, axes=([i, n + i], [2, 3]))
-        t = np.moveaxis(t, -2, i)
-        t = np.moveaxis(t, -1, n + i)
-    return t.reshape(mat.shape)
-
-
 def enumerators(projector: np.ndarray, dimension: int | None = None,
                 ) -> tuple[EnumeratorPoly, EnumeratorPoly]:
     """The weight polynomials A(z) and B(z) of a code projector.
@@ -161,7 +148,7 @@ def enumerators(projector: np.ndarray, dimension: int | None = None,
     # polynomial in z with value sum_d B_d z^d, at z = 0..n.
     samples = []
     for z in range(n + 1):
-        val = np.trace(_weight_channel(projector, float(z)) @ projector).real
+        val = np.trace(apply_channel(projector, np.diag([1, z, z, z])) @ projector).real
         samples.append(val / dimension)
     vander = [[Fraction(z) ** d for d in range(n + 1)] for z in range(n + 1)]
     rhs = [_snap_fraction(s, max_den * 2 ** n, tol=1e-5) for s in samples]
@@ -284,8 +271,6 @@ def biased_distance(projector: np.ndarray, axis: str, tol: float = 1e-9) -> int:
 
 def xp_factors(op) -> list[np.ndarray]:
     """Single-qubit matrix factors of an XP operator, global phase on the first."""
-    from .dense_oracle import omega_table
-
     table = omega_table(op.precision)
     factors = []
     for q in range(op.n):

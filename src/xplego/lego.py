@@ -33,6 +33,7 @@ import numpy as np
 
 from .code_structure import (
     EmptyCodeError,
+    InvariantError,
     NonRegularError,
     XpGroup,
     canonical_form,
@@ -45,7 +46,8 @@ from .code_structure import (
     orbit_decomposition,
     permute_legs,
 )
-from .dense_oracle import contract, state_from_pairs, stabilizes
+from .dense_oracle import contract, omega_table, render_operator, state_from_pairs, stabilizes
+from .registry import group_from_json, lookup
 from .ring_linalg import ModMatrix, kernel_mod, solve_linear_mod
 from .xp_algebra import XpOperator, delete_legs, embed, multiply, power
 
@@ -237,15 +239,14 @@ def _trace_front_two(group: XpGroup, mode: str, support_restriction: bool = True
     matched: list[XpOperator] = []
 
     # Diagonal combinations from the matched kernel of the column functional.
+    cmat = ModMatrix.from_rows([[column_sum(r)] for r in m_rows], precision)
     if m_rows:
-        cmat = ModMatrix.from_rows([[column_sum(r)] for r in m_rows], precision)
         for coeffs in kernel_mod(cmat).entries:
             op = XpOperator.identity(g.n, precision)
             for c, r in zip(coeffs, m_rows):
                 if c:
                     op = multiply(op, power(r, c))
             if not op.is_identity:
-                assert _matching_ok(op, mode)
                 matched.append(op)
 
     for r in g.generators:
@@ -255,7 +256,6 @@ def _trace_front_two(group: XpGroup, mode: str, support_restriction: bool = True
             continue
         target = (-column_sum(r)) % precision
         if m_rows:
-            cmat = ModMatrix.from_rows([[column_sum(mr)] for mr in m_rows], precision)
             sol = solve_linear_mod(cmat, (target,))
         else:
             sol = () if target == 0 else None
@@ -265,8 +265,9 @@ def _trace_front_two(group: XpGroup, mode: str, support_restriction: bool = True
         for c, mr in zip(sol, m_rows):
             if c:
                 op = multiply(op, power(mr, c))
-        assert _matching_ok(op, mode)
         matched.append(op)
+    if not all(_matching_ok(op, mode) for op in matched):
+        raise InvariantError("a matched generator fails the matching condition")
 
     survivors = []
     for op in matched:
@@ -333,7 +334,6 @@ def trace_with_insertion(lego: Lego, j: int, k: int, insertion) -> Lego:
             return self_trace(lego, j, k)
         if not any(insertion.z) and insertion.phase == 0:
             return _trace(lego, j, k, "insert_x", X_MATRIX)
-        from .dense_oracle import render_operator
         mat = render_operator(insertion)
     else:
         mat = np.asarray(insertion, dtype=complex)
@@ -375,7 +375,6 @@ def _check_shortening_isometry(lego: Lego, leg: int) -> None:
             sub = [(e, ph) for e, ph in cw if (e >> (group.n - 1 - leg)) & 1 == bit]
             vec = np.zeros(2 ** (group.n - 1), dtype=complex)
             if sub:
-                from .dense_oracle import omega_table
                 w = omega_table(group.precision)
                 for e, ph in sub:
                     hi = e >> (group.n - leg)
@@ -491,8 +490,6 @@ def run_network(doc: dict) -> Lego:
     the optional "order" relabels the legs that remain after designation
     (entry i is the leg that becomes position i).
     """
-    from .registry import group_from_json, lookup
-
     legos: list[Lego] = []
     for spec in doc["legos"]:
         if "name" in spec:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .code_structure import XpGroup, canonical_form
+from .code_structure import InvariantError, XpGroup, canonical_form
 from .dense_oracle import state_from_pairs, xp_state_from_dense
 from .xp_algebra import XpOperator
 
@@ -54,7 +54,8 @@ def _entry_from_rows(name: str, rows, n: int, precision: int, designation: str, 
 def _entry_from_state(name: str, pairs, n: int, precision: int, note: str) -> CodeRegistryEntry:
     vec = state_from_pairs(pairs, n, precision)
     group = xp_state_from_dense(vec, precision)
-    assert group is not None, f"registry state {name} is not XP"
+    if group is None:
+        raise InvariantError(f"registry state {name} is not XP")
     return CodeRegistryEntry(name, group, ("P",) * n, note)
 
 

@@ -4,13 +4,21 @@ Provides reduced row echelon form over GF(2), the Howell form over Z/mZ
 (the ring generalization of RREF with a uniqueness guarantee), linear
 congruence solving, and kernel computation.  All arithmetic is on plain
 Python integers with explicit reduction, so results are exact for any
-modulus that fits in machine words.  Matrices at the scale this package
-targets are tiny (tens of rows/columns), so clarity wins over vectorization.
+modulus that fits in machine words.
+
+Matrices have few rows (about one per qubit) but can be wide: the
+constraint matrices of ``code_structure`` have one column per Z-support
+string, thousands at 21 qubits.  The Howell form of such a matrix is the
+dominant cost, so it is factored once: every ``ModMatrix`` caches the
+Howell form of ``[A | I]``, and every solve and kernel on the same matrix
+object reads that one form.  Callers build a constraint matrix once and
+pass the same object to each solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -63,6 +71,14 @@ class ModMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
+
+    @cached_property
+    def _augmented_form(self) -> "ModMatrix":
+        """Howell form of [A | I], shared by every solve and kernel of A."""
+        n = self.rows
+        aug = tuple(r + tuple(1 if i == j else 0 for j in range(n))
+                    for i, r in enumerate(self.entries))
+        return howell_form(ModMatrix(self.modulus, aug))
 
 
 def gcdex(a: int, b: int) -> tuple[int, int, int]:
@@ -193,13 +209,6 @@ def howell_form(m: ModMatrix) -> ModMatrix:
     return ModMatrix(mod, tuple(tuple(r) for r in placed if any(r)))
 
 
-def _augmented_howell(a: ModMatrix) -> tuple[ModMatrix, int]:
-    """Howell form of [a | I], used by the solver and kernel routines."""
-    n = a.rows
-    aug = tuple(r + tuple(1 if i == j else 0 for j in range(n)) for i, r in enumerate(a.entries))
-    return howell_form(ModMatrix(a.modulus, aug)), a.cols
-
-
 def solve_linear_mod(a: ModMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """Solve x^T a = b over Z/mZ for x of length ``a.rows``.
 
@@ -218,8 +227,8 @@ def solve_linear_mod(a: ModMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     x = [0] * a.rows
     if a.rows == 0:
         return tuple(x) if not any(residual) else None
-    h, ncols = _augmented_howell(a)
-    for row in h.entries:
+    ncols = a.cols
+    for row in a._augmented_form.entries:
         col = next(c for c, v in enumerate(row) if v)
         if col >= ncols:
             break  # kernel rows; nothing left to reduce with
@@ -247,8 +256,8 @@ def kernel_mod(a: ModMatrix) -> ModMatrix:
     mod = a.modulus
     if a.rows == 0:
         return ModMatrix.from_rows([], mod)
-    h, ncols = _augmented_howell(a)
-    gens = [row[ncols:] for row in h.entries if not any(row[:ncols])]
+    ncols = a.cols
+    gens = [row[ncols:] for row in a._augmented_form.entries if not any(row[:ncols])]
     if not gens:
         return ModMatrix.from_rows([], mod)
     return howell_form(ModMatrix.from_rows(gens, mod))

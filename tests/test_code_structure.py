@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xplego import code_structure
+from xplego import code_structure, ring_linalg
 from xplego.code_structure import (
     Z_SUPPORT_MAX_QUBITS,
     EmptyCodeError,
@@ -18,6 +18,7 @@ from xplego.code_structure import (
     XpGroup,
     canonical_form,
     codewords,
+    complete_lid,
     counting_check,
     diagonal_logical_operators,
     logical_x_operators,
@@ -128,6 +129,24 @@ def test_orbit_closure_is_checked_without_assert(monkeypatch):
     monkeypatch.setattr(code_structure, "z_support", lambda group: (0,))
     with pytest.raises(InvariantError):
         orbit_decomposition(g)
+
+
+def test_complete_lid_factors_its_constraint_matrix_once(monkeypatch):
+    # One (n+1) x (|support|+n) constraint system serves the kernel and
+    # every x-block completion, so it is Howell-reduced exactly once.
+    g = canonical_form(lookup("steane-xp").group)
+    support = z_support(g)
+    assert len(g.x_block) == 3
+    widths = []
+    howell_form = ring_linalg.howell_form
+
+    def counting(m):
+        widths.append(m.cols)
+        return howell_form(m)
+
+    monkeypatch.setattr(ring_linalg, "howell_form", counting)
+    complete_lid(g)
+    assert sum(w >= len(support) for w in widths) == 1
 
 
 def test_orbit_decomposition_for_states_and_codes():

@@ -14,7 +14,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from xplego import lego
 from xplego.code_structure import (
+    InvariantError,
     XpGroup,
     canonical_form,
     codewords,
@@ -44,6 +46,7 @@ from xplego.lego import (
 )
 from xplego.lego import _trace_front_two
 from xplego.registry import group_from_rows, lookup
+from xplego.ring_linalg import ModMatrix
 from xplego.xp_algebra import XpOperator
 
 
@@ -245,6 +248,20 @@ def test_leg_errors():
         self_trace(bell, 0, 5)
     with pytest.raises(LegError):
         trace_with_insertion(bell, 0, 1, "Q")
+
+
+def test_wrong_kernel_combination_raises_invariant_error(monkeypatch):
+    # Unit coefficients pick single diagonal rows whose traced columns do
+    # not cancel; the matching check must stop them entering the group.
+    monkeypatch.setattr(lego, "kernel_mod", lambda a: ModMatrix.identity(a.rows, a.modulus))
+    with pytest.raises(InvariantError):
+        self_trace(lego_from_group(lookup("722").group), 0, 1)
+
+
+def test_wrong_matching_solution_raises_invariant_error(monkeypatch):
+    monkeypatch.setattr(lego, "solve_linear_mod", lambda a, b: (1,) * a.rows)
+    with pytest.raises(InvariantError):
+        self_trace(lego_from_group(lookup("722").group), 0, 1)
 
 
 @pytest.mark.parametrize("fname,target", [

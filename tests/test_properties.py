@@ -1,7 +1,8 @@
 """Property tests of the support-sized stages on random XP groups.
 
 Each vectorized stage is compared with the per-string loop it replaced,
-kept here as the reference, at precisions N in {2, 4, 8, 16}.
+kept here as the reference, at precisions N in {2, 4, 8, 16}; the logical
+identity group completion is checked against its defining properties.
 """
 
 from __future__ import annotations
@@ -18,12 +19,15 @@ from xplego.code_structure import (
     XpGroup,
     canonical_form,
     codewords,
+    complete_lid,
     diagonal_span_kernel,
+    int_to_bits,
+    lid_from_phase_table,
     orbit_decomposition,
     solve_diagonal_constraints,
     z_support,
 )
-from xplego.xp_algebra import XpOperator, multiply
+from xplego.xp_algebra import XpOperator, conjugate, multiply
 
 PRECISIONS = (2, 4, 8, 16)
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
@@ -198,3 +202,51 @@ def test_diagonal_span_kernel_fixes_every_string(system):
     precision, n, strings, _, _ = system
     for op in diagonal_span_kernel(n, precision, strings):
         assert all(op.action_phase(e) == 0 for e in strings)
+
+
+def parity(v):
+    return bin(v).count("1") % 2
+
+
+@st.composite
+def stabilizing_groups(draw, max_n=8):
+    """Random subgroups of the symmetry group of one XP state D|A>.
+
+    A is the uniform state on an affine GF(2) space e0 + span(dirs) and D a
+    diagonal operator.  The full group is generated by D X^w D^-1 for w in
+    dirs and by the Z strings (-1)^(v.e0) Z^v with v orthogonal to dirs; up
+    to two of those generators are dropped, which leaves a code.
+    """
+    precision = draw(st.sampled_from(PRECISIONS))
+    n = draw(st.integers(1, max_n))
+    e0 = draw(st.integers(0, 2 ** n - 1))
+    dirs = draw(st.lists(st.integers(1, 2 ** n - 1), min_size=1, max_size=3))
+    d = XpOperator(precision, (0,) * n, draw(st.tuples(*[st.integers(0, precision - 1)] * n)),
+                   draw(st.integers(0, 2 * precision - 1)))
+    gens = [conjugate(d, XpOperator(precision, int_to_bits(w, n), (0,) * n, 0)) for w in dirs]
+    span = {0}
+    for v in range(1, 2 ** n):
+        if v not in span and not any(parity(v & w) for w in dirs):
+            span |= {s ^ v for s in span}
+            z = tuple(precision // 2 * b for b in int_to_bits(v, n))
+            gens.append(XpOperator(precision, (0,) * n, z, precision * parity(v & e0)))
+    for _ in range(draw(st.integers(0, min(2, len(gens))))):
+        gens.pop(draw(st.integers(0, len(gens) - 1)))
+    return XpGroup.from_generators(gens, n=n, precision=precision)
+
+
+@PROPERTY_SETTINGS
+@given(stabilizing_groups())
+def test_complete_lid_contains_the_group_and_fixes_every_codeword(g):
+    table = codewords(g)
+    lid = complete_lid(g)
+    both = XpGroup(g.precision, g.n, lid.generators + g.generators)
+    assert canonical_form(both).generators == lid.generators
+    two_n = 2 * g.precision
+    for op in lid.generators:
+        for cw in table.entries:
+            phases = dict(cw)
+            for e, ph in cw:
+                assert phases[e ^ op.x_mask] == (ph + op.action_phase(e)) % two_n
+    if len(table.entries) == 1:
+        assert lid_from_phase_table(table.entries[0], g.n, g.precision) == lid

@@ -11,6 +11,7 @@ import pytest
 
 from xplego.cli import main
 from xplego.code_structure import (
+    InvariantError,
     canonical_form,
     codewords,
     counting_check,
@@ -20,6 +21,7 @@ from xplego.code_structure import (
 from xplego.dense_oracle import stabilizes, state_from_pairs
 from xplego.registry import (
     UnknownCodeError,
+    _entry_from_state,
     group_from_json,
     group_to_json,
     lookup,
@@ -65,6 +67,12 @@ def test_magic_entry_matches_its_state():
     assert entry.group.generators == (XpOperator(8, (1,), (6,), 2),)
     state = state_from_pairs([(0, 0), (1, 2)], 1, 8)
     assert stabilizes(entry.group.generators[0], state, tol=1e-12)
+
+
+def test_non_xp_registry_state_raises_invariant_error():
+    # Three equal amplitudes on two qubits: the support is not affine.
+    with pytest.raises(InvariantError):
+        _entry_from_state("not-xp", [(0, 0), (1, 0), (2, 0)], 2, 8, "")
 
 
 def test_reed_muller_structure():
