@@ -25,6 +25,7 @@ from .code_structure import (
 )
 from .decoder import (
     Channel,
+    ChannelError,
     amplitude_damping,
     depolarizing,
     monte_carlo,
@@ -143,11 +144,27 @@ def _parse_channel(spec: str) -> Channel:
         return amplitude_damping(float(value))
     if kind == "kraus":
         with open(value) as fh:
-            doc = json.load(fh)
-        kraus = tuple(np.array([[complex(re, im) for re, im in row] for row in k])
-                      for k in doc)
-        return Channel(kraus)
+            return Channel(_kraus_from_json(json.load(fh)))
     raise ValueError(f"unknown channel spec {spec!r}")
+
+
+def _kraus_from_json(doc) -> tuple[np.ndarray, ...]:
+    """Kraus operators from a list of 2x2 matrices of [re, im] pairs."""
+    if not isinstance(doc, list) or not doc:
+        raise ChannelError("a Kraus file holds a non-empty list of 2x2 matrices")
+
+    def pair(entry) -> bool:
+        return (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                        and abs(v) <= sys.float_info.max for v in entry))
+
+    for k in doc:
+        if not (isinstance(k, list) and len(k) == 2
+                and all(isinstance(row, list) and len(row) == 2 for row in k)):
+            raise ChannelError("each Kraus operator must be a 2x2 matrix: two rows of two entries")
+        if not all(pair(entry) for row in k for entry in row):
+            raise ChannelError("each Kraus matrix entry must be a [re, im] pair of finite numbers")
+    return tuple(np.array([[complex(*entry) for entry in row] for row in k]) for k in doc)
 
 
 def _cmd_decode(args) -> int:

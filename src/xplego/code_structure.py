@@ -415,26 +415,30 @@ def solve_diagonal_constraints(n: int, precision: int, strings: Sequence[int],
     return _solve_constraints(_constraint_matrix(n, precision, strings, orbit_ids), n, targets)
 
 
-def complete_logical_x(table: CodewordTable, w: int,
-                       ) -> tuple[XpOperator, tuple[int, ...]] | None:
-    """Non-diagonal logical along direction ``w`` of a codeword table.
+def complete_logical_x(table: CodewordTable, dirs: Sequence[int],
+                       ) -> list[tuple[XpOperator, tuple[int, ...]] | None]:
+    """Non-diagonal logicals along directions ``dirs`` of a codeword table.
 
     The diagonal completion maps every codeword to a codeword: the base
     orbit with phase one, every other orbit with a constant phase, which is
-    all a valid logical needs.  Returns the logical and the per-orbit
-    phases (gamma), or None when no XP completion exists.
+    all a valid logical needs.  Returns, per direction, the logical and the
+    per-orbit phases (gamma), or None when no XP completion exists.  One
+    orbit constraint matrix, factored once, serves every direction.
     """
     phases = table.phase_map()
     support = sorted(phases)
     orbit_of = {e: idx for idx, cw in enumerate(table.entries) for e, _ in cw}
-    solved = solve_diagonal_constraints(
-        table.n, table.precision, support,
-        [phases[e ^ w] - phases[e] for e in support],
-        [orbit_of[e] for e in support])
-    if solved is None:
-        return None
-    diag, gammas = solved
-    return XpOperator(table.precision, int_to_bits(w, table.n), diag.z, diag.phase), gammas
+    mat = _constraint_matrix(table.n, table.precision, support,
+                             [orbit_of[e] for e in support])
+    out = []
+    for w in dirs:
+        solved = _solve_constraints(mat, table.n, [phases[e ^ w] - phases[e] for e in support])
+        if solved is not None:
+            diag, gammas = solved
+            solved = XpOperator(table.precision, int_to_bits(w, table.n),
+                                diag.z, diag.phase), gammas
+        out.append(solved)
+    return out
 
 
 def logical_x_operators(g: XpGroup) -> list[XpOperator]:
@@ -446,14 +450,10 @@ def logical_x_operators(g: XpGroup) -> list[XpOperator]:
     od = orbit_decomposition(g)
     if not od.regular:
         raise NonRegularError("code core has more than one element")
-    table = codewords(g)
-    out = []
-    for w in od.logical_x_dirs:
-        solved = complete_logical_x(table, w)
-        if solved is None:
-            raise NonRegularError("no XP completion for a logical direction")
-        out.append(solved[0])
-    return out
+    solved = complete_logical_x(codewords(g), od.logical_x_dirs)
+    if None in solved:
+        raise NonRegularError("no XP completion for a logical direction")
+    return [op for op, _ in solved]
 
 
 def logical_coordinates(g: XpGroup) -> dict[int, tuple[int, ...]]:

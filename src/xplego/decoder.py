@@ -31,11 +31,14 @@ from .code_structure import (
     orbit_decomposition,
     r_z_generators,
 )
-from .dense_oracle import apply_operator, projector, render_operator, state_from_pairs
+from .dense_oracle import operator_action, projector, render_operator, state_from_pairs
 from .enumerator import PAULI_LIST, coset_scalars, xp_factors
 from .xp_algebra import XpOperator, conjugate, inverse, multiply
 
 TOL = 1e-9
+# Shots simulated together as (MC_BLOCK, 2^n) arrays.  Larger blocks save
+# little more time and cost peak memory.
+MC_BLOCK = 16
 
 
 class ChannelError(ValueError):
@@ -63,7 +66,7 @@ class Channel:
             if k.shape != (2, 2):
                 raise ChannelError("Kraus operators must be 2x2")
             total += k.conj().T @ k
-        if np.max(np.abs(total - np.eye(2))) > TOL:
+        if not np.max(np.abs(total - np.eye(2))) <= TOL:
             raise ChannelError("Kraus operators do not resolve the identity")
 
 
@@ -209,29 +212,92 @@ def decoder_setup(code: XpGroup) -> DecoderSetup:
     return DecoderSetup(code)
 
 
-def _measure_pm(state: np.ndarray, plus: np.ndarray, minus: np.ndarray,
-                rng, tol: float) -> tuple[int, np.ndarray]:
-    """Resolve a two-outcome projective measurement, sampling if needed.
+class _Actions(dict):
+    """Operator -> (phases, targets) of its sparse action, built on first use."""
 
-    The surviving branch is returned at the norm of the incoming state, so
-    repeated collapses do not shrink the working vector.
+    def __missing__(self, op: XpOperator) -> tuple[np.ndarray, np.ndarray]:
+        action = self[op] = operator_action(op)
+        return action
+
+
+def _act(action: tuple[np.ndarray, np.ndarray], states: np.ndarray) -> np.ndarray:
+    """An operator action applied to every row of a (B, 2^n) block."""
+    phases, targets = action
+    return (states * phases)[:, targets]
+
+
+def _sqnorms(states: np.ndarray) -> np.ndarray:
+    """Squared norm of every row of a complex block."""
+    flat = np.ascontiguousarray(states).view(float)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _groups(bits: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
+    """Row indices of a bit table, grouped by row value."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for row, key in enumerate(map(tuple, bits.tolist())):
+        groups.setdefault(key, []).append(row)
+    return {key: np.array(rows) for key, rows in groups.items()}
+
+
+def _collapse(states: np.ndarray, moved: np.ndarray, rngs: Sequence,
+              tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve the two-outcome measurement (1 +- C)/2 on every row.
+
+    ``moved`` holds C applied to each row.  A definite outcome draws
+    nothing; an undecided one takes one ``random()`` from its row's
+    generator, or raises when that generator is None.  Each surviving
+    branch keeps the norm of its incoming row, so repeated collapses do not
+    shrink the working vectors.
     """
-    scale = float(np.linalg.norm(state))
-    wp = float(np.vdot(plus, plus).real)
-    wm = float(np.vdot(minus, minus).real)
+    plus = (states + moved) / 2.0
+    minus = (states - moved) / 2.0
+    scale = np.sqrt(_sqnorms(states))
+    wp, wm = _sqnorms(plus), _sqnorms(minus)
     total = wp + wm
-    if total <= tol * scale ** 2:
+    if np.any(total <= tol * scale ** 2):
         raise NondeterministicMeasurementError("state annihilated by the sector projector")
-    if wm / total <= tol:
-        return 0, plus * (scale / np.sqrt(wp))
-    if wp / total <= tol:
-        return 1, minus * (scale / np.sqrt(wm))
-    if rng is None:
-        raise NondeterministicMeasurementError(
-            "measurement outcome is not definite; decoding needs a definite sector")
-    if rng.random() < wp / total:
-        return 0, plus * (scale / np.sqrt(wp))
-    return 1, minus * (scale / np.sqrt(wm))
+    zero_definite = wm / total <= tol
+    bits = ~zero_definite & (wp / total <= tol)
+    for row in np.flatnonzero(~zero_definite & ~bits):
+        if rngs[row] is None:
+            raise NondeterministicMeasurementError(
+                "measurement outcome is not definite; decoding needs a definite sector")
+        bits[row] = not rngs[row].random() < wp[row] / total[row]
+    kept = np.where(bits[:, None], minus, plus)
+    kept *= (scale / np.sqrt(np.where(bits, wm, wp)))[:, None]
+    return bits, kept
+
+
+def _measure_block(setup: DecoderSetup, states: np.ndarray, rngs: Sequence,
+                   tol: float, actions: _Actions,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both syndrome rounds on a (B, 2^n) block, one generator per row.
+
+    Returns the first- and second-round outcome bits, (B, |r_z|) and
+    (B, |x_checks|), and the collapsed rows.  Round two runs per group of
+    rows sharing a first-round sector.
+    """
+    if states.shape[1] != 2 ** setup.n:
+        raise ValueError("state dimension does not match operator")
+    s_z = np.zeros((len(states), len(setup.r_z)), dtype=np.int64)
+    for c, op in enumerate(setup.r_z):
+        s_z[:, c], states = _collapse(states, _act(actions[op], states), rngs, tol)
+    s_x = np.zeros((len(states), len(setup.x_checks)), dtype=np.int64)
+    out = np.empty_like(states)
+    for key, rows in _groups(s_z).items():
+        e_sz = setup.z_representative(key)
+        pi_t = setup.sector_projector(key).T
+        block = states[rows]
+        drift = np.sqrt(_sqnorms(block @ pi_t - block))
+        if np.any(drift > tol * np.maximum(np.sqrt(_sqnorms(block)), 1e-30)):
+            raise NondeterministicMeasurementError("state is not supported on its sector")
+        block_rngs = [rngs[r] for r in rows]
+        for c, op in enumerate(setup.x_checks):
+            moved = _act(actions[conjugate(e_sz, op)], block) @ pi_t
+            s_x[rows, c], block = _collapse(block, moved, block_rngs, tol)
+        out[rows] = block
+    return s_z, s_x, out
 
 
 def measure_syndrome(state: np.ndarray, code: XpGroup, rng=None,
@@ -244,26 +310,9 @@ def measure_syndrome(state: np.ndarray, code: XpGroup, rng=None,
     Outcomes that are not definite are sampled with ``rng`` or raise.
     """
     setup = decoder_setup(canonical_form(code))
-    state = np.asarray(state, dtype=complex)
-    s_z = []
-    for op in setup.r_z:
-        moved = apply_operator(op, state)
-        bit, state = _measure_pm(state, (state + moved) / 2.0, (state - moved) / 2.0,
-                                 rng, tol)
-        s_z.append(bit)
-    e_sz = setup.z_representative(s_z)
-    pi_sector = setup.sector_projector(s_z)
-    projected = pi_sector @ state
-    if np.linalg.norm(projected - state) > tol * max(np.linalg.norm(state), 1e-30):
-        raise NondeterministicMeasurementError("state is not supported on its sector")
-    s_x = []
-    for op in setup.x_checks:
-        conjugated = conjugate(e_sz, op)
-        moved = pi_sector @ apply_operator(conjugated, state)
-        bit, state = _measure_pm(state, (state + moved) / 2.0, (state - moved) / 2.0,
-                                 rng, tol)
-        s_x.append(bit)
-    return Syndrome(tuple(s_z), tuple(s_x)), state
+    block = np.asarray(state, dtype=complex)[None, :]
+    s_z, s_x, out = _measure_block(setup, block, [rng], tol, _Actions())
+    return Syndrome(tuple(s_z[0].tolist()), tuple(s_x[0].tolist())), out[0]
 
 
 def extract_syndrome(state: np.ndarray, code: XpGroup) -> Syndrome:
@@ -317,6 +366,54 @@ class MonteCarloResult:
     per_syndrome: dict
 
 
+def _twirl_noise(states: np.ndarray, picks: np.ndarray, setup: DecoderSetup,
+                 actions: _Actions) -> np.ndarray:
+    """Apply each row's Pauli picks, (B, n) in 0..3 for I, X, XZ, Z."""
+    states = states.copy()
+    half = setup.precision // 2
+    for q in range(setup.n):
+        for p in (1, 2, 3):
+            rows = np.flatnonzero(picks[:, q] == p)
+            if rows.size:
+                op = XpOperator(
+                    setup.precision,
+                    tuple(1 if (q == i and p in (1, 2)) else 0 for i in range(setup.n)),
+                    tuple(half if (q == i and p in (2, 3)) else 0 for i in range(setup.n)),
+                    0)
+                states[rows] = _act(actions[op], states[rows])
+    return states
+
+
+def _kraus_noise(states: np.ndarray, draws: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """Branch every row on each qubit in turn and keep one Kraus branch.
+
+    All branches of one qubit come from one contraction over the block; the
+    branch is picked from its weights with one uniform draw per row and
+    qubit, ``draws`` (B, n), by the rule of ``Generator.choice``.
+    """
+    rows = np.arange(len(states))
+    m = len(kraus)
+    stacked = kraus.reshape(2 * m, 2)
+    for q in range(draws.shape[1]):
+        t = states.reshape(len(states), 2 ** q, 2, -1)
+        branches = stacked @ t.transpose(2, 0, 1, 3).reshape(2, -1)
+        branches = branches.reshape(m, 2, *t.shape[:2], t.shape[3])
+        flat = branches.view(float)
+        weights = np.einsum("mabcd,mabcd->bm", flat, flat)
+        pick = _choice(weights / weights.sum(axis=1, keepdims=True), draws[:, q])
+        kept = branches[pick, :, rows].transpose(0, 2, 1, 3).reshape(states.shape)
+        states = kept / np.sqrt(weights[rows, pick])[:, None]
+    return states
+
+
+def _choice(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``Generator.choice(m, p=probs[..., :])`` given its uniform draws ``u``:
+    the count of normalized cumulative weights at or below the draw."""
+    cdf = np.cumsum(probs, axis=-1)
+    cdf /= cdf[..., -1:]
+    return np.sum(cdf <= u[..., None], axis=-1)
+
+
 def monte_carlo(code: XpGroup, channel: Channel, shots: int, seed: int,
                 mode: str = "exact") -> MonteCarloResult:
     """Sampled logical error rate of the full decode-and-recover loop.
@@ -326,7 +423,10 @@ def monte_carlo(code: XpGroup, channel: Channel, shots: int, seed: int,
     syndrome rounds, applies the cached maximum-likelihood correction, and
     scores success when the recovered state matches the input up to a
     global phase.  Shots draw independent generators seeded by (seed,
-    shot), so results do not depend on execution order.
+    shot), so results do not depend on execution order: each generator
+    gives ``normal(2K)`` for the amplitudes, ``random(n)`` for the noise
+    picks, then one ``random()`` per undecided measurement in check order.
+    Shots run ``MC_BLOCK`` at a time as (B, 2^n) arrays.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
@@ -339,54 +439,42 @@ def monte_carlo(code: XpGroup, channel: Channel, shots: int, seed: int,
     coeffs = pauli_process_coeffs(channel)
     twirl_probs = np.clip(np.real(np.diag(coeffs)), 0.0, None)
     twirl_probs = twirl_probs / twirl_probs.sum()
-    corrections: dict[Syndrome, XpOperator] = {}
-    per_syndrome: dict[tuple, list[int]] = {}
-    failures = 0
+    kraus = np.array([np.asarray(k, dtype=complex) for k in channel.kraus])
     basis = [v / np.linalg.norm(v) for v in setup.codeword_states]
-    kraus = [np.asarray(k, dtype=complex) for k in channel.kraus]
-    n = setup.n
-    for shot in range(shots):
-        rng = np.random.default_rng([seed, shot])
-        raw = rng.normal(size=2 * len(basis))
-        amps = raw[::2] + 1j * raw[1::2]
-        amps = amps / np.linalg.norm(amps)
-        state = sum(a * v for a, v in zip(amps, basis))
-        reference = state
+    actions = _Actions()
+    corrections: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    per_syndrome: dict[tuple[int, ...], list[int]] = {}
+    failures = 0
+    n, r = setup.n, len(setup.r_z)
+    for start in range(0, shots, MC_BLOCK):
+        rngs = [np.random.default_rng([seed, shot])
+                for shot in range(start, min(start + MC_BLOCK, shots))]
+        raw = np.array([rng.normal(size=2 * len(basis)) for rng in rngs])
+        draws = np.array([rng.random(n) for rng in rngs])
+        amps = raw[:, ::2] + 1j * raw[:, 1::2]
+        amps = amps / np.linalg.norm(amps, axis=1, keepdims=True)
+        reference = sum(amps[:, j, None] * v for j, v in enumerate(basis))
 
         if mode == "twirl":
-            for q in range(n):
-                p = int(rng.choice(4, p=twirl_probs))
-                if p:
-                    op = XpOperator(
-                        setup.precision,
-                        tuple(1 if (q == i and p in (1, 2)) else 0 for i in range(n)),
-                        tuple(setup.precision // 2 if (q == i and p in (2, 3)) else 0
-                              for i in range(n)),
-                        0)
-                    state = apply_operator(op, state)
+            states = _twirl_noise(reference, _choice(twirl_probs, draws), setup, actions)
         else:
-            for q in range(n):
-                branches = []
-                for k in kraus:
-                    t = state.reshape((2,) * n)
-                    t = np.tensordot(k, t, axes=([1], [q]))
-                    branches.append(np.moveaxis(t, 0, q).reshape(-1))
-                probs = np.array([float(np.vdot(b, b).real) for b in branches])
-                probs = probs / probs.sum()
-                pick = int(rng.choice(len(branches), p=probs))
-                state = branches[pick] / np.linalg.norm(branches[pick])
+            states = _kraus_noise(reference, draws, kraus)
 
-        syndrome, state = measure_syndrome(state, code, rng=rng)
-        if syndrome not in corrections:
-            corrections[syndrome] = ml_decode(syndrome, coeffs, code).correction
-        state = apply_operator(corrections[syndrome], state)
-        fidelity = abs(np.vdot(reference, state)) ** 2 / float(
-            np.vdot(state, state).real)
-        ok = fidelity >= 1.0 - 1e-9
-        if not ok:
-            failures += 1
-        key = syndrome.s_z + syndrome.s_x
-        per_syndrome.setdefault(key, [0, 0])[0 if ok else 1] += 1
+        s_z, s_x, states = _measure_block(setup, states, rngs, 1e-7, actions)
+        groups = _groups(np.concatenate([s_z, s_x], axis=1))
+        for key, rows in groups.items():
+            if key not in corrections:
+                syndrome = Syndrome(key[:r], key[r:])
+                corrections[key] = actions[ml_decode(syndrome, coeffs, code).correction]
+            states[rows] = _act(corrections[key], states[rows])
+        overlap = np.einsum("ij,ij->i", reference.conj(), states)
+        ok = np.abs(overlap) ** 2 / _sqnorms(states) >= 1.0 - 1e-9
+        for key, rows in groups.items():
+            failed = int(np.count_nonzero(~ok[rows]))
+            tally = per_syndrome.setdefault(key, [0, 0])
+            tally[0] += len(rows) - failed
+            tally[1] += failed
+            failures += failed
 
     rate = failures / shots
     ci95 = 1.96 * np.sqrt(max(rate * (1.0 - rate), 1e-12) / shots)

@@ -47,25 +47,31 @@ def _phase_exponents(op: XpOperator) -> np.ndarray:
     return expo % (2 * op.precision)
 
 
+def operator_action(op: XpOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Phase vector and targets of the sparse action |e> -> w^(p + 2 z.e) |e xor x>.
+
+    The target map e -> e xor x is its own inverse, so ``(phases * vec)[targets]``
+    is the acted-on vector; batches of row vectors index their last axis.
+    """
+    phases = omega_table(op.precision)[_phase_exponents(op)]
+    return phases, np.arange(2 ** op.n) ^ op.x_mask
+
+
 def apply_operator(op: XpOperator, vec: np.ndarray) -> np.ndarray:
     """Sparse action |e> -> w^(p + 2 z.e) |e xor x| on a state vector."""
     if vec.shape[0] != 2 ** op.n:
         raise ValueError("state dimension does not match operator")
-    table = omega_table(op.precision)
-    phases = table[_phase_exponents(op)]
+    phases, targets = operator_action(op)
     out = np.zeros(vec.shape, dtype=complex)
-    idx = np.arange(2 ** op.n)
-    out[idx ^ op.x_mask] = phases * vec
+    out[targets] = phases * vec
     return out
 
 
 def apply_operator_to_matrix(op: XpOperator, mat: np.ndarray) -> np.ndarray:
     """Left-multiply a dense matrix by the operator, column by column."""
-    table = omega_table(op.precision)
-    phases = table[_phase_exponents(op)]
+    phases, targets = operator_action(op)
     out = np.zeros(mat.shape, dtype=complex)
-    idx = np.arange(mat.shape[0])
-    out[idx ^ op.x_mask, :] = phases[:, None] * mat
+    out[targets, :] = phases[:, None] * mat
     return out
 
 

@@ -421,7 +421,7 @@ def materialize_logical(lego: Lego, logical_index: int = 0) -> Lego:
     n = group.n
 
     table = codewords(group)
-    solved = complete_logical_x(table, od.logical_x_dirs[logical_index])
+    solved = complete_logical_x(table, [od.logical_x_dirs[logical_index]])[0]
     if solved is None:
         raise NonRegularError("no XP completion for the logical direction")
     xbar, gammas = solved

@@ -149,6 +149,27 @@ def test_complete_lid_factors_its_constraint_matrix_once(monkeypatch):
     assert sum(w >= len(support) for w in widths) == 1
 
 
+def test_logical_x_operators_factor_the_orbit_system_once(monkeypatch):
+    # Every logical direction is solved on one orbit constraint system:
+    # (n + 1 + orbits - 1) rows of |support| + n columns, Howell-reduced
+    # once with the identity block appended.
+    g = canonical_form(lookup("722").group)
+    od = orbit_decomposition(g)
+    assert len(od.logical_x_dirs) == 2
+    rows = g.n + len(od.e_m)
+    augmented = len(z_support(g)) + g.n + rows
+    widths = []
+    howell_form = ring_linalg.howell_form
+
+    def counting(m):
+        widths.append(m.cols)
+        return howell_form(m)
+
+    monkeypatch.setattr(ring_linalg, "howell_form", counting)
+    logical_x_operators(g)
+    assert widths.count(augmented) == 1
+
+
 def test_orbit_decomposition_for_states_and_codes():
     od = orbit_decomposition(lookup("lego6-second").group)
     assert od.regular and len(od.e_m) == 1 and od.logical_x_dirs == ()

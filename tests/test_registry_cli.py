@@ -230,3 +230,38 @@ def test_cli_trace_over_the_support_limit_exits_with_message(tmp_path):
         rc, _ = run_cli("trace", str(path))
     assert rc == 1
     assert err.getvalue().startswith("error: Z-support scan of 28 qubits")
+
+
+IDENTITY_KRAUS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+MALFORMED_KRAUS_FILES = {
+    "rows-of-numbers": json.dumps([[[1, 0], [0, 0]]]),
+    "triple-entry": json.dumps([[[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]]),
+    "string-entry": json.dumps([[[["1", "0"], [0, 0]], [[0, 0], [1, 0]]]]),
+    "boolean-entry": json.dumps([[[[True, False], [0, 0]], [[0, 0], [1, 0]]]]),
+    "short-row": json.dumps([[[[1, 0]], [[0, 0], [1, 0]]]]),
+    "long-row": json.dumps([[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0]]]]),
+    "object-document": json.dumps({"kraus": [IDENTITY_KRAUS]}),
+    "number-document": json.dumps(3),
+    "empty-list": json.dumps([]),
+    "one-by-one": json.dumps([[[[1, 0]]]]),
+    "three-by-three": json.dumps([[[[1, 0], [0, 0], [0, 0]]] * 3]),
+    "not-tp-short": json.dumps([[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]),
+    "not-tp-long": json.dumps([IDENTITY_KRAUS, IDENTITY_KRAUS]),
+    "nan-entry": json.dumps([[[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]]),
+    "huge-entry": json.dumps([[[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]]),
+    "not-json": "[[",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_KRAUS_FILES))
+def test_cli_decode_malformed_kraus_file_exits_with_message(tmp_path, name):
+    path = tmp_path / "chan.json"
+    path.write_text(MALFORMED_KRAUS_FILES[name])
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc, out = run_cli("decode", "--code", "steane-xp",
+                          "--channel", f"kraus:{path}", "--shots", "1")
+    assert rc == 1 and out == ""
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
