@@ -32,7 +32,7 @@ from .code_structure import (
     r_z_generators,
 )
 from .dense_oracle import operator_action, projector, render_operator, state_from_pairs
-from .enumerator import PAULI_LIST, coset_scalars, xp_factors
+from .enumerator import PAULI_LIST, CosetTrace, xp_factors
 from .xp_algebra import XpOperator, conjugate, inverse, multiply
 
 TOL = 1e-9
@@ -152,6 +152,9 @@ class DecoderSetup:
         self._x_reps = _min_weight_reps(
             [list(op.x) for op in self.x_checks], code.n)
         self._sector_cache: dict[tuple[int, ...], np.ndarray] = {}
+        # (channel key, CosetTrace) for the most recent channel only: the
+        # context holds a 4^n complex array.
+        self._coset_trace: tuple[tuple, CosetTrace] | None = None
         self.classes: list[tuple[str, XpOperator]] | None = None
         if self.k == 1:
             xbar = logical_x_operators(code)[0]
@@ -176,6 +179,19 @@ class DecoderSetup:
         half = self.precision // 2
         return XpOperator(self.precision, (0,) * self.n,
                           tuple(half * b for b in bits), 0)
+
+    def coset_trace(self, coeffs: np.ndarray) -> CosetTrace:
+        """The coset trace context of this code under the channel ``coeffs``.
+
+        Keyed by value, so an equal table built afresh reuses the context; a
+        different channel replaces it.
+        """
+        coeffs = np.asarray(coeffs, dtype=complex)
+        key = (coeffs.shape, coeffs.tobytes())
+        cached = self._coset_trace
+        if cached is None or cached[0] != key:
+            cached = self._coset_trace = (key, CosetTrace(coeffs, self.projector))
+        return cached[1]
 
     def sector_projector(self, s_z: Sequence[int]) -> np.ndarray:
         key = tuple(s_z)
@@ -344,11 +360,12 @@ def ml_decode(syndrome: Syndrome, coeffs: np.ndarray, code: XpGroup) -> DecodeRe
     e_sz, e_sx = representative_errors(syndrome, code)
     base = multiply(e_sz, e_sx)
     kdim = setup.dimension
+    coset_trace = setup.coset_trace(coeffs)
     probabilities = {}
     scored = []
     for idx, (name, logical) in enumerate(setup.classes):
         e_tilde = multiply(base, logical)
-        a_scalar, b_scalar = coset_scalars(coeffs, setup.projector, xp_factors(e_tilde))
+        a_scalar, b_scalar = coset_trace(xp_factors(e_tilde))
         weight = (b_scalar.real + a_scalar.real) / (kdim * (kdim + 1))
         probabilities[name] = weight
         scored.append((-weight, _op_weight(logical), idx, name, logical, e_tilde))

@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense_oracle import omega_table
+from .dense_oracle import omega_table, operator_action
+from .xp_algebra import XpOperator
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -50,12 +51,6 @@ class EnumeratorPoly:
 
     def __getitem__(self, d: int) -> Fraction:
         return self.coefficients[d]
-
-    def evaluate(self, z: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * z + c
-        return acc
 
     def format(self, var: str = "z") -> str:
         """Render like ``1 + 21z^4 + 42z^6``; exact integers stay integers."""
@@ -95,19 +90,25 @@ def _check_projector(mat: np.ndarray, tol: float = 1e-9) -> int:
 def pauli_transform(mat: np.ndarray) -> np.ndarray:
     """Tr[E mat] for every n-qubit Pauli string E, as a (4,)*n tensor.
 
-    E is indexed base 4 per qubit in I, X, Y, Z order, qubit 0 first.  The
-    contraction runs one qubit at a time, so the cost is O(n 4^n).
+    E is indexed base 4 per qubit in I, X, Y, Z order, qubit 0 first.  One
+    butterfly per qubit, so the cost is O(n 4^n).  Every Pauli entry is 0,
+    +-1 or +-i, so each output is one rounded sum of two exact terms.
     """
     n = int(np.log2(mat.shape[0]))
-    kernel = np.array([[p[c, r] for r in (0, 1) for c in (0, 1)]
-                       for p in PAULI_LIST], dtype=complex).reshape(4, 2, 2)
-    t = mat.reshape((2,) * (2 * n))
+    t = mat
     for i in range(n):
-        # Contract row axis i and the matching column axis; the fresh
-        # Pauli axis lands at the end and is moved into place.
-        t = np.tensordot(t, kernel, axes=([i, n], [1, 2]))
-        t = np.moveaxis(t, -1, i)
-    return t
+        # Row bit i, remaining rows, column bit i, remaining columns with
+        # the Pauli axes done so far; the fresh Pauli axis goes last.
+        rows = 2 ** (n - 1 - i)
+        m = t.reshape(2, rows, 2, rows * 4 ** i)
+        t = np.empty((rows, rows * 4 ** i, 4), dtype=complex)
+        np.add(m[0, :, 0], m[1, :, 1], out=t[..., 0])
+        np.add(m[0, :, 1], m[1, :, 0], out=t[..., 1])
+        y = t[..., 2]
+        np.subtract(m[0, :, 1], m[1, :, 0], out=y)
+        y *= 1j
+        np.subtract(m[0, :, 0], m[1, :, 1], out=t[..., 3])
+    return t.reshape((4,) * n)
 
 
 def pauli_weights(n: int) -> np.ndarray:
@@ -217,32 +218,6 @@ def distance(a: EnumeratorPoly, b: EnumeratorPoly) -> int:
     return len(a.coefficients)
 
 
-def _apply_pauli_string(mat: np.ndarray, string: Sequence[int], side: str) -> np.ndarray:
-    """E @ mat or mat @ E for a base-4 Pauli string, via index maps."""
-    n = len(string)
-    dim = mat.shape[0]
-    idx = np.arange(dim)
-    flip = 0
-    phase = np.ones(dim, dtype=complex)
-    for q, p in enumerate(string):
-        bit = (idx >> (n - 1 - q)) & 1
-        if p == 1:
-            flip ^= 1 << (n - 1 - q)
-        elif p == 2:
-            flip ^= 1 << (n - 1 - q)
-            phase = phase * (1j * (1 - 2 * bit))
-        elif p == 3:
-            phase = phase * (1 - 2 * bit)
-    out = np.empty_like(mat)
-    if side == "left":
-        # (E mat)[e xor f, :] = phase[e] mat[e, :]
-        out[idx ^ flip, :] = phase[:, None] * mat
-    else:
-        # (mat E)[:, c] = mat[:, c xor f] phase[c xor f]
-        out[:, idx] = mat[:, idx ^ flip] * phase[idx ^ flip][None, :]
-    return out
-
-
 def biased_distance(projector: np.ndarray, axis: str, tol: float = 1e-9) -> int:
     """Minimum weight of an axis-restricted Pauli logical operator.
 
@@ -251,16 +226,21 @@ def biased_distance(projector: np.ndarray, axis: str, tol: float = 1e-9) -> int:
     Returns n + 1 when no such operator exists.
     """
     n = _check_projector(projector)
-    axis_code = {"X": 1, "Y": 2, "Z": 3}[axis.upper()]
+    x_on, z_on = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}[axis.upper()]
     scale = max(1.0, float(np.max(np.abs(projector))))
     best = n + 1
     for mask in range(1, 2 ** n):
         weight = bin(mask).count("1")
         if weight >= best:
             continue
-        string = [axis_code if (mask >> (n - 1 - q)) & 1 else 0 for q in range(n)]
-        left = _apply_pauli_string(projector, string, "left")
-        both = _apply_pauli_string(left, string, "right")
+        bits = [(mask >> (n - 1 - q)) & 1 for q in range(n)]
+        # Y = i XZ, so a Y string carries the phase i^weight.
+        string = XpOperator(2, tuple(x_on * b for b in bits), tuple(z_on * b for b in bits),
+                            weight * x_on * z_on % 4)
+        phases, targets = operator_action(string)
+        left = np.empty_like(projector)
+        left[targets] = phases[:, None] * projector  # E Pi
+        both = left[:, targets] * phases[targets].conj()  # E Pi E^dag
         if np.max(np.abs(both - projector)) > tol * scale:
             continue
         if np.max(np.abs(left - projector)) <= tol * scale:
@@ -312,36 +292,50 @@ def apply_channel(mat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return t.reshape(mat.shape)
 
 
-def coset_scalars(coeffs: np.ndarray, projector: np.ndarray,
-                  e_tilde_factors: Sequence[np.ndarray]) -> tuple[complex, complex]:
-    """The two trace scalars entering the maximum-likelihood weight.
+class CosetTrace:
+    """The coset trace scalars of one code projector under one channel.
 
-    ``coeffs`` is the 4x4 Pauli pairing table of the single-qubit channel
-    and ``e_tilde_factors`` the single-qubit factors of the residual error
-    times logical representative.  Returns (a_scalar, b_scalar) with
+    ``coeffs`` is the 4x4 Pauli pairing table of the single-qubit channel.
+    The projector check and the channel-applied projector, one 4^n complex
+    array, depend only on the pair, so they are made once here; calling
+    the context with the single-qubit factors of a residual error times
+    logical representative returns (a_scalar, b_scalar) with
 
         a = sum_i Tr[K_i Pi Etilde^dag] Tr[K_i^dag Etilde Pi]
         b = sum_i Tr[K_i Pi K_i^dag Pi_s],   Pi_s = Etilde Pi Etilde^dag
 
     where the index runs over all n-fold tensor products of the Kraus
     operators.  The a side contracts two Pauli transform vectors through
-    coeffs one qubit at a time; the b side applies the channel
-    superoperator to the projector directly.
+    coeffs one qubit at a time; the b side reads the channel-applied
+    projector.
     """
-    n = _check_projector(projector)
-    if len(e_tilde_factors) != n:
-        raise ValueError("factor list length must equal the qubit count")
-    e_tilde = reduce(np.kron, [np.asarray(f, dtype=complex) for f in e_tilde_factors])
 
-    m1 = projector @ e_tilde.conj().T
-    m2 = e_tilde @ projector
-    t1 = pauli_transform(m1)
-    t2 = pauli_transform(m2)
-    for i in range(n):
-        t2 = np.moveaxis(np.tensordot(t2, np.asarray(coeffs, dtype=complex),
-                                      axes=([i], [1])), -1, i)
-    a_scalar = complex(np.tensordot(t1, t2, axes=n))
+    def __init__(self, coeffs: np.ndarray, projector: np.ndarray):
+        self.n = _check_projector(projector)
+        self.coeffs = np.asarray(coeffs, dtype=complex)
+        self.projector = projector
+        self.channel_projector = apply_channel(projector, self.coeffs)
 
-    pi_s = e_tilde @ projector @ e_tilde.conj().T
-    b_scalar = complex(np.trace(apply_channel(projector, coeffs) @ pi_s))
-    return a_scalar, b_scalar
+    def __call__(self, e_tilde_factors: Sequence[np.ndarray]) -> tuple[complex, complex]:
+        n = self.n
+        if len(e_tilde_factors) != n:
+            raise ValueError("factor list length must equal the qubit count")
+        e_tilde = reduce(np.kron, [np.asarray(f, dtype=complex) for f in e_tilde_factors])
+        e_dag = e_tilde.conj().T
+
+        e_pi = e_tilde @ self.projector
+        t1 = pauli_transform(self.projector @ e_dag)
+        t2 = pauli_transform(e_pi)
+        for i in range(n):
+            t2 = np.moveaxis(np.tensordot(t2, self.coeffs, axes=([i], [1])), -1, i)
+        a_scalar = complex(np.tensordot(t1, t2, axes=n))
+
+        pi_s = e_pi @ e_dag
+        b_scalar = complex(np.trace(self.channel_projector @ pi_s))
+        return a_scalar, b_scalar
+
+
+def coset_scalars(coeffs: np.ndarray, projector: np.ndarray,
+                  e_tilde_factors: Sequence[np.ndarray]) -> tuple[complex, complex]:
+    """The two trace scalars of ``CosetTrace`` for a single residual error."""
+    return CosetTrace(coeffs, projector)(e_tilde_factors)

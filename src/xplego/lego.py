@@ -475,6 +475,42 @@ def redesignate(lego: Lego, leg: int, role: str) -> Lego:
 # ---------------------------------------------------------------------------
 # Network files: a list of named legos plus bonds between (lego, leg) pairs.
 
+def _is_number(value, kind=(int, float)) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_network(doc) -> dict[str, list]:
+    """Raise LegError unless ``doc`` has the shape of a network file.
+
+    Returns its bonds, designate and order lists, empty where absent.
+    """
+    if not (isinstance(doc, dict) and isinstance(doc.get("legos"), list) and doc["legos"]):
+        raise LegError("a network is an object with a non-empty list of legos")
+    for i, spec in enumerate(doc["legos"]):
+        if not (isinstance(spec, dict) and ("name" in spec or "matrix" in spec)
+                and isinstance(spec.get("name", ""), str)):
+            raise LegError(f"lego {i} needs a name string or a matrix")
+    lists = {key: [] if doc.get(key) is None else doc[key]
+             for key in ("bonds", "designate", "order")}
+    if not all(isinstance(v, list) for v in lists.values()):
+        raise LegError("bonds, designate and order must be lists")
+    for bond in lists["bonds"]:
+        if not (isinstance(bond, list) and len(bond) in (4, 5)
+                and all(_is_number(v, int) for v in bond[:4])
+                and (len(bond) == 4 or isinstance(bond[4], str) or _is_2x2(bond[4]))):
+            raise LegError(f"bond {bond!r} is not four integer indices [legoA, legA, legoB,"
+                           " legB] and an optional insertion name or 2x2 list of numbers")
+    if not all(_is_number(v, int) for v in lists["designate"] + lists["order"]):
+        raise LegError("designate and order must list integer leg indices")
+    return lists
+
+
+def _is_2x2(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2
+            and all(isinstance(row, list) and len(row) == 2
+                    and all(map(_is_number, row)) for row in value))
+
+
 def run_network(doc: dict) -> Lego:
     """Contract a lego network description.
 
@@ -490,13 +526,17 @@ def run_network(doc: dict) -> Lego:
     the optional "order" relabels the legs that remain after designation
     (entry i is the leg that becomes position i).
     """
+    lists = _check_network(doc)
     legos: list[Lego] = []
-    for spec in doc["legos"]:
+    for i, spec in enumerate(doc["legos"]):
         if "name" in spec:
             entry = lookup(spec["name"])
             legos.append(state_lego(entry.group))
         else:
-            group, designation = group_from_json(spec["matrix"])
+            try:
+                group, designation = group_from_json(spec["matrix"])
+            except (KeyError, TypeError) as exc:
+                raise LegError(f"lego {i} has a malformed matrix ({exc!r})") from exc
             legos.append(lego_from_group(canonical_form(group), designation=designation))
     combined = legos[0]
     for item in legos[1:]:
@@ -505,8 +545,11 @@ def run_network(doc: dict) -> Lego:
     offsets = np.cumsum([0] + [l.n for l in legos]).tolist()
     alive = list(range(combined.n))
     current = combined
-    for bond in doc.get("bonds", []):
+    for bond in lists["bonds"]:
         la, ja, lb, jb, *rest = bond
+        for lego, leg in ((la, ja), (lb, jb)):
+            if not 0 <= lego < len(legos) or not 0 <= leg < legos[lego].n:
+                raise LegError(f"bond {bond}: lego {lego} has no leg {leg}")
         a = offsets[la] + ja
         b = offsets[lb] + jb
         if a not in alive or b not in alive:
@@ -514,7 +557,7 @@ def run_network(doc: dict) -> Lego:
         insertion = rest[0] if rest else None
         current = trace_with_insertion(current, alive.index(a), alive.index(b), insertion)
         alive = [leg for leg in alive if leg not in (a, b)]
-    for leg in sorted(doc.get("designate", []), reverse=True):
+    for leg in sorted(lists["designate"], reverse=True):
         current = shorten_to_logical(current, leg)
     order = doc.get("order")
     if order is not None:

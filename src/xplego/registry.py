@@ -268,6 +268,8 @@ def group_from_json(doc: dict) -> tuple[XpGroup, tuple[str, ...]]:
     designation = tuple(doc.get("designation", ["P"] * n))
     if len(designation) != n:
         raise ValueError("designation length does not match n")
+    if not set(designation) <= {"P", "L"}:
+        raise ValueError("designation entries must be \"P\" or \"L\"")
     return XpGroup(precision, n, tuple(rows)), designation
 
 

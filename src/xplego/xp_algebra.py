@@ -75,10 +75,6 @@ class XpOperator:
     def identity(cls, n: int, precision: int) -> "XpOperator":
         return cls(precision, (0,) * n, (0,) * n, 0)
 
-    @classmethod
-    def from_parts(cls, precision: int, x: Sequence[int], z: Sequence[int], phase: int) -> "XpOperator":
-        return cls(precision, tuple(x), tuple(z), phase)
-
     def action_phase(self, e: int) -> int:
         """Exponent of w picked up when acting on basis index ``e`` (big endian)."""
         n = self.n
@@ -193,30 +189,6 @@ def delete_legs(op: XpOperator, legs: Iterable[int]) -> XpOperator:
     drop = set(legs)
     keep = [i for i in range(op.n) if i not in drop]
     return restrict(op, keep)
-
-
-def pauli_x(n: int, qubit: int, precision: int) -> XpOperator:
-    x = [0] * n
-    x[qubit] = 1
-    return XpOperator(precision, tuple(x), (0,) * n, 0)
-
-
-def pauli_z(n: int, qubit: int, precision: int) -> XpOperator:
-    if precision % 2:
-        raise ValueError("Pauli Z needs even precision")
-    z = [0] * n
-    z[qubit] = precision // 2
-    return XpOperator(precision, (0,) * n, tuple(z), 0)
-
-
-def phase_gate(n: int, qubit: int, precision: int, exponent: int = 1) -> XpOperator:
-    z = [0] * n
-    z[qubit] = exponent
-    return XpOperator(precision, (0,) * n, tuple(z), 0)
-
-
-def from_x_bits(bits: Sequence[int], precision: int, phase: int = 0) -> XpOperator:
-    return XpOperator(precision, tuple(bits), (0,) * len(tuple(bits)), phase)
 
 
 def from_z_vector(zvec: Sequence[int], precision: int, phase: int = 0) -> XpOperator:

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
 from itertools import product
 
 import numpy as np
 import pytest
 
+from xplego import decoder, enumerator
 from xplego.code_structure import canonical_form
 from xplego.decoder import (
     Channel,
     ChannelError,
+    DecoderSetup,
     NondeterministicMeasurementError,
     Syndrome,
     UnsupportedCodeError,
@@ -258,3 +261,47 @@ def test_distance_two_code_detects_every_weight_one_error():
                 continue  # acts as identity on the code space
             syn = extract_syndrome(corrupted, code)
             assert any(syn.s_z) or any(syn.s_x), (qubit, kind)
+
+
+def test_coset_trace_context_is_built_once_per_channel(monkeypatch):
+    # A decision table builds the channel-applied projector and checks the
+    # projector once; one decode per syndrome used to redo both per class.
+    code = load_code()
+    setups = {"current": DecoderSetup(code)}
+    monkeypatch.setattr(decoder, "decoder_setup", lambda c: setups["current"])
+    calls = Counter()
+    for name in ("apply_channel", "_check_projector"):
+        def counted(*args, _original=getattr(enumerator, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(enumerator, name, counted)
+
+    syndromes = [Syndrome(b[:3], b[3:]) for b in product((0, 1), repeat=6)]
+
+    def table(channel, subset=syndromes):
+        # A fresh but equal pairing table per decode, as a caller may pass.
+        return [ml_decode(s, pauli_process_coeffs(channel), code).probabilities
+                for s in subset]
+
+    def cold(channel, subset):
+        warm = setups["current"]
+        setups["current"] = DecoderSetup(code)
+        try:
+            return table(channel, subset)
+        finally:
+            setups["current"] = warm
+
+    dep, damp = depolarizing(0.03), amplitude_damping(0.2)
+    first = table(dep)
+    assert calls == {"apply_channel": 1, "_check_projector": 1}
+    context = setups["current"].coset_trace(pauli_process_coeffs(dep))
+
+    damped = table(damp, syndromes[::8])
+    assert calls == {"apply_channel": 2, "_check_projector": 2}
+    assert setups["current"].coset_trace(pauli_process_coeffs(damp)) is not context
+    assert damped == cold(damp, syndromes[::8])
+
+    again = table(dep, syndromes[::8])
+    # Three contexts so far: depolarizing, damping and the cold damping one.
+    assert calls == {"apply_channel": 4, "_check_projector": 4}
+    assert again == first[::8] == cold(dep, syndromes[::8])

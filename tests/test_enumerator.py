@@ -11,10 +11,18 @@ import numpy as np
 import pytest
 
 from xplego.code_structure import canonical_form
-from xplego.decoder import amplitude_damping, depolarizing, pauli_process_coeffs
+from xplego.decoder import (
+    Syndrome,
+    amplitude_damping,
+    decoder_setup,
+    depolarizing,
+    pauli_process_coeffs,
+    representative_errors,
+)
 from xplego.dense_oracle import lu_conjugate, phase_unitary, projector, render_operator
 from xplego.enumerator import (
     PAULI_LIST,
+    CosetTrace,
     EnumeratorPoly,
     NotAProjectorError,
     apply_channel,
@@ -27,8 +35,8 @@ from xplego.enumerator import (
     pauli_weights,
     xp_factors,
 )
-from xplego.registry import group_from_rows, lookup
-from xplego.xp_algebra import XpOperator
+from xplego.registry import group_from_rows, lookup, registry
+from xplego.xp_algebra import XpOperator, multiply
 
 
 def code_projector(name: str) -> np.ndarray:
@@ -160,6 +168,25 @@ def test_biased_distances():
     bell = code_projector("bell")
     assert biased_distance(bell, "X") == 3
     assert biased_distance(bell, "Z") == 3
+    # Y strings: on the trivial one-qubit code Y itself is a logical, and
+    # the Steane code has weight-3 Y logicals.
+    assert biased_distance(np.eye(2, dtype=complex), "Y") == 1
+    assert biased_distance(code_projector("steane"), "Y") == 3
+
+
+@pytest.mark.parametrize("name", ["bell", "rep-x", "422", "722-traced"])
+def test_biased_distance_matches_dense_pauli_strings(name):
+    pi = code_projector(name)
+    n = int(np.log2(pi.shape[0]))
+    for axis in "XYZ":
+        want = n + 1
+        for mask in range(1, 2 ** n):
+            e = reduce(np.kron, [PAULI_LIST["IXYZ".index(axis)] if (mask >> (n - 1 - q)) & 1
+                                 else PAULI_LIST[0] for q in range(n)])
+            if (np.max(np.abs(e @ pi @ e.conj().T - pi)) <= 1e-9
+                    and np.max(np.abs(e @ pi - pi)) > 1e-9):
+                want = min(want, bin(mask).count("1"))
+        assert biased_distance(pi, axis) == want, axis
 
 
 def test_rejects_non_projector():
@@ -221,3 +248,94 @@ def test_pauli_transform_agrees_with_traces():
         e = reduce(np.kron, [PAULI_LIST[c] for c in combo])
         assert abs(t[i] - np.trace(e @ raw)) < 1e-9
         assert weights[i] == sum(1 for c in combo if c)
+
+
+# Reference implementations: the tensordot Pauli transform and the one-call
+# coset scalars that the butterfly transform and CosetTrace replace.  The
+# production results must equal them bit for bit (the sign of a zero aside).
+
+def reference_pauli_transform(mat):
+    n = int(np.log2(mat.shape[0]))
+    kernel = np.array([[p[c, r] for r in (0, 1) for c in (0, 1)]
+                       for p in PAULI_LIST], dtype=complex).reshape(4, 2, 2)
+    t = mat.reshape((2,) * (2 * n))
+    for i in range(n):
+        t = np.tensordot(t, kernel, axes=([i, n], [1, 2]))
+        t = np.moveaxis(t, -1, i)
+    return t
+
+
+def reference_coset_scalars(coeffs, projector, e_tilde_factors):
+    n = int(np.log2(projector.shape[0]))
+    e_tilde = reduce(np.kron, [np.asarray(f, dtype=complex) for f in e_tilde_factors])
+    m1 = projector @ e_tilde.conj().T
+    m2 = e_tilde @ projector
+    t1 = reference_pauli_transform(m1)
+    t2 = reference_pauli_transform(m2)
+    for i in range(n):
+        t2 = np.moveaxis(np.tensordot(t2, np.asarray(coeffs, dtype=complex),
+                                      axes=([i], [1])), -1, i)
+    a_scalar = complex(np.tensordot(t1, t2, axes=n))
+    pi_s = e_tilde @ projector @ e_tilde.conj().T
+    b_scalar = complex(np.trace(apply_channel(projector, coeffs) @ pi_s))
+    return a_scalar, b_scalar
+
+
+def exactly_equal(a, b) -> bool:
+    """Equal under ==, elementwise; a zero of either sign matches both."""
+    return a.shape == b.shape and bool(np.all(a == b))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pauli_transform_equals_tensordot_reference(n):
+    rng = np.random.default_rng(100 + n)
+    dim = 2 ** n
+    for _ in range(3):
+        mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        mat[rng.random((dim, dim)) < 0.3] = 0
+        mat.real[rng.random((dim, dim)) < 0.2] = 0
+        assert exactly_equal(pauli_transform(mat), reference_pauli_transform(mat))
+
+
+def test_pauli_transform_equals_reference_on_registry_projectors():
+    for name, entry in registry().items():
+        if entry.group.n > 8:
+            continue
+        pi = code_projector(name)
+        assert exactly_equal(pauli_transform(pi), reference_pauli_transform(pi)), name
+
+
+SCALAR_CHANNELS = {"depolarizing-0.05": depolarizing(0.05),
+                   "damping-0.2": amplitude_damping(0.2)}
+
+
+@pytest.mark.parametrize("channel", sorted(SCALAR_CHANNELS))
+def test_coset_trace_equals_reference_on_steane_xp_classes(channel):
+    code = canonical_form(lookup("steane-xp").group)
+    setup = decoder_setup(code)
+    coeffs = pauli_process_coeffs(SCALAR_CHANNELS[channel])
+    context = CosetTrace(coeffs, setup.projector)
+    for bits in list(product((0, 1), repeat=6))[::4]:
+        e_sz, e_sx = representative_errors(Syndrome(bits[:3], bits[3:]), code)
+        for name, logical in setup.classes:
+            factors = xp_factors(multiply(multiply(e_sz, e_sx), logical))
+            want = reference_coset_scalars(coeffs, setup.projector, factors)
+            assert context(factors) == want, (bits, name)
+            assert coset_scalars(coeffs, setup.projector, factors) == want, (bits, name)
+
+
+@pytest.mark.parametrize("channel", sorted(SCALAR_CHANNELS))
+@pytest.mark.parametrize("name", ["722", "812"])
+def test_coset_trace_equals_reference_on_random_residuals(name, channel):
+    rng = random.Random(f"{name}:{channel}")
+    group = canonical_form(lookup(name).group)
+    pi = projector(group)
+    coeffs = pauli_process_coeffs(SCALAR_CHANNELS[channel])
+    context = CosetTrace(coeffs, pi)
+    n, precision = group.n, group.precision
+    for _ in range(6):
+        op = XpOperator(precision, tuple(rng.randrange(2) for _ in range(n)),
+                        tuple(rng.randrange(precision) for _ in range(n)),
+                        rng.randrange(2 * precision))
+        factors = xp_factors(op)
+        assert context(factors) == reference_coset_scalars(coeffs, pi, factors), op

@@ -265,3 +265,43 @@ def test_cli_decode_malformed_kraus_file_exits_with_message(tmp_path, name):
                           "--channel", f"kraus:{path}", "--shots", "1")
     assert rc == 1 and out == ""
     assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+
+
+MALFORMED_NETWORKS = {
+    "legos-not-a-list": {"legos": "x"},
+    "document-is-a-list": [{"name": "722"}],
+    "lego-without-name-or-matrix": {"legos": [{"label": "722"}]},
+    "no-legos": {"legos": []},
+    "leg-out-of-range": {"legos": [{"name": "722"}], "bonds": [[0, 0, 0, 9]]},
+    "two-entry-bond": {"legos": [{"name": "722"}], "bonds": [[0, 0]]},
+    "lego-index-out-of-range": {"legos": [{"name": "722"}], "bonds": [[1, 0, 0, 1]]},
+    "negative-lego-index": {"legos": [{"name": "722"}], "bonds": [[-1, 0, 0, 1]]},
+    "fractional-leg": {"legos": [{"name": "722"}], "bonds": [[0, 0.5, 0, 1]]},
+    "bonds-not-a-list": {"legos": [{"name": "722"}], "bonds": "01"},
+    "insertion-object": {"legos": [{"name": "ghz"}], "bonds": [[0, 0, 0, 1, {}]]},
+    "insertion-wrong-shape": {"legos": [{"name": "ghz"}], "bonds": [[0, 0, 0, 1, [[1, 0, 0]]]]},
+    "name-not-a-string": {"legos": [{"name": 722}]},
+    "matrix-not-an-object": {"legos": [{"matrix": "x"}]},
+    "matrix-without-rows": {"legos": [{"matrix": {"n": 1, "precision": 2}}]},
+    "matrix-ragged-row": {"legos": [{"matrix": {"n": 2, "precision": 2, "rows": [
+        {"x": [1, 1], "z": [0], "p": 0}]}}]},
+    "matrix-unknown-designation": {"legos": [{"matrix": {
+        "n": 2, "precision": 2, "designation": ["P", "Q"],
+        "rows": [{"x": [1, 1], "z": [0, 0], "p": 0}]}}]},
+    "designate-strings": {"legos": [{"name": "722"}], "designate": ["a"]},
+    "designate-out-of-range": {"legos": [{"name": "722"}], "designate": [7]},
+    "order-objects": {"legos": [{"name": "722"}], "bonds": [[0, 0, 0, 1]],
+                      "order": [{}, 1, 2, 3, 4]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_NETWORKS))
+def test_cli_trace_malformed_network_exits_with_message(tmp_path, name):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(MALFORMED_NETWORKS[name]))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc, out = run_cli("trace", str(path))
+    assert rc == 1 and out == ""
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+    assert "unpack" not in err.getvalue() and "already contracted" not in err.getvalue()
