@@ -20,12 +20,16 @@ import numpy as np
 
 from .code_structure import (
     EmptyCodeError,
+    SizeLimitError,
     XpGroup,
     canonical_form,
     lid_from_phase_table,
     phase_identity,
 )
 from .xp_algebra import XpOperator, multiply
+
+# A dense projector holds 4^n complex numbers: 256 MiB at 12 qubits.
+PROJECTOR_MAX_QUBITS = 12
 
 
 class InvalidUnitaryError(ValueError):
@@ -103,8 +107,12 @@ def projector(g: XpGroup) -> np.ndarray:
     Multiplies the averaged factors (1/2)(I + S) over the non-diagonal
     generators and (1/N) sum of powers over the diagonal ones.  Raises
     EmptyCodeError when the presentation is inconsistent or stabilizes
-    nothing.
+    nothing, and SizeLimitError above ``PROJECTOR_MAX_QUBITS`` qubits,
+    before anything is allocated.
     """
+    if g.n > PROJECTOR_MAX_QUBITS:
+        raise SizeLimitError(
+            f"a dense projector of {g.n} qubits exceeds the {PROJECTOR_MAX_QUBITS}-qubit limit")
     g = canonical_form(g)
     if phase_identity(g) is not None:
         raise EmptyCodeError("group contains a nontrivial phase times identity")

@@ -1,25 +1,47 @@
 """Weight enumerator polynomials, distances, and coset trace scalars.
 
-Everything here is exact brute force at desk scale.  The two polynomials
-are computed by two genuinely different routes: the A side factorizes
-Tr[E Pi] per qubit into a fast Pauli transform, while the B side applies a
+``enumerators`` and ``biased_distance`` work from the symbolic codeword
+table of an XP code in exact integer arithmetic over Z[w], w = exp(i pi/N):
+no projector is built and nothing is rounded.  A(z) sums the squared Pauli
+traces of the projector per weight, and B(z) follows from the MacWilliams
+transform.
+
+``dense_enumerators`` is the independent oracle for any dense projector,
+including ones that are not XP codes.  Its A side factorizes Tr[E Pi] per
+qubit into a fast Pauli transform, while its B side applies a
 weight-generating single-qubit channel to the projector and interpolates
-Tr[channel(Pi) Pi] at integer points.  Coefficients snap to exact
-rationals, and the pair must satisfy the MacWilliams transform before they
-are returned.
+Tr[channel(Pi) Pi] at integer points; both snap floats to rationals and
+must satisfy the MacWilliams transform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Sequence
+from functools import lru_cache, reduce
+from math import comb, lcm
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dense_oracle import omega_table, operator_action
-from .xp_algebra import XpOperator
+from .code_structure import (
+    InvariantError,
+    SizeLimitError,
+    XpGroup,
+    _coset_min,
+    _xor_basis,
+    canonical_form,
+    codewords,
+)
+from .dense_oracle import omega_table
+
+# One per-shift table holds 2^n x 2N int64 entries: 128 MiB at this limit,
+# which n = 20 at N = 8 reaches.
+SHIFT_TABLE_MAX_ENTRIES = 1 << 24
+# Shifts are transformed together in batches of about this many entries.
+BATCH_ENTRIES = 1 << 18
+# The dense oracle holds 4^n complex numbers.
+DENSE_ENUMERATOR_MAX_QUBITS = 11
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -36,6 +58,10 @@ class NotAProjectorError(ValueError):
 
 class SnapError(ValueError):
     """A computed coefficient refused to snap to a small rational."""
+
+
+class NotRationalError(ValueError):
+    """An exact enumerator coefficient is irrational; it is not rounded."""
 
 
 @dataclass(frozen=True)
@@ -119,18 +145,24 @@ def pauli_weights(n: int) -> np.ndarray:
     return w
 
 
-def enumerators(projector: np.ndarray, dimension: int | None = None,
-                ) -> tuple[EnumeratorPoly, EnumeratorPoly]:
-    """The weight polynomials A(z) and B(z) of a code projector.
+def dense_enumerators(projector: np.ndarray, dimension: int | None = None,
+                      ) -> tuple[EnumeratorPoly, EnumeratorPoly]:
+    """The weight polynomials A(z) and B(z) of a dense code projector.
 
     A_d sums Tr[E Pi]^2 over weight-d Pauli strings and is normalized by
     the squared code dimension; B_d sums Tr[E Pi E Pi] normalized by the
     dimension, so both start at one.  The two are computed independently
-    and must satisfy the MacWilliams transform exactly.
+    from floats snapped to rationals and must satisfy the MacWilliams
+    transform exactly.  This is the oracle for ``enumerators`` and the only
+    route for projectors that are not XP codes.
+
+    Raises:
+        SizeLimitError: above ``DENSE_ENUMERATOR_MAX_QUBITS`` qubits.
     """
+    if projector.shape[0] > 2 ** DENSE_ENUMERATOR_MAX_QUBITS:
+        raise SizeLimitError(
+            f"dense enumerators are capped at {DENSE_ENUMERATOR_MAX_QUBITS} qubits")
     n = _check_projector(projector)
-    if n > 11:
-        raise NotAProjectorError("enumerators are capped at 11 qubits")
     if dimension is None:
         dimension = int(round(float(np.trace(projector).real)))
     if dimension < 1:
@@ -179,32 +211,24 @@ def _solve_fraction_system(matrix: list[list[Fraction]], rhs: list[Fraction]) ->
 
 
 def macwilliams_transform(a: EnumeratorPoly, n: int) -> EnumeratorPoly:
-    """B(z) = (K / 2^n) (1 + 3z)^n A((1 - z)/(1 + 3z)), exactly."""
-    out = [Fraction(0)] * (n + 1)
-    one_minus = [Fraction(1), Fraction(-1)]
-    one_plus3 = [Fraction(1), Fraction(3)]
+    """B(z) = (K / 2^n) (1 + 3z)^n A((1 - z)/(1 + 3z)), exactly.
 
-    def poly_mul(p, q):
-        res = [Fraction(0)] * (len(p) + len(q) - 1)
-        for i, pi in enumerate(p):
-            for j, qj in enumerate(q):
-                res[i + j] += pi * qj
-        return res
-
-    def poly_pow(p, k):
-        res = [Fraction(1)]
-        for _ in range(k):
-            res = poly_mul(res, p)
-        return res
-
+    The coefficients of A are brought to one denominator, so every product
+    runs over the integers and each output is divided once.
+    """
+    den = lcm(*(c.denominator for c in a.coefficients))
+    out = [0] * (n + 1)
     for d, coeff in enumerate(a.coefficients):
         if coeff == 0:
             continue
-        term = poly_mul(poly_pow(one_minus, d), poly_pow(one_plus3, n - d))
-        for i, v in enumerate(term):
-            if i <= n:
-                out[i] += coeff * v
-    scale = a.dimension / 2 ** n
+        num = coeff.numerator * (den // coeff.denominator)
+        # (1 - z)^d (1 + 3z)^(n - d), by binomial expansion of both factors.
+        minus = [comb(d, j) * (-1) ** j for j in range(d + 1)]
+        plus = [comb(n - d, j) * 3 ** j for j in range(n - d + 1)]
+        for i, u in enumerate(minus):
+            for j, v in enumerate(plus):
+                out[i + j] += num * u * v
+    scale = a.dimension / (den * 2 ** n)
     return EnumeratorPoly(tuple(c * scale for c in out), a.dimension)
 
 
@@ -218,35 +242,248 @@ def distance(a: EnumeratorPoly, b: EnumeratorPoly) -> int:
     return len(a.coefficients)
 
 
-def biased_distance(projector: np.ndarray, axis: str, tol: float = 1e-9) -> int:
+# ---------------------------------------------------------------------------
+# Exact enumerators from the codeword table
+
+
+def _divide_monic(num: list[int], den: list[int]) -> list[int]:
+    """Quotient of two integer polynomials (low degree first), den monic."""
+    num = list(num)
+    shift = len(den) - 1
+    quot = [0] * (len(num) - shift)
+    for i in range(len(num) - 1, shift - 1, -1):
+        c = quot[i - shift] = num[i]
+        for j, dj in enumerate(den):
+            num[i - shift + j] -= c * dj
+    return quot
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(m: int) -> tuple[int, ...]:
+    """Coefficients of the cyclotomic polynomial Phi_m, low degree first."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _divide_monic(poly, list(_cyclotomic(d)))
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _reduction_rows(two_n: int) -> np.ndarray:
+    """Row j holds x^j mod Phi_2N over 1, x, ..., x^(phi - 1), for j < 2N.
+
+    Phi_2N is the minimal polynomial of w = exp(i pi / N), so two integer
+    vectors over the powers of x take the same value at w exactly when their
+    reductions agree, and a value is rational exactly when only the
+    constant term of its reduction survives.  For a power-of-two N this is
+    x^N = -1.
+    """
+    phi = _cyclotomic(two_n)
+    deg = len(phi) - 1
+    row = [1] + [0] * (deg - 1)
+    rows = []
+    for _ in range(two_n):
+        rows.append(row)
+        top = row[-1]
+        row = [0] + row[:-1]
+        row = [r - top * c for r, c in zip(row, phi[:deg])]
+    out = np.array(rows, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+def _walsh_hadamard(t: np.ndarray) -> None:
+    """In-place integer Walsh-Hadamard transform along axis 1 of (s, 2^n, w)."""
+    s, size, w = t.shape
+    h = 1
+    while h < size:
+        v = t.reshape(s, size // (2 * h), 2, h, w)
+        lo, hi = v[:, :, 0], v[:, :, 1]
+        lo += hi
+        hi *= -2
+        hi += lo  # lo - hi
+        h *= 2
+
+
+class _ShiftTables:
+    """Exact Pauli traces of an XP code projector, one x shift at a time.
+
+    A codeword is the sum of w^p(k) |k> over an orbit k ^ span(x block) of
+    2^r strings, so Pi = 2^-r sum_c |c><c| over the K codewords and
+
+        2^r Tr[X^a Z^b Pi] = sum_{k in support} (-1)^(b.k) w^(p(k) - p(k ^ a)),
+
+    which vanishes unless a lies in the x-block span.  Per shift a, a
+    (2^n, 2N) int64 table holds the monomial x^((p(k) - p(k ^ a)) mod 2N) in
+    row k; one integer Walsh-Hadamard transform over k then gives every b
+    at once, as an integer vector over 1, x, ..., x^(2N-1) with x = w.
+
+    Raises:
+        SizeLimitError: when one table would exceed
+            ``SHIFT_TABLE_MAX_ENTRIES``, before anything is allocated.
+    """
+
+    def __init__(self, code: XpGroup):
+        n, two_n = code.n, 2 * code.precision
+        if (1 << n) * two_n > SHIFT_TABLE_MAX_ENTRIES:
+            raise SizeLimitError(
+                f"a trace table of {n} qubits at precision {code.precision} exceeds "
+                f"the {SHIFT_TABLE_MAX_ENTRIES}-entry limit")
+        code = canonical_form(code)
+        table = codewords(code)
+        phases = table.phase_map()
+        self.n, self.two_n = n, two_n
+        self.dimension = len(table.entries)
+        self.support = np.fromiter(phases, dtype=np.int64, count=len(phases))
+        self.phase = np.zeros(1 << n, dtype=np.int64)
+        self.phase[self.support] = np.fromiter(phases.values(), dtype=np.int64,
+                                               count=len(phases))
+        shifts = np.zeros(1, dtype=np.int64)
+        for op in code.x_block:
+            shifts = np.concatenate([shifts, shifts ^ op.x_mask])
+        self.shifts = shifts
+
+    def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(a, t) per batch of shifts, with t[s, b] = 2^r Tr[X^a[s] Z^b Pi]."""
+        size = 1 << self.n
+        step = max(1, BATCH_ENTRIES // (size * self.two_n))
+        own = self.phase[self.support]
+        for start in range(0, self.shifts.size, step):
+            a = self.shifts[start:start + step]
+            expo = (own - self.phase[self.support ^ a[:, None]]) % self.two_n
+            t = np.zeros((a.size, size, self.two_n), dtype=np.int64)
+            t[np.arange(a.size)[:, None], self.support, expo] = 1
+            _walsh_hadamard(t)
+            yield a, t
+
+
+def enumerators(code: XpGroup) -> tuple[EnumeratorPoly, EnumeratorPoly]:
+    """The weight polynomials A(z) and B(z) of an XP code, exactly.
+
+    A_d = sum |Tr[E Pi]|^2 / K^2 over weight-d Pauli strings E, from the
+    shift tables of ``_ShiftTables``; B = ``macwilliams_transform(A)``.
+
+    Raises:
+        SizeLimitError: above the shift-table limit, before any allocation.
+        NotRationalError: when a coefficient is irrational.
+        InvariantError: when A_0 != 1, sum A_d != 2^n / K, or not
+            0 <= A_d <= B_d for every d.
+    """
+    tables = _ShiftTables(code)
+    n, two_n = tables.n, tables.two_n
+    half = two_n // 2
+    strings = np.arange(1 << n, dtype=np.int64)
+    sums = [[0] * (half + 1) for _ in range(n + 1)]
+    for a, t in tables.batches():
+        weights = np.bitwise_count(a[:, None] | strings).ravel()
+        for m in range(half + 1):
+            # |t|^2 = t(x) t(1/x) mod x^2N - 1 has sum_j t_j t_(j-m) at x^m,
+            # which is symmetric in m, so lags 0..N suffice.
+            norm = (np.einsum("sbj,sbj->sb", t[..., m:], t[..., :two_n - m])
+                    + np.einsum("sbj,sbj->sb", t[..., :m], t[..., two_n - m:]))
+            # Bounds: sum_j |t_j(b)| <= |support| <= 2^n <= 2^22 (the table
+            # limit with 2N >= 4), so |norm(b)| <= 2^44 fits in int64.  Per
+            # shift, by Parseval, sum_b |norm(b)| <= 2^n |support|, and a batch
+            # holds at most 2^22 (shift, b) pairs, so its float64 weight sums
+            # stay below 2^44 and are exact integers.  Batches add as Python
+            # ints, which do not overflow.
+            per_weight = np.bincount(weights, weights=norm.ravel(), minlength=n + 1)
+            for d, v in enumerate(np.rint(per_weight).astype(np.int64).tolist()):
+                sums[d][m] += v
+
+    rows = _reduction_rows(two_n).tolist()
+    scale = tables.support.size ** 2  # (K 2^r)^2
+    coeffs = []
+    for d, lag_sums in enumerate(sums):
+        full = [lag_sums[min(m, two_n - m)] for m in range(two_n)]
+        value = [sum(f * row[i] for f, row in zip(full, rows)) for i in range(len(rows[0]))]
+        if any(value[1:]):
+            raise NotRationalError(f"A_{d} is not rational: {value} over powers of w")
+        coeffs.append(Fraction(value[0], scale))
+
+    dimension = Fraction(tables.dimension)
+    a_poly = EnumeratorPoly(tuple(coeffs), dimension)
+    b_poly = macwilliams_transform(a_poly, n)
+    if coeffs[0] != 1:
+        raise InvariantError(f"A_0 = {coeffs[0]}, not 1")
+    if sum(coeffs) != Fraction(2 ** n) / dimension:
+        raise InvariantError(f"sum of A is {sum(coeffs)}, not 2^{n}/{dimension}")
+    if not all(0 <= x <= y for x, y in zip(a_poly.coefficients, b_poly.coefficients)):
+        raise InvariantError("A and B violate 0 <= A_d <= B_d")
+    return a_poly, b_poly
+
+
+def _span_basis(values: np.ndarray) -> list[int]:
+    """``_xor_basis`` of many values, adding one value outside the span per pass."""
+    basis: list[int] = []
+    while True:
+        values = values[_coset_min(values, basis) != 0]
+        if not values.size:
+            return basis
+        basis = _xor_basis(basis + [int(values[0])])
+
+
+def biased_distance(code: XpGroup, axis: str) -> int:
     """Minimum weight of an axis-restricted Pauli logical operator.
 
-    Searches strings over {I, axis}: the string must preserve the code
-    space (E Pi E^dag == Pi) while acting nontrivially on it (E Pi != Pi).
-    Returns n + 1 when no such operator exists.
+    Searches strings E over {I, axis} with support c != 0.  E preserves the
+    code space exactly when it commutes with every Pauli string that has a
+    nonzero trace against Pi: c must be GF(2)-orthogonal to the z part of
+    each such string for X, to its x part for Z, and to x ^ z for Y.  It
+    acts trivially when Tr[E Pi] = K, with Y^c = i^|c| X^c Z^c.  Returns the
+    least weight of a preserving, nontrivial string, or n + 1 when there is
+    none.
     """
-    n = _check_projector(projector)
-    x_on, z_on = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}[axis.upper()]
-    scale = max(1.0, float(np.max(np.abs(projector))))
-    best = n + 1
-    for mask in range(1, 2 ** n):
-        weight = bin(mask).count("1")
-        if weight >= best:
-            continue
-        bits = [(mask >> (n - 1 - q)) & 1 for q in range(n)]
-        # Y = i XZ, so a Y string carries the phase i^weight.
-        string = XpOperator(2, tuple(x_on * b for b in bits), tuple(z_on * b for b in bits),
-                            weight * x_on * z_on % 4)
-        phases, targets = operator_action(string)
-        left = np.empty_like(projector)
-        left[targets] = phases[:, None] * projector  # E Pi
-        both = left[:, targets] * phases[targets].conj()  # E Pi E^dag
-        if np.max(np.abs(both - projector)) > tol * scale:
-            continue
-        if np.max(np.abs(left - projector)) <= tol * scale:
-            continue
-        best = weight
-    return best
+    axis = axis.upper()
+    if axis not in ("X", "Y", "Z"):
+        raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
+    tables = _ShiftTables(code)
+    n, two_n = tables.n, tables.two_n
+    size = 1 << n
+    strings = np.arange(size, dtype=np.int64)
+    rows = _reduction_rows(two_n)
+    # parts[v]: v is the relevant part of a Pauli string with nonzero trace.
+    parts = np.zeros(size, dtype=bool)
+    own_traces = []  # 2^r Tr[E Pi] of the axis strings E that may act trivially
+    for a, t in tables.batches():
+        if axis == "Z":
+            # Every shift a has a nonzero trace for some b, because the
+            # transform is invertible and each table row on the support holds
+            # a power of w.  So only the first batch, which holds a = 0, is
+            # read.
+            parts[tables.shifts] = True
+            own_traces.append(t[0].copy())  # a view would keep t alive
+            break
+        nonzero = (t @ rows).any(axis=-1)
+        if axis == "X":
+            parts |= nonzero.any(axis=0)
+            own_traces.append(t[:, 0].copy())
+        else:
+            s, b = np.nonzero(nonzero)
+            parts[a[s] ^ b] = True
+            own_traces.append(t[np.arange(a.size), a])
+    preserving = strings != 0
+    for v in _span_basis(np.flatnonzero(parts)):
+        preserving &= np.bitwise_count(strings & v) % 2 == 0
+
+    # Strings the trivial test applies to, and their traces.
+    candidates = strings if axis == "Z" else tables.shifts
+    traces = np.concatenate(own_traces)
+    if axis == "Y":
+        # i^|c| = w^(N |c| / 2); for odd N and odd |c| it lies outside Z[w],
+        # so Tr[E Pi] cannot be the integer K.
+        turns = np.bitwise_count(candidates).astype(np.int64) * (two_n // 2)
+        representable = turns % 2 == 0
+        cols = (np.arange(two_n)[None, :] - (turns // 2)[:, None]) % two_n
+        traces = np.take_along_axis(traces, cols, axis=1)
+    else:
+        representable = np.ones(candidates.size, dtype=bool)
+    want = np.zeros(rows.shape[1], dtype=np.int64)
+    want[0] = tables.support.size  # K 2^r
+    trivial = representable & (traces @ rows == want).all(axis=1)
+    preserving[candidates[trivial]] = False
+    weights = np.bitwise_count(strings[preserving])
+    return int(weights.min()) if weights.size else n + 1
 
 
 def xp_factors(op) -> list[np.ndarray]:

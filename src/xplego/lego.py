@@ -56,6 +56,10 @@ LOGICAL = "L"
 
 X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
+# A tensor product drops the dense shadow above this many legs (1 MiB of
+# amplitudes at 16) and records a "dense-shadow-dropped" warning.
+DENSE_SHADOW_MAX_QUBITS = 16
+
 
 class LegError(ValueError):
     """A trace or designation referenced an unusable leg."""
@@ -119,9 +123,13 @@ def tensor_product(a: Lego, b: Lego) -> Lego:
     gens += [embed(op, n, list(range(a.n, n))) for op in b.group.generators]
     group = XpGroup(a.precision, n, tuple(gens))
     dense = None
+    warnings = a.warnings + b.warnings
     if a.dense is not None and b.dense is not None:
-        dense = np.kron(a.dense, b.dense)
-    return Lego(group, a.designation + b.designation, dense, a.warnings + b.warnings)
+        if n <= DENSE_SHADOW_MAX_QUBITS:
+            dense = np.kron(a.dense, b.dense)
+        else:
+            warnings += ("dense-shadow-dropped",)
+    return Lego(group, a.designation + b.designation, dense, warnings)
 
 
 def _traced_table_if_collisions(g: XpGroup):

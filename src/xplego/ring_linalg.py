@@ -1,8 +1,8 @@
-"""Exact linear algebra over GF(2) and the residue rings Z/mZ.
+"""Exact linear algebra over the residue rings Z/mZ.
 
-Provides reduced row echelon form over GF(2), the Howell form over Z/mZ
-(the ring generalization of RREF with a uniqueness guarantee), linear
-congruence solving, and kernel computation.  All arithmetic is on plain
+Provides the Howell form over Z/mZ (the ring generalization of RREF with
+a uniqueness guarantee), linear congruence solving, and kernel
+computation.  All arithmetic is on plain
 Python integers with explicit reduction, so results are exact for any
 modulus that fits in machine words.
 
@@ -117,40 +117,6 @@ def unit_for(a: int, m: int) -> int:
     while gcd(u, m) != 1:
         u += mg
     return u % m
-
-
-def rref_gf2(m: ModMatrix) -> tuple[ModMatrix, tuple[int, ...]]:
-    """Reduced row echelon form over GF(2).
-
-    Args:
-        m: Matrix with modulus 2.
-
-    Returns:
-        (R, pivots): R spans the same row space, has a leading 1 per nonzero
-        row, a single 1 in each pivot column, and zero rows dropped; pivots
-        is the strictly increasing tuple of pivot column indices.
-
-    Raises:
-        ModulusError: if the modulus is not 2.
-    """
-    if m.modulus != 2:
-        raise ModulusError(f"rref_gf2 requires modulus 2, got {m.modulus}")
-    rows = [list(r) for r in m.entries]
-    ncols = m.cols
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(ncols):
-        found = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
-        if found is None:
-            continue
-        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                rows[r] = [(x ^ y) for x, y in zip(rows[r], rows[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-    nonzero = [r for r in rows if any(r)]
-    return ModMatrix.from_rows(nonzero, 2), tuple(pivots)
 
 
 def _row_scale(row: list[int], k: int, m: int) -> list[int]:

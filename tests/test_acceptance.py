@@ -105,7 +105,7 @@ def test_criterion_03_enumerator_goldens():
     }
     ok = True
     for name, (a_want, b_want, d_want) in golden.items():
-        a, b = enumerators(projector(canonical_form(lookup(name).group)))
+        a, b = enumerators(canonical_form(lookup(name).group))
         ok = ok and a.format() == a_want and b.format() == b_want
         ok = ok and distance(a, b) == d_want
         if name == "711":
@@ -123,8 +123,8 @@ def test_criterion_04_local_unitary_equivalence():
     factors[5] = phase_unitary(8, 7)
     moved = lu_conjugate(pi_xp, factors)
     equal = bool(np.max(np.abs(moved - pi_steane)) <= 1e-9)
-    a2, b2 = enumerators(projector(canonical_form(lookup("second-713").group)))
-    a_s, b_s = enumerators(pi_steane)
+    a2, b2 = enumerators(canonical_form(lookup("second-713").group))
+    a_s, b_s = enumerators(canonical_form(lookup("steane").group))
     different = (a2.coefficients != a_s.coefficients) or (b2.coefficients != b_s.coefficients)
     report("04 local unitary equivalence", equal and different,
            "first code maps onto Steane; second has distinct enumerators")

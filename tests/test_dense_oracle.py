@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from xplego.code_structure import canonical_form, codewords
+from xplego.code_structure import SizeLimitError, XpGroup, canonical_form, codewords
 from xplego.dense_oracle import (
     InvalidUnitaryError,
     apply_operator,
@@ -209,3 +209,8 @@ def test_channel_state_duality_of_symmetries():
         phys = render_operator(XpOperator(2, op.x[:4], op.z[:4], op.phase))
         logical = render_operator(XpOperator(2, op.x[4:], op.z[4:], 0))
         assert np.max(np.abs(phys @ v @ logical.T - v)) < 1e-9
+
+
+def test_projector_refuses_more_than_twelve_qubits():
+    with pytest.raises(SizeLimitError, match="13 qubits"):
+        projector(XpGroup(2, 13, ()))

@@ -1,4 +1,9 @@
-"""Enumerator tests: golden polynomials, transforms, and coset scalars."""
+"""Enumerator tests: golden polynomials, transforms, and coset scalars.
+
+The exact enumerators and biased distances of XP codes are checked against
+the dense oracle (``dense_enumerators``) and against brute force over
+dense Pauli strings.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from xplego.code_structure import canonical_form
+from xplego.code_structure import SizeLimitError, XpGroup, canonical_form
 from xplego.decoder import (
     Syndrome,
     amplitude_damping,
@@ -28,6 +33,7 @@ from xplego.enumerator import (
     apply_channel,
     biased_distance,
     coset_scalars,
+    dense_enumerators,
     distance,
     enumerators,
     macwilliams_transform,
@@ -35,25 +41,37 @@ from xplego.enumerator import (
     pauli_weights,
     xp_factors,
 )
+from xplego.lego import lego_from_group, tensor_product
 from xplego.registry import group_from_rows, lookup, registry
 from xplego.xp_algebra import XpOperator, multiply
 
 
+def code(name: str) -> XpGroup:
+    return canonical_form(lookup(name).group)
+
+
 def code_projector(name: str) -> np.ndarray:
-    return projector(canonical_form(lookup(name).group))
+    return projector(code(name))
+
+
+def poly_product(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for (i, x), (j, y) in product(enumerate(p), enumerate(q)):
+        out[i + j] += x * y
+    return tuple(out)
 
 
 def test_pure_state_enumerators():
     pi = np.diag([1.0, 0.0]).astype(complex)
-    a, b = enumerators(pi)
+    a, b = dense_enumerators(pi)
     assert a.coefficients == b.coefficients == (Fraction(1), Fraction(1))
     assert a.format() == "1 + z"
 
 
 def test_single_qubit_trivial_code():
-    a, b = enumerators(np.eye(2, dtype=complex))
-    assert a.coefficients == (Fraction(1), Fraction(0))
-    assert b.coefficients == (Fraction(1), Fraction(3))
+    for a, b in (dense_enumerators(np.eye(2, dtype=complex)), enumerators(XpGroup(2, 1, ()))):
+        assert a.coefficients == (Fraction(1), Fraction(0))
+        assert b.coefficients == (Fraction(1), Fraction(3))
 
 
 def test_enumerators_match_brute_force():
@@ -69,10 +87,10 @@ def test_enumerators_match_brute_force():
             w = sum(1 for c in combo if c)
             a_direct[w] += np.trace(e @ pi).real ** 2
             b_direct[w] += np.trace(e @ pi @ e @ pi).real
-        a, b = enumerators(pi)
-        for d in range(n + 1):
-            assert abs(float(a[d]) - a_direct[d] / k ** 2) < 1e-9
-            assert abs(float(b[d]) - b_direct[d] / k) < 1e-9
+        for a, b in (enumerators(code(name)), dense_enumerators(pi)):
+            for d in range(n + 1):
+                assert abs(float(a[d]) - a_direct[d] / k ** 2) < 1e-9
+                assert abs(float(b[d]) - b_direct[d] / k) < 1e-9
 
 
 GOLDEN = {
@@ -92,16 +110,16 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_polynomials(name):
     a_want, b_want, d_want = GOLDEN[name]
-    a, b = enumerators(code_projector(name))
-    assert a.format() == a_want
-    assert b.format() == b_want
-    assert distance(a, b) == d_want
+    for a, b in (enumerators(code(name)), dense_enumerators(code_projector(name))):
+        assert a.format() == a_want
+        assert b.format() == b_want
+        assert distance(a, b) == d_want
 
 
 def test_distance_edge_cases():
     a = EnumeratorPoly((Fraction(1), Fraction(0), Fraction(3)), Fraction(1))
     assert distance(a, a) == 3  # no gap anywhere: sentinel n + 1
-    a711, b711 = enumerators(code_projector("711"))
+    a711, b711 = dense_enumerators(code_projector("711"))
     assert b711[1] - a711[1] == 1
 
 
@@ -113,7 +131,7 @@ def test_macwilliams_on_trivial_code():
 
 def test_enumerator_coefficients_are_counts_for_stabilizer_codes():
     for name in ("steane", "422", "812", "711"):
-        a, b = enumerators(code_projector(name))
+        a, b = dense_enumerators(code_projector(name))
         n = a.degree
         k = a.dimension
         assert sum(a.coefficients) == Fraction(2 ** n) / k ** 2 * k  # 2^(n-k) groups
@@ -123,7 +141,7 @@ def test_enumerator_coefficients_are_counts_for_stabilizer_codes():
 
 def test_b_dominates_a_on_registry_codes():
     for name in ("722", "steane-xp", "second-713", "711", "812", "steane", "422"):
-        a, b = enumerators(code_projector(name))
+        a, b = dense_enumerators(code_projector(name))
         assert all(bb >= aa for aa, bb in zip(a.coefficients, b.coefficients)), name
 
 
@@ -136,8 +154,8 @@ def test_lu_invariance_of_enumerators():
         factors.append(np.array([[np.cos(theta), -np.sin(theta)],
                                  [np.sin(theta), np.cos(theta)]], dtype=complex)
                        @ np.diag([1, np.exp(1j * rng.random())]))
-    a0, b0 = enumerators(pi)
-    a1, b1 = enumerators(lu_conjugate(pi, factors))
+    a0, b0 = dense_enumerators(pi)
+    a1, b1 = dense_enumerators(lu_conjugate(pi, factors))
     assert a0.coefficients == a1.coefficients
     assert b0.coefficients == b1.coefficients
 
@@ -155,26 +173,27 @@ def test_steane_equivalence_by_local_phases():
 
 
 def test_biased_distances():
-    pi711 = code_projector("711")
-    assert biased_distance(pi711, "Z") == 1
-    assert biased_distance(pi711, "X") == 3
-    assert biased_distance(code_projector("812"), "Z") == 2
+    c711 = code("711")
+    assert biased_distance(c711, "Z") == 1
+    assert biased_distance(c711, "X") == 3
+    assert biased_distance(code("812"), "Z") == 2
     # Two-qubit repetition code: a weight-1 X acts as the logical, a
     # weight-2 Z string is the lightest diagonal logical.
-    rep = projector(group_from_rows([((1, 1), (0, 0), 0)], 2, 2))
+    rep = group_from_rows([((1, 1), (0, 0), 0)], 2, 2)
     assert biased_distance(rep, "X") == 1
     assert biased_distance(rep, "Z") == 2
     # A stabilized state has no axis-restricted logical at all: sentinel.
-    bell = code_projector("bell")
+    bell = code("bell")
     assert biased_distance(bell, "X") == 3
     assert biased_distance(bell, "Z") == 3
     # Y strings: on the trivial one-qubit code Y itself is a logical, and
     # the Steane code has weight-3 Y logicals.
-    assert biased_distance(np.eye(2, dtype=complex), "Y") == 1
-    assert biased_distance(code_projector("steane"), "Y") == 3
+    assert biased_distance(XpGroup(2, 1, ()), "Y") == 1
+    assert biased_distance(code("steane"), "Y") == 3
 
 
-@pytest.mark.parametrize("name", ["bell", "rep-x", "422", "722-traced"])
+@pytest.mark.parametrize("name", sorted(name for name, entry in registry().items()
+                                        if entry.group.n <= 7))
 def test_biased_distance_matches_dense_pauli_strings(name):
     pi = code_projector(name)
     n = int(np.log2(pi.shape[0]))
@@ -186,12 +205,65 @@ def test_biased_distance_matches_dense_pauli_strings(name):
             if (np.max(np.abs(e @ pi @ e.conj().T - pi)) <= 1e-9
                     and np.max(np.abs(e @ pi - pi)) > 1e-9):
                 want = min(want, bin(mask).count("1"))
-        assert biased_distance(pi, axis) == want, axis
+        assert biased_distance(code(name), axis) == want, axis
 
 
 def test_rejects_non_projector():
     with pytest.raises(NotAProjectorError):
-        enumerators(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        dense_enumerators(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("name", sorted(name for name, entry in registry().items()
+                                        if entry.group.n <= 8))
+def test_exact_enumerators_equal_dense_oracle(name):
+    a, b = enumerators(code(name))
+    a_dense, b_dense = dense_enumerators(code_projector(name))
+    assert a.coefficients == a_dense.coefficients
+    assert b.coefficients == b_dense.coefficients
+    assert a.dimension == a_dense.dimension
+    assert all(isinstance(c, Fraction) for c in a.coefficients + b.coefficients)
+
+
+@pytest.mark.parametrize("first, second", [("722", "hadamard"), ("722-traced", "722-traced")])
+def test_tensor_codes_give_product_polynomials(first, second):
+    # These two inputs made the dense B route fail the MacWilliams check.
+    joined = tensor_product(lego_from_group(code(first)), lego_from_group(code(second)))
+    a, b = enumerators(joined.group)
+    a1, b1 = enumerators(code(first))
+    a2, b2 = enumerators(code(second))
+    assert a.coefficients == poly_product(a1.coefficients, a2.coefficients)
+    assert b.coefficients == poly_product(b1.coefficients, b2.coefficients)
+
+
+def test_rm15_distances_and_sum_rules():
+    rm15 = code("rm15")
+    a, b = enumerators(rm15)
+    n, k = rm15.n, a.dimension
+    assert k == 2
+    assert a[0] == b[0] == 1
+    assert sum(a.coefficients) == Fraction(2 ** n) / k
+    assert sum(b.coefficients) == 2 ** n * k
+    assert distance(a, b) == 3
+    assert biased_distance(rm15, "Z") == 3
+    assert biased_distance(rm15, "X") == 7
+
+
+def test_precision_three_code_matches_dense_route():
+    # Phi_6 = x^2 - x + 1 is not of the form x^N + 1.
+    g = group_from_rows([((1, 1, 1), (0, 0, 0), 0), ((0, 0, 0), (1, 2, 0), 0)], 3, 3)
+    a, b = enumerators(g)
+    assert a.format() == "1 + z^2 + 2z^3"
+    assert b.format() == "1 + z + 7z^2 + 7z^3"
+    assert (a, b) == dense_enumerators(projector(g))
+
+
+def test_over_the_table_limit_raises_before_any_work():
+    too_big = XpGroup(8, 21, ())  # 2^21 strings x 16 exponents > 2^24 entries
+    for call in (lambda: enumerators(too_big), lambda: biased_distance(too_big, "X")):
+        with pytest.raises(SizeLimitError, match="21 qubits"):
+            call()
+    with pytest.raises(SizeLimitError, match="dense"):
+        dense_enumerators(np.broadcast_to(np.complex128(0), (2 ** 12, 2 ** 12)))
 
 
 def test_coset_scalars_trivial_channel():

@@ -395,3 +395,17 @@ def test_code_trace_soundness():
             for op in traced.group.generators:
                 assert stabilizes(op, tvec, tol=1e-8)
         checked += 1
+
+
+def test_tensor_product_drops_a_wide_dense_shadow():
+    block = state_lego(lookup("lego6-steane").group)
+    assert block.dense is not None
+    pair = tensor_product(block, block)
+    assert pair.dense is not None and pair.warnings == ()
+    joined = pair
+    for _ in range(3):
+        joined = tensor_product(joined, block)
+    # Five copies would be 2^30 amplitudes; the shadow goes at 18 legs.
+    assert joined.n == 30 and joined.dense is None
+    assert joined.warnings == ("dense-shadow-dropped",)
+    assert lego.DENSE_SHADOW_MAX_QUBITS == 16

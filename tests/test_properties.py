@@ -2,7 +2,8 @@
 
 Each vectorized stage is compared with the per-string loop it replaced,
 kept here as the reference, at precisions N in {2, 4, 8, 16}; the logical
-identity group completion is checked against its defining properties.
+identity group completion is checked against its defining properties, and
+the exact enumerators against the dense oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from xplego.code_structure import (
     solve_diagonal_constraints,
     z_support,
 )
+from xplego.dense_oracle import projector
+from xplego.enumerator import dense_enumerators, enumerators
 from xplego.xp_algebra import XpOperator, conjugate, multiply
 
 PRECISIONS = (2, 4, 8, 16)
@@ -34,8 +37,8 @@ PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
 
 
 @st.composite
-def xp_groups(draw, max_n=10, max_x=3, max_diag=4):
-    precision = draw(st.sampled_from(PRECISIONS))
+def xp_groups(draw, max_n=10, max_x=3, max_diag=4, precisions=PRECISIONS):
+    precision = draw(st.sampled_from(precisions))
     n = draw(st.integers(1, max_n))
     zs = st.tuples(*[st.integers(0, precision - 1)] * n)
     phases = st.integers(0, 2 * precision - 1)
@@ -250,3 +253,28 @@ def test_complete_lid_contains_the_group_and_fixes_every_codeword(g):
                 assert phases[e ^ op.x_mask] == (ph + op.action_phase(e)) % two_n
     if len(table.entries) == 1:
         assert lid_from_phase_table(table.entries[0], g.n, g.precision) == lid
+
+
+@st.composite
+def xp_codes(draw, max_n=5, precisions=(2, 4, 8)):
+    """Random XP groups, last generators dropped until a code space remains.
+
+    Most random groups stabilize nothing; the twisted stabilizer codes of
+    ``stabilizing_groups`` have phase differences too regular to tell a
+    wrong exponent modulus or a skipped cyclotomic reduction apart.
+    """
+    g = draw(xp_groups(max_n=max_n, precisions=precisions))
+    gens = list(g.generators)
+    while True:
+        code = XpGroup.from_generators(gens, n=g.n, precision=g.precision)
+        try:
+            codewords(code)
+            return code
+        except EmptyCodeError:
+            gens.pop()
+
+
+@PROPERTY_SETTINGS
+@given(xp_codes())
+def test_exact_enumerators_equal_the_dense_oracle(g):
+    assert enumerators(g) == dense_enumerators(projector(g))

@@ -125,6 +125,26 @@ def test_cli_enumerate_biased():
     assert "dZ = 1" in out and "dX = 3" in out
 
 
+def test_cli_enumerate_rm15_exactly():
+    rc, out = run_cli("enumerate", "rm15", "--biased")
+    assert rc == 0
+    assert "distance = 3" in out and "dZ = 3" in out and "dX = 7" in out
+
+
+def test_cli_enumerate_over_the_table_limit_exits_with_message(tmp_path):
+    # Three 722 copies: 21 qubits at N = 8 need 2^21 x 16 table entries.
+    entry = lookup("722")
+    rows = [{"x": list(op.x) + [0] * 14, "z": list(op.z) + [0] * 14, "p": op.phase}
+            for op in entry.group.generators]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 21, "precision": 8, "rows": rows}))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc, out = run_cli("enumerate", str(path), "--biased")
+    assert rc == 1 and out == ""
+    assert err.getvalue().startswith("error: a trace table of 21 qubits")
+
+
 def test_cli_trace_network(tmp_path):
     from importlib import resources
     path = resources.files("xplego").joinpath("data/networks/722_selftrace.json")
@@ -148,6 +168,7 @@ def test_cli_verify_single_code():
     rc, out = run_cli("verify", "422")
     assert rc == 0
     assert "[ok]" in out and "FAIL" not in out
+    assert "[ok] exact enumerators match the dense oracle" in out
 
 
 def test_cli_unknown_name_is_usage_error():
