@@ -22,6 +22,7 @@ from .code_structure import (
     EmptyCodeError,
     SizeLimitError,
     XpGroup,
+    _exponent_table,
     canonical_form,
     lid_from_phase_table,
     phase_identity,
@@ -42,13 +43,8 @@ def omega_table(precision: int) -> np.ndarray:
 
 
 def _phase_exponents(op: XpOperator) -> np.ndarray:
-    n = op.n
-    idx = np.arange(2 ** n)
-    expo = np.full(2 ** n, op.phase, dtype=np.int64)
-    for i, zi in enumerate(op.z):
-        if zi:
-            expo += 2 * zi * ((idx >> (n - 1 - i)) & 1)
-    return expo % (2 * op.precision)
+    two_n = 2 * op.precision
+    return (op.phase + _exponent_table(op.z, two_n)) % two_n
 
 
 def operator_action(op: XpOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -81,8 +77,9 @@ def apply_operator_to_matrix(op: XpOperator, mat: np.ndarray) -> np.ndarray:
 
 def render_operator(op: XpOperator) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the operator."""
-    if op.n > 12:
-        raise ValueError("dense rendering is capped at 12 qubits")
+    if op.n > PROJECTOR_MAX_QUBITS:
+        raise SizeLimitError(
+            f"a dense rendering of {op.n} qubits exceeds the {PROJECTOR_MAX_QUBITS}-qubit limit")
     return apply_operator_to_matrix(op, np.eye(2 ** op.n, dtype=complex))
 
 
@@ -216,17 +213,18 @@ def xp_state_from_dense(vec: np.ndarray, precision: int, tol: float = 1e-9,
     """
     vec = np.asarray(vec, dtype=complex)
     n = int(np.log2(vec.shape[0]))
-    amax = float(np.max(np.abs(vec)))
+    mags = np.abs(vec)
+    amax = float(np.max(mags))
     if amax <= 0.0:
         return None
-    support = [e for e in range(2 ** n) if abs(vec[e]) > 0.5 * amax]
-    off = [e for e in range(2 ** n) if e not in support]
-    if any(abs(vec[e]) > tol * amax for e in off):
+    on = mags > 0.5 * amax
+    if np.any(mags[~on] > tol * amax):
         return None
-    if any(abs(abs(vec[e]) - amax) > tol * amax for e in support):
+    if np.any(np.abs(mags[on] - amax) > tol * amax):
         return None
+    support = np.flatnonzero(on).tolist()
 
-    e0 = min(support)
+    e0 = support[0]
     two_n = 2 * precision
     table = omega_table(precision)
     pairs: list[tuple[int, int]] = []

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,8 +35,9 @@ from .code_structure import (
 )
 from .dense_oracle import omega_table
 
-# One per-shift table holds 2^n x 2N int64 entries: 128 MiB at this limit,
-# which n = 20 at N = 8 reaches.
+# A per-shift table counts as 2^n x 2N entries, which n = 20 at N = 8
+# reaches; reduced modulo Phi_2N it holds at most 2^n x N int64 entries,
+# 64 MiB at this limit.
 SHIFT_TABLE_MAX_ENTRIES = 1 << 24
 # Shifts are transformed together in batches of about this many entries.
 BATCH_ENTRIES = 1 << 18
@@ -305,63 +306,120 @@ def _walsh_hadamard(t: np.ndarray) -> None:
         h *= 2
 
 
-class _ShiftTables:
-    """Exact Pauli traces of an XP code projector, one x shift at a time.
+@dataclass(frozen=True)
+class _Traces:
+    """What ``enumerators`` and ``biased_distance`` read of one code's traces.
+
+    ``lag_sums[d, m]`` sums L_m = sum_i u_i u_(i-m) over weight-d Pauli
+    strings E, with u = 2^r Tr[E Pi] over 1, w, ..., w^(phi - 1).  Per axis,
+    ``parts`` marks the parts of strings with a nonzero trace (see
+    ``biased_distance``), and ``trivial`` the supports c with Tr[E Pi] = K.
+    """
+
+    dimension: int
+    support_size: int
+    lag_sums: np.ndarray
+    parts: dict[str, np.ndarray]
+    trivial: dict[str, np.ndarray]
+
+
+@lru_cache(maxsize=1)
+def _exact_traces(code: XpGroup) -> _Traces:
+    """Exact Pauli traces of a canonical XP code projector, in one pass.
 
     A codeword is the sum of w^p(k) |k> over an orbit k ^ span(x block) of
     2^r strings, so Pi = 2^-r sum_c |c><c| over the K codewords and
 
         2^r Tr[X^a Z^b Pi] = sum_{k in support} (-1)^(b.k) w^(p(k) - p(k ^ a)),
 
-    which vanishes unless a lies in the x-block span.  Per shift a, a
-    (2^n, 2N) int64 table holds the monomial x^((p(k) - p(k ^ a)) mod 2N) in
-    row k; one integer Walsh-Hadamard transform over k then gives every b
-    at once, as an integer vector over 1, x, ..., x^(2N-1) with x = w.
+    which vanishes unless a lies in the x-block span.  Per shift a, row k
+    of a (2^n, phi) int64 table holds the monomial x^((p(k) - p(k ^ a))
+    mod 2N) reduced modulo Phi_2N, over 1, x, ..., x^(phi - 1) with x = w.
+    The reduction is linear, so one integer Walsh-Hadamard transform over k
+    then gives every b at once, as Z[w] coordinates u.  Each batch of shifts
+    is transformed once, and only the records of ``_Traces`` are kept.
 
     Raises:
         SizeLimitError: when one table would exceed
-            ``SHIFT_TABLE_MAX_ENTRIES``, before anything is allocated.
+            ``SHIFT_TABLE_MAX_ENTRIES``, before anything is allocated, or
+            when a reduction entry is too large for exact int64 sums.
     """
+    n, two_n = code.n, 2 * code.precision
+    size = 1 << n
+    if size * two_n > SHIFT_TABLE_MAX_ENTRIES:
+        raise SizeLimitError(
+            f"a trace table of {n} qubits at precision {code.precision} exceeds "
+            f"the {SHIFT_TABLE_MAX_ENTRIES}-entry limit")
+    rows = _reduction_rows(two_n)
+    phi = rows.shape[1]
+    # Exactness.  Let every entry of rows be at most c in magnitude.  u(b) =
+    # t(b) @ rows for the unreduced transform t over 1, x, ..., x^(2N-1),
+    # whose entries sum in magnitude to at most |support| <= 2^n <= 2^22; so
+    # every butterfly value is at most c 2^22, and |L_m| <= |u|^2.  Per
+    # shift, by Parseval, sum_b |t(b)|^2 = 2^n |support|, so sum_b |L_m(b)|
+    # <= |rows|_F^2 2^n |support| <= (2^n 2N) (2^n phi) c^2 <= 2^47 c^2; a
+    # batch of several shifts holds at most 2^18 entries and stays below
+    # 2^42 c^2.  So the int64 sums per lag and weight are exact for c < 2^8.
+    # c is 1 for a power-of-two N and at most 4 for 2N < 1400.  Batches add
+    # as Python ints, which do not overflow.
+    if np.abs(rows).max() >= 1 << 8:
+        raise SizeLimitError(
+            f"precision {code.precision} is too large for exact int64 trace sums")
 
-    def __init__(self, code: XpGroup):
-        n, two_n = code.n, 2 * code.precision
-        if (1 << n) * two_n > SHIFT_TABLE_MAX_ENTRIES:
-            raise SizeLimitError(
-                f"a trace table of {n} qubits at precision {code.precision} exceeds "
-                f"the {SHIFT_TABLE_MAX_ENTRIES}-entry limit")
-        code = canonical_form(code)
-        table = codewords(code)
-        phases = table.phase_map()
-        self.n, self.two_n = n, two_n
-        self.dimension = len(table.entries)
-        self.support = np.fromiter(phases, dtype=np.int64, count=len(phases))
-        self.phase = np.zeros(1 << n, dtype=np.int64)
-        self.phase[self.support] = np.fromiter(phases.values(), dtype=np.int64,
-                                               count=len(phases))
-        shifts = np.zeros(1, dtype=np.int64)
-        for op in code.x_block:
-            shifts = np.concatenate([shifts, shifts ^ op.x_mask])
-        self.shifts = shifts
+    table = codewords(code)
+    phases = table.phase_map()
+    support = np.fromiter(phases, dtype=np.int64, count=len(phases))
+    phase = np.zeros(size, dtype=np.int64)
+    phase[support] = np.fromiter(phases.values(), dtype=np.int64, count=len(phases))
+    shifts = np.zeros(1, dtype=np.int64)
+    for op in code.x_block:
+        shifts = np.concatenate([shifts, shifts ^ op.x_mask])
 
-    def batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(a, t) per batch of shifts, with t[s, b] = 2^r Tr[X^a[s] Z^b Pi]."""
-        size = 1 << self.n
-        step = max(1, BATCH_ENTRIES // (size * self.two_n))
-        own = self.phase[self.support]
-        for start in range(0, self.shifts.size, step):
-            a = self.shifts[start:start + step]
-            expo = (own - self.phase[self.support ^ a[:, None]]) % self.two_n
-            t = np.zeros((a.size, size, self.two_n), dtype=np.int64)
-            t[np.arange(a.size)[:, None], self.support, expo] = 1
-            _walsh_hadamard(t)
-            yield a, t
+    want = support.size * rows[0]  # K 2^r
+    lag_sums = np.zeros((n + 1, phi), dtype=object)
+    parts = {axis: np.zeros(size, dtype=bool) for axis in "XYZ"}
+    trivial = {axis: np.zeros(size, dtype=bool) for axis in "XYZ"}
+    step = max(1, BATCH_ENTRIES // (size * phi))
+    for start in range(0, shifts.size, step):
+        a = shifts[start:start + step]
+        expo = (phase[support] - phase[support ^ a[:, None]]) % two_n
+        u = np.zeros((a.size, size, phi), dtype=np.int64)
+        u[:, support] = rows[expo]
+        _walsh_hadamard(u)
+
+        # |u|^2 = u(x) u(1/x) has L_m at x^m and x^-m: lags 0..phi-1 suffice.
+        weights = np.bitwise_count(a[:, None] | np.arange(size)).ravel().astype(np.intp)
+        batch_sums = np.zeros((phi, n + 1), dtype=np.int64)
+        for m in range(phi):
+            norm = np.einsum("sbj,sbj->sb", u[..., m:], u[..., :phi - m])
+            np.add.at(batch_sums[m], weights, norm.ravel())
+        lag_sums += batch_sums.T.astype(object)
+
+        nonzero = u.any(axis=-1)
+        parts["X"] |= nonzero.any(axis=0)
+        parts["Z"][a] = nonzero.any(axis=1)
+        s, b = np.nonzero(nonzero)
+        parts["Y"][a[s] ^ b] = True
+        own = np.arange(a.size)
+        trivial["X"][a] = (u[own, 0] == want).all(axis=-1)
+        # Y^c = i^|c| X^c Z^c with i^|c| = w^(N |c| / 2), so Y^c acts
+        # trivially when 2^r Tr[X^c Z^c Pi] = K 2^r w^(-N |c| / 2).  For odd
+        # N |c|, i^|c| lies outside Z[w] and Tr[Y^c Pi] cannot be K.
+        turns = np.bitwise_count(a).astype(np.int64) * code.precision
+        want_y = support.size * rows[-(turns // 2) % two_n]
+        trivial["Y"][a] = (turns % 2 == 0) & (u[own, a] == want_y).all(axis=-1)
+        if start == 0:  # shifts[0] is 0: the diagonal strings Z^b
+            trivial["Z"] = (u[0] == want).all(axis=-1)
+    for cached in (lag_sums, *parts.values(), *trivial.values()):
+        cached.setflags(write=False)
+    return _Traces(len(table.entries), support.size, lag_sums, parts, trivial)
 
 
 def enumerators(code: XpGroup) -> tuple[EnumeratorPoly, EnumeratorPoly]:
     """The weight polynomials A(z) and B(z) of an XP code, exactly.
 
-    A_d = sum |Tr[E Pi]|^2 / K^2 over weight-d Pauli strings E, from the
-    shift tables of ``_ShiftTables``; B = ``macwilliams_transform(A)``.
+    A_d = sum |Tr[E Pi]|^2 / K^2 over weight-d Pauli strings E, from the lag
+    sums of ``_exact_traces``; B = ``macwilliams_transform(A)``.
 
     Raises:
         SizeLimitError: above the shift-table limit, before any allocation.
@@ -369,39 +427,20 @@ def enumerators(code: XpGroup) -> tuple[EnumeratorPoly, EnumeratorPoly]:
         InvariantError: when A_0 != 1, sum A_d != 2^n / K, or not
             0 <= A_d <= B_d for every d.
     """
-    tables = _ShiftTables(code)
-    n, two_n = tables.n, tables.two_n
-    half = two_n // 2
-    strings = np.arange(1 << n, dtype=np.int64)
-    sums = [[0] * (half + 1) for _ in range(n + 1)]
-    for a, t in tables.batches():
-        weights = np.bitwise_count(a[:, None] | strings).ravel()
-        for m in range(half + 1):
-            # |t|^2 = t(x) t(1/x) mod x^2N - 1 has sum_j t_j t_(j-m) at x^m,
-            # which is symmetric in m, so lags 0..N suffice.
-            norm = (np.einsum("sbj,sbj->sb", t[..., m:], t[..., :two_n - m])
-                    + np.einsum("sbj,sbj->sb", t[..., :m], t[..., two_n - m:]))
-            # Bounds: sum_j |t_j(b)| <= |support| <= 2^n <= 2^22 (the table
-            # limit with 2N >= 4), so |norm(b)| <= 2^44 fits in int64.  Per
-            # shift, by Parseval, sum_b |norm(b)| <= 2^n |support|, and a batch
-            # holds at most 2^22 (shift, b) pairs, so its float64 weight sums
-            # stay below 2^44 and are exact integers.  Batches add as Python
-            # ints, which do not overflow.
-            per_weight = np.bincount(weights, weights=norm.ravel(), minlength=n + 1)
-            for d, v in enumerate(np.rint(per_weight).astype(np.int64).tolist()):
-                sums[d][m] += v
-
-    rows = _reduction_rows(two_n).tolist()
-    scale = tables.support.size ** 2  # (K 2^r)^2
+    traces = _exact_traces(canonical_form(code))
+    n = code.n
+    rows = _reduction_rows(2 * code.precision)
+    # L_m multiplies x^m + x^(2N - m) for m >= 1 and 1 for m = 0.
+    lags = np.arange(1, rows.shape[1])
+    lag_rows = np.vstack([rows[:1], rows[lags] + rows[-lags]]).astype(object)
+    scale = traces.support_size ** 2  # (K 2^r)^2
     coeffs = []
-    for d, lag_sums in enumerate(sums):
-        full = [lag_sums[min(m, two_n - m)] for m in range(two_n)]
-        value = [sum(f * row[i] for f, row in zip(full, rows)) for i in range(len(rows[0]))]
+    for d, value in enumerate((traces.lag_sums @ lag_rows).tolist()):
         if any(value[1:]):
             raise NotRationalError(f"A_{d} is not rational: {value} over powers of w")
         coeffs.append(Fraction(value[0], scale))
 
-    dimension = Fraction(tables.dimension)
+    dimension = Fraction(traces.dimension)
     a_poly = EnumeratorPoly(tuple(coeffs), dimension)
     b_poly = macwilliams_transform(a_poly, n)
     if coeffs[0] != 1:
@@ -437,53 +476,13 @@ def biased_distance(code: XpGroup, axis: str) -> int:
     axis = axis.upper()
     if axis not in ("X", "Y", "Z"):
         raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
-    tables = _ShiftTables(code)
-    n, two_n = tables.n, tables.two_n
-    size = 1 << n
-    strings = np.arange(size, dtype=np.int64)
-    rows = _reduction_rows(two_n)
-    # parts[v]: v is the relevant part of a Pauli string with nonzero trace.
-    parts = np.zeros(size, dtype=bool)
-    own_traces = []  # 2^r Tr[E Pi] of the axis strings E that may act trivially
-    for a, t in tables.batches():
-        if axis == "Z":
-            # Every shift a has a nonzero trace for some b, because the
-            # transform is invertible and each table row on the support holds
-            # a power of w.  So only the first batch, which holds a = 0, is
-            # read.
-            parts[tables.shifts] = True
-            own_traces.append(t[0].copy())  # a view would keep t alive
-            break
-        nonzero = (t @ rows).any(axis=-1)
-        if axis == "X":
-            parts |= nonzero.any(axis=0)
-            own_traces.append(t[:, 0].copy())
-        else:
-            s, b = np.nonzero(nonzero)
-            parts[a[s] ^ b] = True
-            own_traces.append(t[np.arange(a.size), a])
-    preserving = strings != 0
-    for v in _span_basis(np.flatnonzero(parts)):
+    traces = _exact_traces(canonical_form(code))
+    strings = np.arange(1 << code.n, dtype=np.int64)
+    preserving = (strings != 0) & ~traces.trivial[axis]
+    for v in _span_basis(np.flatnonzero(traces.parts[axis])):
         preserving &= np.bitwise_count(strings & v) % 2 == 0
-
-    # Strings the trivial test applies to, and their traces.
-    candidates = strings if axis == "Z" else tables.shifts
-    traces = np.concatenate(own_traces)
-    if axis == "Y":
-        # i^|c| = w^(N |c| / 2); for odd N and odd |c| it lies outside Z[w],
-        # so Tr[E Pi] cannot be the integer K.
-        turns = np.bitwise_count(candidates).astype(np.int64) * (two_n // 2)
-        representable = turns % 2 == 0
-        cols = (np.arange(two_n)[None, :] - (turns // 2)[:, None]) % two_n
-        traces = np.take_along_axis(traces, cols, axis=1)
-    else:
-        representable = np.ones(candidates.size, dtype=bool)
-    want = np.zeros(rows.shape[1], dtype=np.int64)
-    want[0] = tables.support.size  # K 2^r
-    trivial = representable & (traces @ rows == want).all(axis=1)
-    preserving[candidates[trivial]] = False
     weights = np.bitwise_count(strings[preserving])
-    return int(weights.min()) if weights.size else n + 1
+    return int(weights.min()) if weights.size else code.n + 1
 
 
 def xp_factors(op) -> list[np.ndarray]:

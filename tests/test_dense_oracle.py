@@ -214,3 +214,8 @@ def test_channel_state_duality_of_symmetries():
 def test_projector_refuses_more_than_twelve_qubits():
     with pytest.raises(SizeLimitError, match="13 qubits"):
         projector(XpGroup(2, 13, ()))
+
+
+def test_render_operator_refuses_more_than_twelve_qubits():
+    with pytest.raises(SizeLimitError, match="13 qubits"):
+        render_operator(XpOperator.identity(13, 2))

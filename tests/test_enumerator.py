@@ -15,6 +15,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from tests_support import dense_biased_distance
+
+from xplego import cli, enumerator
 from xplego.code_structure import SizeLimitError, XpGroup, canonical_form
 from xplego.decoder import (
     Syndrome,
@@ -196,16 +199,8 @@ def test_biased_distances():
                                         if entry.group.n <= 7))
 def test_biased_distance_matches_dense_pauli_strings(name):
     pi = code_projector(name)
-    n = int(np.log2(pi.shape[0]))
     for axis in "XYZ":
-        want = n + 1
-        for mask in range(1, 2 ** n):
-            e = reduce(np.kron, [PAULI_LIST["IXYZ".index(axis)] if (mask >> (n - 1 - q)) & 1
-                                 else PAULI_LIST[0] for q in range(n)])
-            if (np.max(np.abs(e @ pi @ e.conj().T - pi)) <= 1e-9
-                    and np.max(np.abs(e @ pi - pi)) > 1e-9):
-                want = min(want, bin(mask).count("1"))
-        assert biased_distance(code(name), axis) == want, axis
+        assert biased_distance(code(name), axis) == dense_biased_distance(pi, axis), axis
 
 
 def test_rejects_non_projector():
@@ -264,6 +259,27 @@ def test_over_the_table_limit_raises_before_any_work():
             call()
     with pytest.raises(SizeLimitError, match="dense"):
         dense_enumerators(np.broadcast_to(np.complex128(0), (2 ** 12, 2 ** 12)))
+
+
+def test_reduction_entries_too_large_for_exact_sums_are_refused(monkeypatch):
+    rows = np.array([[1, 0], [0, 1], [0, 1 << 8], [0, -1]], dtype=np.int64)
+    monkeypatch.setattr(enumerator, "_reduction_rows", lambda two_n: rows)
+    enumerator._exact_traces.cache_clear()
+    with pytest.raises(SizeLimitError, match="int64"):
+        enumerators(XpGroup(2, 1, ()))
+
+
+def test_enumerate_biased_makes_one_trace_pass(monkeypatch, capsys):
+    calls = {"codewords": 0, "_walsh_hadamard": 0}
+    for name in calls:
+        def counted(*args, real=getattr(enumerator, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(enumerator, name, counted)
+    enumerator._exact_traces.cache_clear()
+    assert cli.main(["enumerate", "steane-xp", "--biased", "--json"]) == 0
+    # A, B, dZ and dX read one pass; steane-xp's shifts fit in one batch.
+    assert calls == {"codewords": 1, "_walsh_hadamard": 1}
 
 
 def test_coset_scalars_trivial_channel():

@@ -3,7 +3,8 @@
 Each vectorized stage is compared with the per-string loop it replaced,
 kept here as the reference, at precisions N in {2, 4, 8, 16}; the logical
 identity group completion is checked against its defining properties, and
-the exact enumerators against the dense oracle.
+the exact enumerators and biased distances against the dense oracle, also
+at N in {3, 5, 6}.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from tests_support import dense_biased_distance
 
 from xplego.code_structure import (
     EmptyCodeError,
@@ -29,7 +32,7 @@ from xplego.code_structure import (
     z_support,
 )
 from xplego.dense_oracle import projector
-from xplego.enumerator import dense_enumerators, enumerators
+from xplego.enumerator import biased_distance, dense_enumerators, enumerators
 from xplego.xp_algebra import XpOperator, conjugate, multiply
 
 PRECISIONS = (2, 4, 8, 16)
@@ -274,7 +277,19 @@ def xp_codes(draw, max_n=5, precisions=(2, 4, 8)):
             gens.pop()
 
 
+# Reduced coordinates differ from x^N = -1 exactly at N = 3, 5 and 6.
+EXACT_PRECISIONS = (2, 3, 4, 5, 6, 8, 16)
+
+
 @PROPERTY_SETTINGS
-@given(xp_codes())
+@given(xp_codes(precisions=EXACT_PRECISIONS))
 def test_exact_enumerators_equal_the_dense_oracle(g):
     assert enumerators(g) == dense_enumerators(projector(g))
+
+
+@PROPERTY_SETTINGS
+@given(xp_codes(precisions=EXACT_PRECISIONS))
+def test_biased_distances_equal_dense_pauli_strings(g):
+    pi = projector(g)
+    for axis in "XYZ":
+        assert biased_distance(g, axis) == dense_biased_distance(pi, axis), axis

@@ -1,12 +1,15 @@
-"""Shared helpers: random XP states built from twisted stabilizer states."""
+"""Shared helpers: random XP states built from twisted stabilizer states, and
+a brute-force biased distance over dense Pauli strings."""
 
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 import numpy as np
 
 from xplego.dense_oracle import basis_state, hadamard_unitary
+from xplego.enumerator import PAULI_LIST
 
 
 def random_clifford_state_vec(rng: random.Random, n: int) -> np.ndarray:
@@ -42,3 +45,17 @@ def random_xp_state_vec(rng: random.Random, n: int, precision: int) -> np.ndarra
         vec = vec.copy()
         vec[on] *= np.exp(2j * np.pi * k / (2 * precision))
     return vec
+
+
+def dense_biased_distance(pi: np.ndarray, axis: str) -> int:
+    """Least weight of a string over {I, axis} that maps the code projector
+    to itself but does not fix it, or n + 1 when there is none."""
+    n = int(np.log2(pi.shape[0]))
+    want = n + 1
+    for mask in range(1, 2 ** n):
+        e = reduce(np.kron, [PAULI_LIST["IXYZ".index(axis)] if (mask >> (n - 1 - q)) & 1
+                             else PAULI_LIST[0] for q in range(n)])
+        if (np.max(np.abs(e @ pi @ e.conj().T - pi)) <= 1e-9
+                and np.max(np.abs(e @ pi - pi)) > 1e-9):
+            want = min(want, bin(mask).count("1"))
+    return want
