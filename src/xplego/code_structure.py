@@ -211,9 +211,10 @@ def phase_identity(g: XpGroup) -> XpOperator | None:
 
 def _exponent_table(z: Sequence[int], two_n: int) -> np.ndarray:
     """sum_i 2 z_i b_i (mod 2N) for every big-endian bit string b of len(z)."""
-    k = len(z)
-    bits = _support_bits(np.arange(1 << k), k)
-    return (2 * np.asarray(z, dtype=np.int64)[:, None] * bits).sum(axis=0) % two_n
+    table = np.zeros(1 << len(z), dtype=np.int64)
+    for i, zi in enumerate(reversed(z)):
+        table[1 << i:2 << i] = table[:1 << i] + 2 * zi
+    return table % two_n
 
 
 def z_support(g: XpGroup) -> tuple[int, ...]:

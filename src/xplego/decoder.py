@@ -31,7 +31,13 @@ from .code_structure import (
     orbit_decomposition,
     r_z_generators,
 )
-from .dense_oracle import operator_action, projector, render_operator, state_from_pairs
+from .dense_oracle import (
+    PROJECTOR_MAX_QUBITS,
+    operator_action,
+    projector,
+    render_operator,
+    state_from_pairs,
+)
 from .enumerator import PAULI_LIST, CosetTrace, xp_factors
 from .xp_algebra import XpOperator, conjugate, inverse, multiply
 
@@ -130,8 +136,9 @@ class DecoderSetup:
 
     def __init__(self, code: XpGroup):
         code = canonical_form(code)
-        if code.n > 12:
-            raise UnsupportedCodeError("decoding is dense and capped at 12 qubits")
+        if code.n > PROJECTOR_MAX_QUBITS:
+            raise UnsupportedCodeError(
+                f"decoding is dense and capped at {PROJECTOR_MAX_QUBITS} qubits")
         if code.precision & (code.precision - 1):
             raise UnsupportedCodeError("precision must be a power of two")
         od = orbit_decomposition(code)

@@ -46,7 +46,8 @@ from .code_structure import (
     orbit_decomposition,
     permute_legs,
 )
-from .dense_oracle import contract, omega_table, render_operator, state_from_pairs, stabilizes
+from .dense_oracle import contract, state_from_pairs, stabilizes
+from .enumerator import _reduction_rows
 from .registry import group_from_json, lookup
 from .ring_linalg import ModMatrix, kernel_mod, solve_linear_mod
 from .xp_algebra import XpOperator, delete_legs, embed, multiply, power
@@ -107,7 +108,7 @@ def lego_from_group(group: XpGroup, dense: np.ndarray | None = None,
 def state_lego(group: XpGroup, with_dense: bool = True) -> Lego:
     """Lego for a group that pins a single state; shadow built symbolically."""
     dense = None
-    if with_dense and group.n <= 12:
+    if with_dense and group.n <= DENSE_SHADOW_MAX_QUBITS:
         table = codewords(group)
         if len(table.entries) == 1:
             dense = state_from_pairs(table.entries[0], group.n, group.precision)
@@ -183,8 +184,7 @@ def _matching_ok(op: XpOperator, mode: str) -> bool:
     return (op.z[0] - op.z[1]) % n_mod == 0
 
 
-def _trace_front_two(group: XpGroup, mode: str, support_restriction: bool = True,
-                     ) -> tuple[XpGroup, bool]:
+def _trace_front_two(group: XpGroup, mode: str) -> tuple[XpGroup, bool]:
     """Operator matching on the first two legs of a canonical group.
 
     Returns the post-trace group (columns 0 and 1 removed, canonical) and a
@@ -206,37 +206,33 @@ def _trace_front_two(group: XpGroup, mode: str, support_restriction: bool = True
     elif only0 is not None or only1 is not None:
         lone = only0 if only0 is not None else only1
         rows = [r for r in rows if r != lone]
-    if support_restriction:
-        # Restrict the support to the kept Bell sector, then rebuild the
-        # full logical identity group: the restricted object can have
-        # strictly finer symmetries than the presentation generates.
-        restrict_z = [0] * g.n
-        restrict_z[0] = 1
-        restrict_z[1] = (precision - 1) if mode == "plain" else 1
-        phase = 0 if mode == "plain" else -2
-        rows = rows + [XpOperator(precision, (0,) * g.n, tuple(restrict_z), phase)]
-        try:
-            g = complete_lid(XpGroup(precision, g.n, tuple(rows)))
-        except EmptyCodeError:
-            return XpGroup(precision, g.n - 2, ()), False
-    else:
-        g = canonical_form(XpGroup(precision, g.n, tuple(rows)))
+    # Restrict the support to the kept Bell sector, then rebuild the full
+    # logical identity group: the restricted object can have strictly finer
+    # symmetries than the presentation generates.
+    restrict_z = [0] * g.n
+    restrict_z[0] = 1
+    restrict_z[1] = (precision - 1) if mode == "plain" else 1
+    phase = 0 if mode == "plain" else -2
+    rows = rows + [XpOperator(precision, (0,) * g.n, tuple(restrict_z), phase)]
+    try:
+        g = complete_lid(XpGroup(precision, g.n, tuple(rows)))
+    except EmptyCodeError:
+        return XpGroup(precision, g.n - 2, ()), False
 
     # With the support restricted, distinct strings can land on the same
     # traced string when they differ exactly on the two traced legs.  Their
     # amplitudes then add and can cancel, which is invisible to operator
     # matching; in that situation a one-codeword result is rebuilt exactly
     # from its combined phase table.
-    if support_restriction:
-        collided = _traced_table_if_collisions(g)
-        if collided is not None:
-            status, pairs = collided
-            if status == "empty":
-                return XpGroup(precision, g.n - 2, ()), False
-            if status == "table":
-                lid = lid_from_phase_table(pairs, g.n - 2, precision)
-                if lid is not None:
-                    return lid, bool(lid.generators)
+    collided = _traced_table_if_collisions(g)
+    if collided is not None:
+        status, pairs = collided
+        if status == "empty":
+            return XpGroup(precision, g.n - 2, ()), False
+        if status == "table":
+            lid = lid_from_phase_table(pairs, g.n - 2, precision)
+            if lid is not None:
+                return lid, bool(lid.generators)
 
     m_rows = [r for r in g.z_block if r.z[0] or r.z[1]]
     sign = 1 if mode == "plain" else -1
@@ -288,29 +284,63 @@ def _trace_front_two(group: XpGroup, mode: str, support_restriction: bool = True
     return traced, bool(traced.generators)
 
 
-def _trace(lego: Lego, j: int, k: int, mode: str, kernel: np.ndarray | None) -> Lego:
-    if j == k:
-        raise LegError("trace legs must differ")
-    for leg in (j, k):
+def _insertion_mode(insertion) -> tuple[str, np.ndarray | None]:
+    """Trace mode and dense bond kernel of a bond insertion.
+
+    ``None``, ``"I"`` or an identity matrix give a plain trace and ``"X"`` or
+    an X matrix an ``insert_x`` trace, both on the check matrix; any other
+    2x2 numeric matrix gives ``dense-only``, applied on the dense shadow
+    alone.  Anything else raises LegError.
+    """
+    if insertion is None or isinstance(insertion, str):
+        name = "I" if insertion is None else insertion.upper()
+        if name not in ("I", "X"):
+            raise LegError(f"unknown named insertion {insertion!r}")
+        insertion = X_MATRIX if name == "X" else np.eye(2)
+    try:
+        mat = np.asarray(insertion)
+    except ValueError:  # a ragged nested list
+        mat = np.empty(0)
+    if mat.shape != (2, 2) or mat.dtype.kind not in "iufc":
+        raise LegError(f"insertion {insertion!r} is not None, 'I', 'X' or a 2x2 matrix"
+                       " of numbers")
+    if np.allclose(mat, np.eye(2)):
+        return "plain", None
+    if np.allclose(mat, X_MATRIX):
+        return "insert_x", X_MATRIX
+    return "dense-only", mat.astype(complex)
+
+
+def _check_physical(lego: Lego, *legs: int) -> None:
+    for leg in legs:
         if not 0 <= leg < lego.n:
             raise LegError(f"leg {leg} out of range")
         if lego.designation[leg] != PHYSICAL:
             raise LegError(f"leg {leg} is not physical")
 
-    order = [j, k] + [i for i in range(lego.n) if i not in (j, k)]
-    front = permute_legs(lego.group, order)
-    traced, nontrivial = _trace_front_two(front, mode)
+
+def _trace(lego: Lego, j: int, k: int, mode: str, kernel: np.ndarray | None) -> Lego:
+    if j == k:
+        raise LegError("trace legs must differ")
+    _check_physical(lego, j, k)
+
+    keep = [i for i in range(lego.n) if i not in (j, k)]
+    warnings = list(lego.warnings)
+    if mode == "dense-only":
+        if lego.dense is None:
+            raise LegError("general insertions need a dense shadow")
+        traced, nontrivial = XpGroup(lego.precision, lego.n - 2, ()), False
+        warnings.append("dense-only")
+    else:
+        traced, nontrivial = _trace_front_two(permute_legs(lego.group, [j, k] + keep), mode)
 
     dense = None
-    warnings = list(lego.warnings)
     if lego.dense is not None:
         dense, _ = contract([lego.dense], [(j, k)], [kernel])
         if np.linalg.norm(dense) < 1e-12:
             warnings.append("empty-trace")
-    if not nontrivial and traced.n > 0:
+    if not nontrivial and traced.n > 0 and mode != "dense-only":
         warnings.append("trivial-symbolic-group")
-
-    keep = [i for i in range(lego.n) if i not in (j, k)]
     designation = tuple(lego.designation[i] for i in keep)
     return Lego(traced, designation, dense, tuple(dict.fromkeys(warnings)))
 
@@ -324,41 +354,13 @@ def trace_with_insertion(lego: Lego, j: int, k: int, insertion) -> Lego:
     """Trace two legs against (I x U)|Bell>.
 
     The check-matrix path supports U = identity and U = X; any other
-    single-qubit unitary is applied on the dense shadow only, and the
-    result carries a ``dense-only`` warning with an empty symbolic group.
+    single-qubit matrix is applied on the dense shadow only, and the result
+    carries a ``dense-only`` warning with an empty symbolic group.
     """
-    if insertion is None:
+    mode, kernel = _insertion_mode(insertion)
+    if mode == "plain":
         return self_trace(lego, j, k)
-    if isinstance(insertion, str):
-        if insertion.upper() == "X":
-            return _trace(lego, j, k, "insert_x", X_MATRIX)
-        if insertion.upper() in ("I", "ID", "IDENTITY"):
-            return self_trace(lego, j, k)
-        raise LegError(f"unknown named insertion {insertion!r}")
-    if isinstance(insertion, XpOperator):
-        if insertion.n != 1:
-            raise LegError("insertion must act on a single qubit")
-        if insertion.is_identity:
-            return self_trace(lego, j, k)
-        if not any(insertion.z) and insertion.phase == 0:
-            return _trace(lego, j, k, "insert_x", X_MATRIX)
-        mat = render_operator(insertion)
-    else:
-        mat = np.asarray(insertion, dtype=complex)
-    if np.allclose(mat, np.eye(2)):
-        return self_trace(lego, j, k)
-    if np.allclose(mat, X_MATRIX):
-        return _trace(lego, j, k, "insert_x", X_MATRIX)
-    if lego.dense is None:
-        raise LegError("general insertions need a dense shadow")
-    dense, _ = contract([lego.dense], [(j, k)], [mat])
-    keep = [i for i in range(lego.n) if i not in (j, k)]
-    designation = tuple(lego.designation[i] for i in keep)
-    empty = XpGroup(lego.precision, lego.n - 2, ())
-    warnings = lego.warnings + ("dense-only",)
-    if np.linalg.norm(dense) < 1e-12:
-        warnings += ("empty-trace",)
-    return Lego(empty, designation, dense, tuple(dict.fromkeys(warnings)))
+    return _trace(lego, j, k, mode, kernel)
 
 
 def conjoin(a: Lego, b: Lego, leg_a: int, leg_b: int) -> Lego:
@@ -370,37 +372,34 @@ def conjoin(a: Lego, b: Lego, leg_a: int, leg_b: int) -> Lego:
 def _check_shortening_isometry(lego: Lego, leg: int) -> None:
     """Maximal-entanglement precondition for making ``leg`` logical.
 
-    The codeword block vectors split by the leg's bit value must form a
-    scaled isometry; this is checked densely at desk scale.
+    The codeword blocks split by the leg's bit must form a scaled isometry.
+    Two codewords' blocks with the same bit have disjoint supports, so this
+    asks for equal string counts in every block and, for every pair of
+    codewords (c, c'), that the sum of w^(p'(e ^ L) - p(e)) over strings e
+    of c with the leg bit clear and e ^ L in c' is exactly zero.
     """
-    group = canonical_form(lego.group)
-    if group.n > 12:
-        return
-    table = codewords(group)
-    vecs = []
-    for cw in table.entries:
-        for bit in (0, 1):
-            sub = [(e, ph) for e, ph in cw if (e >> (group.n - 1 - leg)) & 1 == bit]
-            vec = np.zeros(2 ** (group.n - 1), dtype=complex)
-            if sub:
-                w = omega_table(group.precision)
-                for e, ph in sub:
-                    hi = e >> (group.n - leg)
-                    lo = e & ((1 << (group.n - 1 - leg)) - 1)
-                    vec[(hi << (group.n - 1 - leg)) | lo] += w[ph]
-            vecs.append(vec)
-    gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
-    scale = np.trace(gram).real / len(vecs)
-    if scale < 1e-12 or np.max(np.abs(gram - scale * np.eye(len(vecs)))) > 1e-9 * max(scale, 1.0):
+    table = codewords(lego.group)
+    two_n, k = 2 * table.precision, len(table.entries)
+    flip = 1 << (table.n - 1 - leg)
+    rows = np.array([(e, ph, c) for c, cw in enumerate(table.entries) for e, ph in cw],
+                    dtype=np.int64)
+    strings, phases, owner = rows[np.argsort(rows[:, 0])].T
+    is_set = (strings & flip) != 0
+    counts = np.bincount(owner + k * is_set, minlength=2 * k)
+    src = np.flatnonzero(~is_set)
+    dst = np.searchsorted(strings, strings[src] | flip).clip(max=strings.size - 1)
+    found = strings[dst] == strings[src] | flip
+    src, dst = src[found], dst[found]
+    keys, pair = np.unique(owner[src] * k + owner[dst], return_inverse=True)
+    sums = np.zeros((keys.size, two_n), dtype=np.int64)
+    np.add.at(sums, (pair, (phases[dst] - phases[src]) % two_n), 1)
+    if np.any(counts != counts[0]) or np.any(sums @ _reduction_rows(two_n)):
         raise NotIsometryError(f"leg {leg} is not maximally entangled with the rest")
 
 
 def shorten_to_logical(lego: Lego, leg: int) -> Lego:
     """Re-designate a physical leg as logical by code shortening."""
-    if not 0 <= leg < lego.n:
-        raise LegError(f"leg {leg} out of range")
-    if lego.designation[leg] != PHYSICAL:
-        raise LegError(f"leg {leg} is not physical")
+    _check_physical(lego, leg)
     _check_shortening_isometry(lego, leg)
     order = [leg] + [i for i in range(lego.n) if i != leg]
     front = canonical_form(permute_legs(lego.group, order))
@@ -483,8 +482,8 @@ def redesignate(lego: Lego, leg: int, role: str) -> Lego:
 # ---------------------------------------------------------------------------
 # Network files: a list of named legos plus bonds between (lego, leg) pairs.
 
-def _is_number(value, kind=(int, float)) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_network(doc) -> dict[str, list]:
@@ -504,19 +503,13 @@ def _check_network(doc) -> dict[str, list]:
         raise LegError("bonds, designate and order must be lists")
     for bond in lists["bonds"]:
         if not (isinstance(bond, list) and len(bond) in (4, 5)
-                and all(_is_number(v, int) for v in bond[:4])
-                and (len(bond) == 4 or isinstance(bond[4], str) or _is_2x2(bond[4]))):
+                and all(_is_int(v) for v in bond[:4])):
             raise LegError(f"bond {bond!r} is not four integer indices [legoA, legA, legoB,"
-                           " legB] and an optional insertion name or 2x2 list of numbers")
-    if not all(_is_number(v, int) for v in lists["designate"] + lists["order"]):
+                           " legB] and an optional insertion")
+        _insertion_mode(bond[4] if len(bond) == 5 else None)
+    if not all(_is_int(v) for v in lists["designate"] + lists["order"]):
         raise LegError("designate and order must list integer leg indices")
     return lists
-
-
-def _is_2x2(value) -> bool:
-    return (isinstance(value, list) and len(value) == 2
-            and all(isinstance(row, list) and len(row) == 2
-                    and all(map(_is_number, row)) for row in value))
 
 
 def run_network(doc: dict) -> Lego:

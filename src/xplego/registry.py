@@ -2,8 +2,8 @@
 
 Entries carry the generator matrix in (x|z|p) row form, a per-leg
 designation, and a short provenance note.  Atomic few-leg tensors are
-derived from their dense states through the symmetry certificate, so their
-generator lists are canonical by construction.  JSON (de)serialization of
+the full symmetry groups of their states, derived from the phase tables,
+so their generator lists are canonical by construction.  JSON (de)serialization of
 check matrices lives here as well; the schema stores integers only.
 """
 
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .code_structure import InvariantError, XpGroup, canonical_form
-from .dense_oracle import state_from_pairs, xp_state_from_dense
+from .code_structure import InvariantError, XpGroup, canonical_form, lid_from_phase_table
 from .xp_algebra import XpOperator
 
 
@@ -52,8 +51,7 @@ def _entry_from_rows(name: str, rows, n: int, precision: int, designation: str, 
 
 
 def _entry_from_state(name: str, pairs, n: int, precision: int, note: str) -> CodeRegistryEntry:
-    vec = state_from_pairs(pairs, n, precision)
-    group = xp_state_from_dense(vec, precision)
+    group = lid_from_phase_table(pairs, n, precision)
     if group is None:
         raise InvariantError(f"registry state {name} is not XP")
     return CodeRegistryEntry(name, group, ("P",) * n, note)

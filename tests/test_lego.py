@@ -22,6 +22,7 @@ from xplego.code_structure import (
     codewords,
     counting_check,
     orbit_decomposition,
+    permute_legs,
 )
 from xplego.dense_oracle import (
     contract,
@@ -45,7 +46,7 @@ from xplego.lego import (
     trace_with_insertion,
 )
 from xplego.lego import _trace_front_two
-from xplego.registry import group_from_rows, lookup
+from xplego.registry import atomic_legos, group_from_rows, lookup
 from xplego.ring_linalg import ModMatrix
 from xplego.xp_algebra import XpOperator
 
@@ -123,17 +124,14 @@ def test_trace_matches_full_symmetry_group_of_xp_contraction():
 
 
 def test_support_restriction_is_required_for_completeness():
-    # Without restricting the support before matching, the second fusion of
-    # the first building block loses a finer diagonal symmetry.
+    # The second fusion of the first building block has a finer diagonal
+    # symmetry that only the restricted support shows; matching must keep it.
     block = entry_lego("lego6-steane")
     both = tensor_product(block, block)
     t1 = self_trace(both, 0, 6)
     front = canonical_form(
-        __import__("xplego.code_structure", fromlist=["permute_legs"]).permute_legs(
-            t1.group, [0, 5] + [i for i in range(10) if i not in (0, 5)]))
-    with_restriction, _ = _trace_front_two(front, "plain", support_restriction=True)
-    without, _ = _trace_front_two(front, "plain", support_restriction=False)
-    assert with_restriction.generators != without.generators
+        permute_legs(t1.group, [0, 5] + [i for i in range(10) if i not in (0, 5)]))
+    with_restriction, _ = _trace_front_two(front, "plain")
     vec, _ = contract([t1.dense], [(0, 5)])
     derived = xp_state_from_dense(vec, 8)
     assert with_restriction.generators == derived.generators
@@ -191,6 +189,18 @@ def test_general_insertion_falls_back_to_dense():
     assert abs(traced.dense[0] - (1 + np.exp(-1j * np.pi / 4))) < 1e-12
 
 
+def test_general_insertion_on_a_logical_leg_is_refused():
+    ghz = entry_lego("ghz")
+    marked = lego.Lego(ghz.group, ("L", "P", "P"), ghz.dense)
+    with pytest.raises(LegError, match="not physical"):
+        trace_with_insertion(marked, 0, 1, np.diag([1.0, np.exp(1j * np.pi / 4)]))
+
+
+def test_general_insertion_on_an_out_of_range_leg_is_refused():
+    with pytest.raises(LegError, match="out of range"):
+        trace_with_insertion(entry_lego("ghz"), 0, 5, np.diag([1.0, np.exp(1j * np.pi / 4)]))
+
+
 def test_shorten_to_logical_on_code_families():
     code422 = lego_from_group(canonical_form(lookup("422").group))
     trivial = shorten_to_logical(code422, 0)
@@ -216,6 +226,15 @@ def test_shorten_rejects_unentangled_leg():
         [XpOperator(8, (0, 0), (1, 0), 0), XpOperator(8, (0, 0), (0, 1), 0)]))
     with pytest.raises(NotIsometryError):
         shorten_to_logical(product_state, 0)
+
+
+def test_shortening_check_covers_codes_above_twelve_qubits():
+    rm15 = lego_from_group(canonical_form(lookup("rm15").group))
+    for leg in range(rm15.n):
+        assert shorten_to_logical(rm15, leg).n == 14
+    zero = next(e for e in atomic_legos(rm15.precision) if e.name == "zero")
+    with pytest.raises(NotIsometryError):
+        shorten_to_logical(tensor_product(rm15, lego_from_group(zero.group)), 15)
 
 
 def test_materialize_logical_gives_five_qubit_code():
@@ -248,6 +267,14 @@ def test_leg_errors():
         self_trace(bell, 0, 5)
     with pytest.raises(LegError):
         trace_with_insertion(bell, 0, 1, "Q")
+
+
+def test_insertions_other_than_names_and_2x2_matrices_are_refused():
+    bell = entry_lego("bell")
+    for insertion in (XpOperator(8, (1,), (0,), 0), "ID", np.eye(3), [[True, False], [False, True]],
+                      [[1, 0], [0]], [[1, "0"], [0, 1]]):
+        with pytest.raises(LegError):
+            trace_with_insertion(bell, 0, 1, insertion)
 
 
 def test_wrong_kernel_combination_raises_invariant_error(monkeypatch):

@@ -2,9 +2,10 @@
 
 Each vectorized stage is compared with the per-string loop it replaced,
 kept here as the reference, at precisions N in {2, 4, 8, 16}; the logical
-identity group completion is checked against its defining properties, and
-the exact enumerators and biased distances against the dense oracle, also
-at N in {3, 5, 6}.
+identity group completion is checked against its defining properties, the
+symbolic trace against the full symmetry group of the dense contraction,
+and the exact enumerators and biased distances against the dense oracle,
+also at N in {3, 5, 6}.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tests_support import dense_biased_distance
+from tests_support import dense_biased_distance, random_xp_state_vec
 
 from xplego.code_structure import (
     EmptyCodeError,
@@ -31,8 +32,9 @@ from xplego.code_structure import (
     solve_diagonal_constraints,
     z_support,
 )
-from xplego.dense_oracle import projector
+from xplego.dense_oracle import projector, xp_state_from_dense
 from xplego.enumerator import biased_distance, dense_enumerators, enumerators
+from xplego.lego import lego_from_group, tensor_product, trace_with_insertion
 from xplego.xp_algebra import XpOperator, conjugate, multiply
 
 PRECISIONS = (2, 4, 8, 16)
@@ -256,6 +258,39 @@ def test_complete_lid_contains_the_group_and_fixes_every_codeword(g):
                 assert phases[e ^ op.x_mask] == (ph + op.action_phase(e)) % two_n
     if len(table.entries) == 1:
         assert lid_from_phase_table(table.entries[0], g.n, g.precision) == lid
+
+
+@st.composite
+def traced_xp_states(draw, max_n=6):
+    """A lego of one random XP state, or of the product of two (where a bond
+    between the factors is a conjoin), with its dense vector, two distinct
+    legs and a bond insertion of None or X."""
+    precision = draw(st.sampled_from(PRECISIONS))
+    first = draw(st.integers(1, max_n))
+    second = draw(st.integers(max(0, 2 - first), max_n - first))
+    rng = draw(st.randoms(use_true_random=False))
+    legos = []
+    for n in [n for n in (first, second) if n]:
+        vec = random_xp_state_vec(rng, n, precision)
+        group = xp_state_from_dense(vec, precision)
+        assume(group is not None)
+        legos.append(lego_from_group(group, dense=vec))
+    state = legos[0] if len(legos) == 1 else tensor_product(*legos)
+    legs = draw(st.lists(st.integers(0, state.n - 1), min_size=2, max_size=2, unique=True))
+    return state, legs, draw(st.sampled_from((None, "X")))
+
+
+# Only a few percent of draws need the exact collision handling of a trace,
+# so this property takes more examples than the others.
+@settings(max_examples=300, deadline=None)
+@given(traced_xp_states())
+def test_symbolic_trace_equals_the_dense_certificate(case):
+    state, (j, k), insertion = case
+    traced = trace_with_insertion(state, j, k, insertion)
+    if np.linalg.norm(traced.dense) > 1e-9:
+        derived = xp_state_from_dense(traced.dense, traced.precision)
+        if derived is not None:
+            assert canonical_form(traced.group).generators == derived.generators
 
 
 @st.composite
