@@ -15,7 +15,10 @@ completed to its full logical identity group, and support strings that
 collide on the traced legs are combined exactly so that amplitude
 cancellation cannot hide symmetries of the result.  Tracing with an X
 inserted on the bond flips the diagonal condition to z[j] == z[k] and adds
-2 z[j] to the surviving phase.
+2 z[j] to the surviving phase.  The generators split the legs into blocks
+(connected components of their supports); a trace matches on the blocks
+holding its two legs and only completes the others, so its cost follows
+the traced block rather than the whole network.
 
 Re-designating a physical leg as logical shortens the code in place:
 columns of the leg move to the front, rows supported on it are dropped
@@ -50,7 +53,7 @@ from .dense_oracle import contract, state_from_pairs, stabilizes
 from .enumerator import _reduction_rows
 from .registry import group_from_json, lookup
 from .ring_linalg import ModMatrix, kernel_mod, solve_linear_mod
-from .xp_algebra import XpOperator, delete_legs, embed, multiply, power
+from .xp_algebra import XpOperator, delete_legs, embed, multiply, power, restrict
 
 PHYSICAL = "P"
 LOGICAL = "L"
@@ -184,11 +187,14 @@ def _matching_ok(op: XpOperator, mode: str) -> bool:
     return (op.z[0] - op.z[1]) % n_mod == 0
 
 
-def _trace_front_two(group: XpGroup, mode: str) -> tuple[XpGroup, bool]:
-    """Operator matching on the first two legs of a canonical group.
+def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup | None:
+    """Operator matching on the first two legs of a group.
 
-    Returns the post-trace group (columns 0 and 1 removed, canonical) and a
-    flag telling whether any nontrivial generator survived.
+    Returns the post-trace group (columns 0 and 1 removed, canonical), or
+    None when the traced state vanishes.  ``rebuild`` is False when the
+    group is one factor of a code whose other factors hold several
+    codewords: the whole code then has several, so the one-codeword
+    collision rebuild does not apply.
     """
     precision = group.precision
     g = canonical_form(group)
@@ -217,22 +223,22 @@ def _trace_front_two(group: XpGroup, mode: str) -> tuple[XpGroup, bool]:
     try:
         g = complete_lid(XpGroup(precision, g.n, tuple(rows)))
     except EmptyCodeError:
-        return XpGroup(precision, g.n - 2, ()), False
+        return None
 
     # With the support restricted, distinct strings can land on the same
     # traced string when they differ exactly on the two traced legs.  Their
     # amplitudes then add and can cancel, which is invisible to operator
     # matching; in that situation a one-codeword result is rebuilt exactly
     # from its combined phase table.
-    collided = _traced_table_if_collisions(g)
+    collided = _traced_table_if_collisions(g) if rebuild else None
     if collided is not None:
         status, pairs = collided
         if status == "empty":
-            return XpGroup(precision, g.n - 2, ()), False
+            return None
         if status == "table":
             lid = lid_from_phase_table(pairs, g.n - 2, precision)
             if lid is not None:
-                return lid, bool(lid.generators)
+                return lid
 
     m_rows = [r for r in g.z_block if r.z[0] or r.z[1]]
     sign = 1 if mode == "plain" else -1
@@ -280,8 +286,67 @@ def _trace_front_two(group: XpGroup, mode: str) -> tuple[XpGroup, bool]:
         cut = XpOperator(precision, cut.x, cut.z, cut.phase + phase_fix)
         if not cut.is_identity:
             survivors.append(cut)
-    traced = canonical_form(XpGroup(precision, g.n - 2, tuple(survivors)))
-    return traced, bool(traced.generators)
+    return canonical_form(XpGroup(precision, g.n - 2, tuple(survivors)))
+
+
+def _leg_blocks(group: XpGroup) -> list[list[int]]:
+    """Connected components of the generator supports, as sorted leg lists.
+
+    A leg is in a generator's support when its x or z entry is nonzero; a
+    leg that no generator touches is a block of its own.
+    """
+    blocks = [{leg} for leg in range(group.n)]
+    for op in group.generators:
+        support = {i for i, (x, z) in enumerate(zip(op.x, op.z)) if x or z}
+        if support:
+            blocks = ([b for b in blocks if not b & support]
+                      + [set().union(*(b for b in blocks if b & support))])
+    return [sorted(b) for b in blocks]
+
+
+def _restrict_group(group: XpGroup, legs: Sequence[int]) -> XpGroup:
+    """The generators supported inside ``legs``, on those legs in that order."""
+    inside = set(legs)
+    gens = tuple(restrict(op, legs) for op in group.generators
+                 if all(i in inside or not (op.x[i] or op.z[i]) for i in range(group.n)))
+    return XpGroup(group.precision, len(legs), gens)
+
+
+def _trace_blocks(group: XpGroup, j: int, k: int, mode: str) -> XpGroup:
+    """Trace legs j and k on the block of legs that the bond touches.
+
+    The presented generators split the legs into blocks, and the group is
+    the product of the blocks' groups, so matching runs on the union of the
+    blocks holding j and k.  Every other block (a spectator) is brought to
+    what a trace of the whole group makes of it: its full logical identity
+    group.  The collision rebuild needs the whole code to hold one codeword,
+    so it runs only when every spectator does; an annihilated block or
+    spectator leaves the empty group on every remaining leg.  A generator
+    with empty support (a phase) lies inside every block.
+    """
+    n, precision = group.n, group.precision
+    empty = XpGroup(precision, n - 2, ())
+    blocks = _leg_blocks(group)
+    front = [j, k] + sorted(leg for b in blocks if j in b or k in b
+                            for leg in b if leg not in (j, k))
+    spectators = [b for b in blocks if j not in b and k not in b]
+    position = {leg: i for i, leg in enumerate(i for i in range(n) if i not in (j, k))}
+    parts: list[XpOperator] = []
+    one_codeword = True
+    for legs in spectators:
+        try:
+            lid = complete_lid(_restrict_group(group, legs))
+        except EmptyCodeError:
+            return empty
+        one_codeword = one_codeword and len(codewords(lid).entries) == 1
+        parts += [embed(op, n - 2, [position[i] for i in legs]) for op in lid.generators]
+    traced = _trace_front_two(_restrict_group(group, front), mode, rebuild=one_codeword)
+    if traced is None:
+        return empty
+    if not spectators:
+        return traced
+    parts += [embed(op, n - 2, [position[i] for i in front[2:]]) for op in traced.generators]
+    return canonical_form(XpGroup(precision, n - 2, tuple(parts)))
 
 
 def _insertion_mode(insertion) -> tuple[str, np.ndarray | None]:
@@ -329,17 +394,17 @@ def _trace(lego: Lego, j: int, k: int, mode: str, kernel: np.ndarray | None) -> 
     if mode == "dense-only":
         if lego.dense is None:
             raise LegError("general insertions need a dense shadow")
-        traced, nontrivial = XpGroup(lego.precision, lego.n - 2, ()), False
+        traced = XpGroup(lego.precision, lego.n - 2, ())
         warnings.append("dense-only")
     else:
-        traced, nontrivial = _trace_front_two(permute_legs(lego.group, [j, k] + keep), mode)
+        traced = _trace_blocks(lego.group, j, k, mode)
 
     dense = None
     if lego.dense is not None:
         dense, _ = contract([lego.dense], [(j, k)], [kernel])
         if np.linalg.norm(dense) < 1e-12:
             warnings.append("empty-trace")
-    if not nontrivial and traced.n > 0 and mode != "dense-only":
+    if not traced.generators and traced.n > 0 and mode != "dense-only":
         warnings.append("trivial-symbolic-group")
     designation = tuple(lego.designation[i] for i in keep)
     return Lego(traced, designation, dense, tuple(dict.fromkeys(warnings)))

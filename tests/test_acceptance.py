@@ -227,8 +227,11 @@ def test_criterion_08_decoder_exactness():
     coeffs = pauli_process_coeffs(channel)
     kraus = [np.asarray(k) for k in channel.kraus]
     n, pi, kdim = code.n, setup.projector, setup.dimension
-    strings = [reduce(np.kron, [kraus[c] for c in combo])
-               for combo in product(range(4), repeat=n)]
+    # The Kraus strings kc as one (4^n, 2^n, 2^n) stack, and every kc @ pi
+    # side by side in one (2^n, 4^n 2^n) matrix.
+    strings = np.stack([reduce(np.kron, [kraus[c] for c in combo])
+                        for combo in product(range(4), repeat=n)])
+    strings_pi = (strings @ pi).transpose(1, 0, 2).reshape(pi.shape[0], -1)
 
     def bayes_joint(syndrome, logical_op):
         e_sz, e_sx = representative_errors(syndrome, code)
@@ -236,12 +239,12 @@ def test_criterion_08_decoder_exactness():
         lmat = render_operator(logical_op)
         pi_sz = setup.sector_projector(syndrome.s_z)
         pi_sx = ex @ pi @ ex.conj().T
-        total = 0.0
-        for kc in strings:
-            mat = lmat.conj().T @ ex.conj().T @ pi_sx @ ez.conj().T @ pi_sz @ kc
-            bar = pi @ mat @ pi
-            total += np.trace(bar @ bar.conj().T).real + abs(np.trace(pi @ mat)) ** 2
-        return total / (kdim * (kdim + 1))
+        # pi @ mat = front @ kc and bar = pi @ mat @ pi = front @ kc @ pi, so
+        # the sum over kc of Tr(bar bar^dag) is the squared norm of all bars.
+        front = pi @ lmat.conj().T @ ex.conj().T @ pi_sx @ ez.conj().T @ pi_sz
+        bars = front @ strings_pi
+        traces = np.einsum("ij,kji->k", front, strings)
+        return (np.vdot(bars, bars).real + np.sum(abs(traces) ** 2)) / (kdim * (kdim + 1))
 
     exact = True
     for s_z in product((0, 1), repeat=len(setup.r_z)):

@@ -13,6 +13,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from tests_support import whole_group_trace
 
 from xplego import lego
 from xplego.code_structure import (
@@ -20,6 +21,7 @@ from xplego.code_structure import (
     XpGroup,
     canonical_form,
     codewords,
+    complete_lid,
     counting_check,
     orbit_decomposition,
     permute_legs,
@@ -131,10 +133,56 @@ def test_support_restriction_is_required_for_completeness():
     t1 = self_trace(both, 0, 6)
     front = canonical_form(
         permute_legs(t1.group, [0, 5] + [i for i in range(10) if i not in (0, 5)]))
-    with_restriction, _ = _trace_front_two(front, "plain")
+    with_restriction = _trace_front_two(front, "plain")
     vec, _ = contract([t1.dense], [(0, 5)])
     derived = xp_state_from_dense(vec, 8)
     assert with_restriction.generators == derived.generators
+
+
+def diag(precision, z, phase=0):
+    return XpOperator(precision, (0,) * len(z), tuple(z), phase)
+
+
+def test_a_spectator_block_is_completed():
+    # A Bell pair on legs 0 and 1 beside <Z x Z> at N = 4: the trace of the
+    # whole group completes the spectator, which gains P x P^3.
+    zz = diag(4, (0, 0, 2, 2))
+    group = XpGroup(4, 4, (XpOperator(4, (1, 1, 0, 0), (0,) * 4, 0), diag(4, (2, 2, 0, 0)), zz))
+    traced = self_trace(lego_from_group(group), 0, 1)
+    assert traced.group.generators == (diag(4, (1, 3)),)
+    assert traced.group == complete_lid(XpGroup(4, 2, (diag(4, (2, 2)),)))
+    assert traced.group == whole_group_trace(group, 0, 1)
+
+
+@pytest.mark.parametrize("free_legs", [0, 1])
+def test_collision_rebuild_needs_one_codeword_in_every_spectator(free_legs):
+    # |00> - |11> on legs 0 and 1 cancels under the trace.  With Z on leg 2
+    # the whole code holds one codeword, and the rebuild finds it empty; a
+    # free leg gives the whole code two codewords, and matching keeps Z and
+    # the phase -1.
+    n = 3 + free_legs
+    group = XpGroup(2, n, (XpOperator(2, (1, 1) + (0,) * (n - 2), (0,) * n, 2),
+                           diag(2, (1, 1) + (0,) * (n - 2)),
+                           diag(2, (0, 0, 1) + (0,) * (n - 3))))
+    traced = self_trace(lego_from_group(group), 0, 1)
+    assert traced.group == whole_group_trace(group, 0, 1)
+    want = () if free_legs == 0 else (diag(2, (1, 0)), diag(2, (0, 0), 2))
+    assert traced.group.generators == want
+
+
+@pytest.mark.parametrize("rows", [
+    # |01> on legs 0 and 1 vanishes under the trace; <Z> on leg 2 is not
+    # tensored back.
+    (diag(2, (1, 0, 0)), diag(2, (0, 1, 0), 2), diag(2, (0, 0, 1))),
+    # A Bell pair beside a spectator holding Z and -Z, which fixes nothing.
+    (XpOperator(2, (1, 1, 0), (0, 0, 0), 0), diag(2, (1, 1, 0)),
+     diag(2, (0, 0, 1)), diag(2, (0, 0, 1), 2)),
+], ids=["annihilated-block", "annihilated-spectator"])
+def test_an_annihilated_block_or_spectator_empties_the_whole_trace(rows):
+    group = XpGroup(2, 3, rows)
+    traced = self_trace(lego_from_group(group), 0, 1)
+    assert traced.group == whole_group_trace(group, 0, 1) == XpGroup(2, 1, ())
+    assert traced.warnings == ("trivial-symbolic-group",)
 
 
 def test_identity_insertion_equals_plain_trace():

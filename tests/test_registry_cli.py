@@ -243,14 +243,50 @@ def test_cli_trace_of_two_722_copies_is_pinned(tmp_path):
     assert doc["warnings"] == []
 
 
+# Canonical rows of four 722 copies bonded (2, 4), (3, 5), (1, 6), as x and
+# z digit strings and the phase.  Each trace runs on the block of legs its
+# bond touches, and no such block holds more than 9 of the 28 qubits.
+CHAIN_722_FOUR_COPIES = (
+    ("1100000001100111000000", "0100000003400560000000", 13),
+    ("0011110000000000000000", "0012340000000000000000", 14),
+    ("0000001110000000000000", "0000000070000000000000", 9),
+    ("0000000000011000000111", "0000000000003000000123", 7),
+    ("0000000000000000111000", "0000000000000000007000", 9),
+    ("0000000000000000000000", "1300000004400444000000", 0),
+    ("0000000000000000000000", "0400000004400444000000", 0),
+    ("0000000000000000000000", "0044440000000000000000", 8),
+    ("0000000000000000000000", "0000001070000000000000", 0),
+    ("0000000000000000000000", "0000000170000000000000", 0),
+    ("0000000000000000000000", "0000000000013000000444", 8),
+    ("0000000000000000000000", "0000000000004000000444", 8),
+    ("0000000000000000000000", "0000000000000000107000", 0),
+    ("0000000000000000000000", "0000000000000000017000", 0),
+)
+
+
+def test_cli_trace_of_four_722_copies_is_pinned(tmp_path):
+    rc, out = run_cli("trace", str(chain_network(tmp_path, [(2, 4), (3, 5), (1, 6)])))
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["matrix"]["n"] == 22 and doc["matrix"]["precision"] == 8
+    rows = tuple(("".join(map(str, r["x"])), "".join(map(str, r["z"])), r["p"])
+                 for r in doc["matrix"]["rows"])
+    assert rows == CHAIN_722_FOUR_COPIES
+    assert doc["counting_check"] is True
+    assert doc["state_counting_check"] is False
+    assert doc["warnings"] == []
+
+
 def test_cli_trace_over_the_support_limit_exits_with_message(tmp_path):
-    # Four 722 copies: the first trace scans a 28-qubit support.
-    path = chain_network(tmp_path, [(2, 4), (3, 5), (1, 6)])
+    # Two rm15 copies bonded leg 0 to leg 0: the bond's block holds all 30
+    # qubits, so the first trace scans a 30-qubit support.
+    path = tmp_path / "rm15_pair.json"
+    path.write_text(json.dumps({"legos": [{"name": "rm15"}] * 2, "bonds": [[0, 0, 1, 0]]}))
     err = io.StringIO()
     with redirect_stderr(err):
         rc, _ = run_cli("trace", str(path))
     assert rc == 1
-    assert err.getvalue().startswith("error: Z-support scan of 28 qubits")
+    assert err.getvalue().startswith("error: Z-support scan of 30 qubits")
 
 
 IDENTITY_KRAUS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]

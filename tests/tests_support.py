@@ -1,5 +1,6 @@
-"""Shared helpers: random XP states built from twisted stabilizer states, and
-a brute-force biased distance over dense Pauli strings."""
+"""Shared helpers: random XP states built from twisted stabilizer states, a
+brute-force biased distance over dense Pauli strings, and the trace of a
+whole group by operator matching."""
 
 from __future__ import annotations
 
@@ -8,8 +9,10 @@ from functools import reduce
 
 import numpy as np
 
+from xplego.code_structure import XpGroup, permute_legs
 from xplego.dense_oracle import basis_state, hadamard_unitary
 from xplego.enumerator import PAULI_LIST
+from xplego.lego import _trace_front_two
 
 
 def random_clifford_state_vec(rng: random.Random, n: int) -> np.ndarray:
@@ -59,3 +62,11 @@ def dense_biased_distance(pi: np.ndarray, axis: str) -> int:
                 and np.max(np.abs(e @ pi - pi)) > 1e-9):
             want = min(want, bin(mask).count("1"))
     return want
+
+
+def whole_group_trace(group: XpGroup, j: int, k: int, mode: str = "plain") -> XpGroup:
+    """Operator matching on the whole group, with no split into blocks: the
+    reference that a trace on the bond's block of legs must equal."""
+    keep = [i for i in range(group.n) if i not in (j, k)]
+    traced = _trace_front_two(permute_legs(group, [j, k] + keep), mode)
+    return XpGroup(group.precision, group.n - 2, ()) if traced is None else traced
