@@ -24,6 +24,7 @@ import numpy as np
 
 from .code_structure import (
     XpGroup,
+    _exponent_table,
     canonical_form,
     codewords,
     diagonal_logical_operators,
@@ -35,7 +36,6 @@ from .dense_oracle import (
     PROJECTOR_MAX_QUBITS,
     operator_action,
     projector,
-    render_operator,
     state_from_pairs,
 )
 from .enumerator import PAULI_LIST, CosetTrace, xp_factors
@@ -151,14 +151,17 @@ class DecoderSetup:
         self.r_z = r_z_generators(code)
         self.x_checks = list(code.x_block)
         self.projector = projector(code)
-        self.dimension = int(round(float(np.trace(self.projector).real)))
-        rz_group = XpGroup.from_generators(self.r_z, n=code.n, precision=code.precision)
-        self.pi_z = projector(rz_group)
+        table = codewords(code)
+        self.dimension = len(table.entries)
+        # Entry (e, c): the Pauli check r_z[c] has eigenvalue w^N = -1 on string e.
+        two_n = 2 * code.precision
+        self._z_outcomes = np.array(
+            [(op.phase + _exponent_table(op.z, two_n)) % two_n == code.precision
+             for op in self.r_z], dtype=bool).reshape(len(self.r_z), 2 ** code.n).T
         self._z_reps = _min_weight_reps(
             [[1 if z else 0 for z in op.z] for op in self.r_z], code.n)
         self._x_reps = _min_weight_reps(
             [list(op.x) for op in self.x_checks], code.n)
-        self._sector_cache: dict[tuple[int, ...], np.ndarray] = {}
         # (channel key, CosetTrace) for the most recent channel only: the
         # context holds a 4^n complex array.
         self._coset_trace: tuple[tuple, CosetTrace] | None = None
@@ -172,7 +175,6 @@ class DecoderSetup:
                 ("Z", zbar),
                 ("XZ", multiply(xbar, zbar)),
             ]
-        table = codewords(code)
         self.codeword_states = [
             state_from_pairs(cw, code.n, code.precision) for cw in table.entries
         ]
@@ -200,12 +202,9 @@ class DecoderSetup:
             cached = self._coset_trace = (key, CosetTrace(coeffs, self.projector))
         return cached[1]
 
-    def sector_projector(self, s_z: Sequence[int]) -> np.ndarray:
-        key = tuple(s_z)
-        if key not in self._sector_cache:
-            e_sz = render_operator(self.z_representative(key))
-            self._sector_cache[key] = e_sz @ self.pi_z @ e_sz.conj().T
-        return self._sector_cache[key]
+    def sector_mask(self, s_z: Sequence[int]) -> np.ndarray:
+        """The basis strings of the first-round sector ``s_z``, as a 2^n mask."""
+        return np.all(self._z_outcomes == np.asarray(s_z, dtype=bool), axis=1)
 
 
 def _min_weight_reps(rows: list[list[int]], n: int) -> dict[tuple[int, ...], list[int]]:
@@ -299,7 +298,7 @@ def _measure_block(setup: DecoderSetup, states: np.ndarray, rngs: Sequence,
 
     Returns the first- and second-round outcome bits, (B, |r_z|) and
     (B, |x_checks|), and the collapsed rows.  Round two runs per group of
-    rows sharing a first-round sector.
+    rows sharing a first-round sector, with every moved row masked to it.
     """
     if states.shape[1] != 2 ** setup.n:
         raise ValueError("state dimension does not match operator")
@@ -310,14 +309,14 @@ def _measure_block(setup: DecoderSetup, states: np.ndarray, rngs: Sequence,
     out = np.empty_like(states)
     for key, rows in _groups(s_z).items():
         e_sz = setup.z_representative(key)
-        pi_t = setup.sector_projector(key).T
+        mask = setup.sector_mask(key)
         block = states[rows]
-        drift = np.sqrt(_sqnorms(block @ pi_t - block))
+        drift = np.sqrt(_sqnorms(block[:, ~mask]))
         if np.any(drift > tol * np.maximum(np.sqrt(_sqnorms(block)), 1e-30)):
             raise NondeterministicMeasurementError("state is not supported on its sector")
         block_rngs = [rngs[r] for r in rows]
         for c, op in enumerate(setup.x_checks):
-            moved = _act(actions[conjugate(e_sz, op)], block) @ pi_t
+            moved = _act(actions[conjugate(e_sz, op)], block) * mask
             s_x[rows, c], block = _collapse(block, moved, block_rngs, tol)
         out[rows] = block
     return s_z, s_x, out
@@ -328,8 +327,8 @@ def measure_syndrome(state: np.ndarray, code: XpGroup, rng=None,
     """Two-round syndrome measurement; returns the collapsed state too.
 
     Round one measures the diagonal Pauli checks.  Round two measures the
-    conjugated non-diagonal checks through the sector projector, which is
-    where the Hermitian unit-square structure guarantees binary outcomes.
+    conjugated non-diagonal checks inside the first-round sector's mask, which
+    is where the Hermitian unit-square structure guarantees binary outcomes.
     Outcomes that are not definite are sampled with ``rng`` or raise.
     """
     setup = decoder_setup(canonical_form(code))

@@ -48,10 +48,11 @@ from .code_structure import (
     logical_coordinates,
     orbit_decomposition,
     permute_legs,
+    phase_identity,
 )
 from .dense_oracle import contract, state_from_pairs, stabilizes
 from .enumerator import _reduction_rows
-from .registry import group_from_json, lookup
+from .registry import MalformedMatrixError, group_from_json, lookup
 from .ring_linalg import ModMatrix, kernel_mod, solve_linear_mod
 from .xp_algebra import XpOperator, delete_legs, embed, multiply, power, restrict
 
@@ -191,7 +192,9 @@ def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup
     """Operator matching on the first two legs of a group.
 
     Returns the post-trace group (columns 0 and 1 removed, canonical), or
-    None when the traced state vanishes.  ``rebuild`` is False when the
+    None when the traced state vanishes: the support restriction leaves no
+    string, the collision rebuild finds the table empty, or matching keeps
+    a phase times identity.  ``rebuild`` is False when the
     group is one factor of a code whose other factors hold several
     codewords: the whole code then has several, so the one-codeword
     collision rebuild does not apply.
@@ -286,7 +289,9 @@ def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup
         cut = XpOperator(precision, cut.x, cut.z, cut.phase + phase_fix)
         if not cut.is_identity:
             survivors.append(cut)
-    return canonical_form(XpGroup(precision, g.n - 2, tuple(survivors)))
+    traced = canonical_form(XpGroup(precision, g.n - 2, tuple(survivors)))
+    # A phase times identity stabilizes nothing: the traced state vanished.
+    return None if phase_identity(traced) is not None else traced
 
 
 def _leg_blocks(group: XpGroup) -> list[list[int]]:
@@ -601,8 +606,8 @@ def run_network(doc: dict) -> Lego:
         else:
             try:
                 group, designation = group_from_json(spec["matrix"])
-            except (KeyError, TypeError) as exc:
-                raise LegError(f"lego {i} has a malformed matrix ({exc!r})") from exc
+            except MalformedMatrixError as exc:
+                raise LegError(f"lego {i}: {exc}") from exc
             legos.append(lego_from_group(canonical_form(group), designation=designation))
     combined = legos[0]
     for item in legos[1:]:

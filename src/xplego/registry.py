@@ -30,6 +30,10 @@ class UnknownCodeError(KeyError):
         return f"unknown code {self.name!r}; known names: {', '.join(self.candidates)}"
 
 
+class MalformedMatrixError(ValueError):
+    """A check-matrix document does not follow the JSON schema."""
+
+
 @dataclass(frozen=True)
 class CodeRegistryEntry:
     name: str
@@ -257,18 +261,27 @@ def group_to_json(group: XpGroup, designation: Sequence[str] | None = None) -> d
 
 
 def group_from_json(doc: dict) -> tuple[XpGroup, tuple[str, ...]]:
-    n = int(doc["n"])
-    precision = int(doc["precision"])
-    rows = [
-        XpOperator(precision, tuple(r["x"]), tuple(r["z"]), int(r["p"]))
-        for r in doc["rows"]
-    ]
-    designation = tuple(doc.get("designation", ["P"] * n))
+    """The group and designation of a check-matrix document.
+
+    Raises MalformedMatrixError for any document off the schema.
+    """
+    try:
+        n = int(doc["n"])
+        precision = int(doc["precision"])
+        rows = [
+            XpOperator(precision, tuple(r["x"]), tuple(r["z"]), int(r["p"]))
+            for r in doc["rows"]
+        ]
+        group = XpGroup(precision, n, tuple(rows))
+        designation = tuple(doc.get("designation", ["P"] * n))
+        known = set(designation) <= {"P", "L"}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedMatrixError(f"malformed check matrix ({exc!r})") from exc
     if len(designation) != n:
-        raise ValueError("designation length does not match n")
-    if not set(designation) <= {"P", "L"}:
-        raise ValueError("designation entries must be \"P\" or \"L\"")
-    return XpGroup(precision, n, tuple(rows)), designation
+        raise MalformedMatrixError("designation length does not match n")
+    if not known:
+        raise MalformedMatrixError("designation entries must be \"P\" or \"L\"")
+    return group, designation
 
 
 def dumps_group(group: XpGroup, designation: Sequence[str] | None = None) -> str:

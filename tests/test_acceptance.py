@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from tests_support import random_xp_state_vec
+from tests_support import dense_sector_projector, random_xp_state_vec
 
 from xplego.code_structure import (
     XpGroup,
@@ -237,7 +237,7 @@ def test_criterion_08_decoder_exactness():
         e_sz, e_sx = representative_errors(syndrome, code)
         ez, ex = render_operator(e_sz), render_operator(e_sx)
         lmat = render_operator(logical_op)
-        pi_sz = setup.sector_projector(syndrome.s_z)
+        pi_sz = dense_sector_projector(setup, syndrome.s_z)
         pi_sx = ex @ pi @ ex.conj().T
         # pi @ mat = front @ kc and bar = pi @ mat @ pi = front @ kc @ pi, so
         # the sum over kc of Tr(bar bar^dag) is the squared norm of all bars.

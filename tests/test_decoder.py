@@ -8,6 +8,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from tests_support import dense_sector_projector
 
 from xplego import decoder, enumerator
 from xplego.code_structure import canonical_form
@@ -28,9 +29,9 @@ from xplego.decoder import (
     pauli_process_coeffs,
     representative_errors,
 )
-from xplego.dense_oracle import apply_operator, render_operator
+from xplego.dense_oracle import PROJECTOR_MAX_QUBITS, apply_operator, render_operator
 from xplego.lego import shorten_to_logical, state_lego
-from xplego.registry import lookup
+from xplego.registry import lookup, registry
 from xplego.xp_algebra import XpOperator
 
 
@@ -158,7 +159,7 @@ def test_ml_probabilities_match_bayes_oracle_sample():
         e_sz, e_sx = representative_errors(syndrome, code)
         ez, ex = render_operator(e_sz), render_operator(e_sx)
         lmat = render_operator(logical_op)
-        pi_sz = setup.sector_projector(syndrome.s_z)
+        pi_sz = dense_sector_projector(setup, syndrome.s_z)
         pi_sx = ex @ pi @ ex.conj().T
         total = 0.0
         for kc in strings:
@@ -172,6 +173,20 @@ def test_ml_probabilities_match_bayes_oracle_sample():
         res = ml_decode(syn, coeffs, code)
         for name, lop in setup.classes:
             assert abs(bayes_joint(syn, lop) - res.probabilities[name]) < 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(name for name, entry in registry().items()
+                                        if entry.group.n <= PROJECTOR_MAX_QUBITS))
+def test_sector_masks_are_the_dense_sector_projectors(name):
+    # Every first-round sector projector E Pi_z E^dag is a 0/1 diagonal with
+    # exactly zero off-diagonal entries, and its nonzero diagonal is the mask.
+    setup = decoder_setup(load_code(name))
+    assert setup.dimension == round(np.trace(setup.projector).real)
+    for s_z in product((0, 1), repeat=len(setup.r_z)):
+        dense = dense_sector_projector(setup, s_z)
+        diagonal = np.diag(dense)
+        assert np.count_nonzero(dense - np.diag(diagonal)) == 0, s_z
+        assert np.allclose(diagonal, 1.0 * setup.sector_mask(s_z), rtol=0, atol=1e-12), s_z
 
 
 def test_weight_one_errors_are_corrected():

@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 import pytest
+from tests_support import dense_sector_projector
 
 from xplego import decoder
 from xplego.cli import _parse_channel
@@ -62,7 +63,7 @@ def reference_measure_syndrome(state, code, rng=None, tol=1e-7):
                                           (state - moved) / 2.0, rng, tol)
         s_z.append(bit)
     e_sz = setup.z_representative(s_z)
-    pi_sector = setup.sector_projector(s_z)
+    pi_sector = dense_sector_projector(setup, s_z)
     projected = pi_sector @ state
     if np.linalg.norm(projected - state) > tol * max(np.linalg.norm(state), 1e-30):
         raise NondeterministicMeasurementError("state is not supported on its sector")

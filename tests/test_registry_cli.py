@@ -362,3 +362,26 @@ def test_cli_trace_malformed_network_exits_with_message(tmp_path, name):
     assert rc == 1 and out == ""
     assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
     assert "unpack" not in err.getvalue() and "already contracted" not in err.getvalue()
+
+
+MALFORMED_MATRICES = {
+    "empty-object": {},
+    "document-is-a-list": [1, 2],
+    "row-not-an-object": {"n": 2, "precision": 2, "rows": [[1]]},
+}
+
+
+@pytest.mark.parametrize("command", ["show", "canonical", "enumerate", "decode"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_MATRICES))
+def test_cli_malformed_matrix_file_exits_with_message(tmp_path, name, command):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(MALFORMED_MATRICES[name]))
+    argv = [command, str(path)]
+    if command == "decode":
+        argv = [command, "--code", str(path), "--channel", "depolarizing:0.01"]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc, out = run_cli(*argv)
+    assert rc == 1 and out == ""
+    assert err.getvalue().startswith("error: malformed check matrix")
+    assert "Traceback" not in err.getvalue()

@@ -1,6 +1,7 @@
 """Shared helpers: random XP states built from twisted stabilizer states, a
-brute-force biased distance over dense Pauli strings, and the trace of a
-whole group by operator matching."""
+brute-force biased distance over dense Pauli strings, the trace of a whole
+group by operator matching, and the dense projector of a first-round
+decoding sector."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from functools import reduce
 import numpy as np
 
 from xplego.code_structure import XpGroup, permute_legs
-from xplego.dense_oracle import basis_state, hadamard_unitary
+from xplego.dense_oracle import basis_state, hadamard_unitary, projector, render_operator
 from xplego.enumerator import PAULI_LIST
 from xplego.lego import _trace_front_two
 
@@ -70,3 +71,11 @@ def whole_group_trace(group: XpGroup, j: int, k: int, mode: str = "plain") -> Xp
     keep = [i for i in range(group.n) if i not in (j, k)]
     traced = _trace_front_two(permute_legs(group, [j, k] + keep), mode)
     return XpGroup(group.precision, group.n - 2, ()) if traced is None else traced
+
+
+def dense_sector_projector(setup, s_z) -> np.ndarray:
+    """E Pi_z E^dag for a decoder setup: Pi_z is the dense projector of the
+    r_z group and E the X-string representative of the sector ``s_z``."""
+    rz_group = XpGroup.from_generators(setup.r_z, n=setup.n, precision=setup.precision)
+    e_sz = render_operator(setup.z_representative(s_z))
+    return e_sz @ projector(rz_group) @ e_sz.conj().T
