@@ -14,7 +14,7 @@ regular codes, and the generator-counting certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -23,9 +23,11 @@ from .ring_linalg import ModMatrix, howell_form, kernel_mod, solve_linear_mod
 from .xp_algebra import (
     XpOperator,
     conjugate,
+    embed,
     inverse,
     multiply,
     power,
+    restrict,
 )
 
 
@@ -198,6 +200,50 @@ def canonical_form(g: XpGroup) -> XpGroup:
     sx = [_reduce_diag_part(op, basis) for op in sx]
     gens = tuple(sx) + tuple(basis)
     return XpGroup(precision, n, gens, canonical=True)
+
+
+def merge_canonical_blocks(n: int, precision: int,
+                           blocks: Sequence[tuple[XpGroup, Sequence[int]]]) -> XpGroup:
+    """Canonical form of a product of canonical groups on disjoint legs.
+
+    Each block is a canonical group placed on the listed legs of ``n``, in
+    increasing order, so that its own canonical order survives.  No
+    product of rows from different blocks reduces either, so the canonical
+    form of the product is the blocks' rows in canonical order: x rows by
+    their first x leg, then diagonal rows by the first nonzero entry of
+    (2z mod 2N | p).  A phase-only row would be a pivot of every block, so
+    one raises InvariantError.
+    """
+    rows = [embed(op, n, legs) for group, legs in blocks for op in group.generators]
+    if any(op.is_diagonal and not any(op.z) for op in rows):
+        raise InvariantError("a phase-only row reached the block merge")
+    x_rows = sorted((op for op in rows if not op.is_diagonal), key=lambda op: op.x.index(1))
+    z_rows = sorted((op for op in rows if op.is_diagonal),
+                    key=lambda op: next(i for i, zi in enumerate(op.z) if zi))
+    return XpGroup(precision, n, tuple(x_rows + z_rows), canonical=True)
+
+
+def _leg_blocks(group: XpGroup) -> list[list[int]]:
+    """Connected components of the generator supports, as sorted leg lists.
+
+    A leg is in a generator's support when its x or z entry is nonzero; a
+    leg that no generator touches is a block of its own.
+    """
+    blocks = [{leg} for leg in range(group.n)]
+    for op in group.generators:
+        support = {i for i, (x, z) in enumerate(zip(op.x, op.z)) if x or z}
+        if support:
+            blocks = ([b for b in blocks if not b & support]
+                      + [set().union(*(b for b in blocks if b & support))])
+    return [sorted(b) for b in blocks]
+
+
+def _restrict_group(group: XpGroup, legs: Sequence[int]) -> XpGroup:
+    """The generators supported inside ``legs``, on those legs in that order."""
+    inside = set(legs)
+    gens = tuple(restrict(op, legs) for op in group.generators
+                 if all(i in inside or not (op.x[i] or op.z[i]) for i in range(group.n)))
+    return XpGroup(group.precision, len(legs), gens)
 
 
 def phase_identity(g: XpGroup) -> XpOperator | None:
@@ -575,19 +621,25 @@ def counting_check(g: XpGroup, logical_dims: int | None = None) -> bool:
     leave it None to accept whatever the orbit structure provides (the
     check for a code).  This is a necessary condition for the group to be
     the full symmetry group at power-of-two precision, used as the fast
-    screen after tracing.
+    screen after tracing.  The group is the product of its leg blocks' groups
+    and the logical count is additive over a product, so the orbit structure
+    is read one block at a time and the cost follows the largest block.
     """
     g = canonical_form(g)
-    try:
-        od = orbit_decomposition(g)
-    except EmptyCodeError:
+    if phase_identity(g) is not None:
         return False
-    k = len(od.logical_x_dirs)
+    k = 0
+    for legs in _leg_blocks(g):
+        # The rows of a canonical group inside one block are that block's
+        # canonical form.
+        try:
+            od = orbit_decomposition(replace(_restrict_group(g, legs), canonical=True))
+        except EmptyCodeError:
+            return False
+        k += len(od.logical_x_dirs)
     if logical_dims is not None and k != logical_dims:
         return False
-    n_x = len(g.x_block)
-    n_z = len(g.z_block)
-    return n_x + k + n_z == g.n
+    return len(g.generators) + k == g.n
 
 
 def permute_legs(g: XpGroup, order: Sequence[int]) -> XpGroup:

@@ -17,8 +17,9 @@ cancellation cannot hide symmetries of the result.  Tracing with an X
 inserted on the bond flips the diagonal condition to z[j] == z[k] and adds
 2 z[j] to the surviving phase.  The generators split the legs into blocks
 (connected components of their supports); a trace matches on the blocks
-holding its two legs and only completes the others, so its cost follows
-the traced block rather than the whole network.
+holding its two legs and only completes the others, and the result
+records the blocks it completed so that later traces skip them.  The cost
+of a trace follows the traced block rather than the whole network.
 
 Re-designating a physical leg as logical shortens the code in place:
 columns of the leg move to the front, rows supported on it are dropped
@@ -29,7 +30,7 @@ paired with its X and Z logical operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +40,8 @@ from .code_structure import (
     InvariantError,
     NonRegularError,
     XpGroup,
+    _leg_blocks,
+    _restrict_group,
     canonical_form,
     codewords,
     complete_lid,
@@ -46,15 +49,16 @@ from .code_structure import (
     diagonal_logical_operators,
     lid_from_phase_table,
     logical_coordinates,
+    merge_canonical_blocks,
     orbit_decomposition,
     permute_legs,
     phase_identity,
 )
 from .dense_oracle import contract, state_from_pairs, stabilizes
 from .enumerator import _reduction_rows
-from .registry import MalformedMatrixError, group_from_json, lookup
+from .registry import MalformedMatrixError, group_from_json, is_int, lookup
 from .ring_linalg import ModMatrix, kernel_mod, solve_linear_mod
-from .xp_algebra import XpOperator, delete_legs, embed, multiply, power, restrict
+from .xp_algebra import XpOperator, delete_legs, embed, multiply, power
 
 PHYSICAL = "P"
 LOGICAL = "L"
@@ -76,12 +80,20 @@ class NotIsometryError(ValueError):
 
 @dataclass(frozen=True)
 class Lego:
-    """Check matrix plus leg metadata and an optional dense shadow."""
+    """Check matrix plus leg metadata and an optional dense shadow.
+
+    ``_complete`` maps leg blocks (sorted leg tuples) whose generators are
+    already their full logical identity group, in canonical form, to their
+    codeword counts.  A trace fills it with the blocks it completed and skips
+    completing them again while they stay blocks of their own.
+    """
 
     group: XpGroup
     designation: tuple[str, ...]
     dense: np.ndarray | None = None
     warnings: tuple[str, ...] = ()
+    _complete: dict[tuple[int, ...], int] = field(default_factory=dict, compare=False,
+                                                  repr=False)
 
     def __post_init__(self) -> None:
         if len(self.designation) != self.group.n:
@@ -134,7 +146,10 @@ def tensor_product(a: Lego, b: Lego) -> Lego:
             dense = np.kron(a.dense, b.dense)
         else:
             warnings += ("dense-shadow-dropped",)
-    return Lego(group, a.designation + b.designation, dense, warnings)
+    complete = dict(a._complete)
+    complete.update({tuple(a.n + i for i in legs): count
+                     for legs, count in b._complete.items()})
+    return Lego(group, a.designation + b.designation, dense, warnings, complete)
 
 
 def _traced_table_if_collisions(g: XpGroup):
@@ -294,40 +309,22 @@ def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup
     return None if phase_identity(traced) is not None else traced
 
 
-def _leg_blocks(group: XpGroup) -> list[list[int]]:
-    """Connected components of the generator supports, as sorted leg lists.
-
-    A leg is in a generator's support when its x or z entry is nonzero; a
-    leg that no generator touches is a block of its own.
-    """
-    blocks = [{leg} for leg in range(group.n)]
-    for op in group.generators:
-        support = {i for i, (x, z) in enumerate(zip(op.x, op.z)) if x or z}
-        if support:
-            blocks = ([b for b in blocks if not b & support]
-                      + [set().union(*(b for b in blocks if b & support))])
-    return [sorted(b) for b in blocks]
-
-
-def _restrict_group(group: XpGroup, legs: Sequence[int]) -> XpGroup:
-    """The generators supported inside ``legs``, on those legs in that order."""
-    inside = set(legs)
-    gens = tuple(restrict(op, legs) for op in group.generators
-                 if all(i in inside or not (op.x[i] or op.z[i]) for i in range(group.n)))
-    return XpGroup(group.precision, len(legs), gens)
-
-
-def _trace_blocks(group: XpGroup, j: int, k: int, mode: str) -> XpGroup:
+def _trace_blocks(group: XpGroup, j: int, k: int, mode: str,
+                  complete: dict[tuple[int, ...], int],
+                  ) -> tuple[XpGroup, dict[tuple[int, ...], int]]:
     """Trace legs j and k on the block of legs that the bond touches.
 
     The presented generators split the legs into blocks, and the group is
     the product of the blocks' groups, so matching runs on the union of the
     blocks holding j and k.  Every other block (a spectator) is brought to
     what a trace of the whole group makes of it: its full logical identity
-    group.  The collision rebuild needs the whole code to hold one codeword,
-    so it runs only when every spectator does; an annihilated block or
-    spectator leaves the empty group on every remaining leg.  A generator
-    with empty support (a phase) lies inside every block.
+    group, which a spectator listed in ``complete`` already is.  The
+    collision rebuild needs the whole code to hold one codeword, so it runs
+    only when every spectator does; an annihilated block or spectator leaves
+    the empty group on every remaining leg.  A generator with empty support
+    (a phase) lies inside every block.
+
+    Returns the traced group and its complete spectators, renumbered.
     """
     n, precision = group.n, group.precision
     empty = XpGroup(precision, n - 2, ())
@@ -336,22 +333,28 @@ def _trace_blocks(group: XpGroup, j: int, k: int, mode: str) -> XpGroup:
                             for leg in b if leg not in (j, k))
     spectators = [b for b in blocks if j not in b and k not in b]
     position = {leg: i for i, leg in enumerate(i for i in range(n) if i not in (j, k))}
-    parts: list[XpOperator] = []
-    one_codeword = True
+    parts: list[tuple[XpGroup, list[int]]] = []
+    done: dict[tuple[int, ...], int] = {}
     for legs in spectators:
-        try:
-            lid = complete_lid(_restrict_group(group, legs))
-        except EmptyCodeError:
-            return empty
-        one_codeword = one_codeword and len(codewords(lid).entries) == 1
-        parts += [embed(op, n - 2, [position[i] for i in legs]) for op in lid.generators]
+        block = _restrict_group(group, legs)
+        count = complete.get(tuple(legs))
+        if count is None:
+            try:
+                block = complete_lid(block)
+            except EmptyCodeError:
+                return empty, {}
+            count = len(codewords(block).entries)
+        moved = [position[i] for i in legs]
+        parts.append((block, moved))
+        done[tuple(moved)] = count
+    one_codeword = all(count == 1 for count in done.values())
     traced = _trace_front_two(_restrict_group(group, front), mode, rebuild=one_codeword)
     if traced is None:
-        return empty
+        return empty, {}
     if not spectators:
-        return traced
-    parts += [embed(op, n - 2, [position[i] for i in front[2:]]) for op in traced.generators]
-    return canonical_form(XpGroup(precision, n - 2, tuple(parts)))
+        return traced, {}
+    parts.append((traced, [position[i] for i in front[2:]]))
+    return merge_canonical_blocks(n - 2, precision, parts), done
 
 
 def _insertion_mode(insertion) -> tuple[str, np.ndarray | None]:
@@ -399,10 +402,10 @@ def _trace(lego: Lego, j: int, k: int, mode: str, kernel: np.ndarray | None) -> 
     if mode == "dense-only":
         if lego.dense is None:
             raise LegError("general insertions need a dense shadow")
-        traced = XpGroup(lego.precision, lego.n - 2, ())
+        traced, complete = XpGroup(lego.precision, lego.n - 2, ()), {}
         warnings.append("dense-only")
     else:
-        traced = _trace_blocks(lego.group, j, k, mode)
+        traced, complete = _trace_blocks(lego.group, j, k, mode, lego._complete)
 
     dense = None
     if lego.dense is not None:
@@ -412,7 +415,7 @@ def _trace(lego: Lego, j: int, k: int, mode: str, kernel: np.ndarray | None) -> 
     if not traced.generators and traced.n > 0 and mode != "dense-only":
         warnings.append("trivial-symbolic-group")
     designation = tuple(lego.designation[i] for i in keep)
-    return Lego(traced, designation, dense, tuple(dict.fromkeys(warnings)))
+    return Lego(traced, designation, dense, tuple(dict.fromkeys(warnings)), complete)
 
 
 def self_trace(lego: Lego, j: int, k: int) -> Lego:
@@ -552,10 +555,6 @@ def redesignate(lego: Lego, leg: int, role: str) -> Lego:
 # ---------------------------------------------------------------------------
 # Network files: a list of named legos plus bonds between (lego, leg) pairs.
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_network(doc) -> dict[str, list]:
     """Raise LegError unless ``doc`` has the shape of a network file.
 
@@ -573,11 +572,11 @@ def _check_network(doc) -> dict[str, list]:
         raise LegError("bonds, designate and order must be lists")
     for bond in lists["bonds"]:
         if not (isinstance(bond, list) and len(bond) in (4, 5)
-                and all(_is_int(v) for v in bond[:4])):
+                and all(is_int(v) for v in bond[:4])):
             raise LegError(f"bond {bond!r} is not four integer indices [legoA, legA, legoB,"
                            " legB] and an optional insertion")
         _insertion_mode(bond[4] if len(bond) == 5 else None)
-    if not all(_is_int(v) for v in lists["designate"] + lists["order"]):
+    if not all(is_int(v) for v in lists["designate"] + lists["order"]):
         raise LegError("designate and order must list integer leg indices")
     return lists
 
@@ -599,10 +598,13 @@ def run_network(doc: dict) -> Lego:
     """
     lists = _check_network(doc)
     legos: list[Lego] = []
+    built: dict[str, Lego] = {}
     for i, spec in enumerate(doc["legos"]):
         if "name" in spec:
-            entry = lookup(spec["name"])
-            legos.append(state_lego(entry.group))
+            name = spec["name"]
+            if name not in built:
+                built[name] = state_lego(lookup(name).group)
+            legos.append(built[name])
         else:
             try:
                 group, designation = group_from_json(spec["matrix"])

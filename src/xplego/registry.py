@@ -247,6 +247,11 @@ def dense_registry_names(max_qubits: int = 10) -> list[str]:
 # ---------------------------------------------------------------------------
 # JSON check-matrix schema: integers only, trivially diffable.
 
+def is_int(value) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def group_to_json(group: XpGroup, designation: Sequence[str] | None = None) -> dict:
     des = list(designation) if designation is not None else ["P"] * group.n
     return {
@@ -266,13 +271,12 @@ def group_from_json(doc: dict) -> tuple[XpGroup, tuple[str, ...]]:
     Raises MalformedMatrixError for any document off the schema.
     """
     try:
-        n = int(doc["n"])
-        precision = int(doc["precision"])
-        rows = [
-            XpOperator(precision, tuple(r["x"]), tuple(r["z"]), int(r["p"]))
-            for r in doc["rows"]
-        ]
-        group = XpGroup(precision, n, tuple(rows))
+        n, precision = doc["n"], doc["precision"]
+        rows = [(tuple(r["x"]), tuple(r["z"]), r["p"]) for r in doc["rows"]]
+        entries = [n, precision] + [v for x, z, p in rows for v in (*x, *z, p)]
+        if not all(is_int(v) for v in entries):
+            raise TypeError("n, precision, x, z and p must hold integers only")
+        group = XpGroup(precision, n, tuple(XpOperator(precision, x, z, p) for x, z, p in rows))
         designation = tuple(doc.get("designation", ["P"] * n))
         known = set(designation) <= {"P", "L"}
     except (KeyError, TypeError, ValueError) as exc:

@@ -186,6 +186,75 @@ def test_an_annihilated_block_or_spectator_empties_the_whole_trace(rows):
     assert traced.warnings == ("trivial-symbolic-group",)
 
 
+def count_spectator_completions(monkeypatch) -> list[int]:
+    """Patch lego so that every complete_lid call made outside operator
+    matching appends the size of its group to the returned list."""
+    sizes: list[int] = []
+    matching: list[bool] = []
+
+    def completing(group):
+        if not matching:
+            sizes.append(group.n)
+        return complete_lid(group)
+
+    def matching_front(*args, **kwargs):
+        matching.append(True)
+        try:
+            return _trace_front_two(*args, **kwargs)
+        finally:
+            matching.pop()
+
+    monkeypatch.setattr(lego, "complete_lid", completing)
+    monkeypatch.setattr(lego, "_trace_front_two", matching_front)
+    return sizes
+
+
+def test_a_chain_completes_each_spectator_block_once(monkeypatch):
+    # Each 722 copy splits into blocks on legs 0-2 and 3-6.  The bond (2, 4)
+    # completes the four blocks it does not touch; the bond (3, 5) touches
+    # copy 1's traced block and copy 2's legs 3-6, and its three spectators
+    # are still recorded.  Without the record it completes them again (7).
+    sizes = count_spectator_completions(monkeypatch)
+    network = {"legos": [{"name": "722"}] * 3, "bonds": [[0, 2, 1, 4], [1, 3, 2, 5]]}
+    run_network(network)
+    assert sorted(sizes) == [3, 3, 4, 4]
+
+
+def test_a_recorded_block_that_a_later_bond_touches_is_completed_again(monkeypatch):
+    copy = entry_lego("722")
+    three = tensor_product(tensor_product(copy, copy), copy)
+    assert three._complete == {}
+    # Copy 0 leg 2 to copy 1 leg 4 leaves legs 0-1, 2-5 (copy 0), 6-8 (copy 1
+    # legs 0-2), 9-11 (copy 1 legs 3, 5, 6) and 12-18 (copy 2).
+    first = self_trace(three, 2, 11)
+    assert first.group == whole_group_trace(three.group, 2, 11)
+    assert first._complete == {(2, 3, 4, 5): 4, (6, 7, 8): 1,
+                               (12, 13, 14): 1, (15, 16, 17, 18): 4}
+    # Copy 1 leg 3 to copy 2 leg 5 touches the recorded block 15-18: it joins
+    # the matching front, and only the three untouched blocks stay recorded.
+    sizes = count_spectator_completions(monkeypatch)
+    second = self_trace(first, 9, 17)
+    assert sizes == []
+    assert second.group == whole_group_trace(first.group, 9, 17)
+    assert second._complete == {(2, 3, 4, 5): 4, (6, 7, 8): 1, (11, 12, 13): 1}
+
+
+def test_tensor_product_shifts_the_record_of_its_second_factor(monkeypatch):
+    copy = entry_lego("722")
+    pair = self_trace(tensor_product(copy, copy), 2, 11)
+    assert pair._complete == {(2, 3, 4, 5): 4, (6, 7, 8): 1}
+    both = tensor_product(pair, pair)
+    assert both._complete == {(2, 3, 4, 5): 4, (6, 7, 8): 1,
+                              (14, 15, 16, 17): 4, (18, 19, 20): 1}
+    # A bond on the first pair's traced block completes one spectator: the
+    # second pair's traced block on legs 12, 13 and 21-23, which no trace of
+    # that pair completed.
+    sizes = count_spectator_completions(monkeypatch)
+    traced = self_trace(both, 0, 9)
+    assert sizes == [5]
+    assert traced.group == whole_group_trace(both.group, 0, 9)
+
+
 def test_identity_insertion_equals_plain_trace():
     code = lego_from_group(canonical_form(lookup("722").group))
     a = self_trace(code, 0, 1)

@@ -8,7 +8,10 @@ reference, at precisions N in {2, 4, 8, 16}; the logical identity group
 completion is checked against its defining properties, the symbolic trace
 against the full symmetry group of the dense contraction and, on random
 products, against matching on the whole group, and the exact enumerators
-and biased distances against the dense oracle, also at N in {3, 5, 6}.
+and biased distances against the dense oracle, also at N in {3, 5, 6}.  On
+products of groups over disjoint legs, the pivot merge of canonical blocks
+is checked against the canonical form of the product and the per-block
+counting certificate against the whole-group one.
 """
 
 from __future__ import annotations
@@ -20,7 +23,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tests_support import dense_biased_distance, random_xp_state_vec, whole_group_trace
+from tests_support import (
+    dense_biased_distance,
+    random_xp_state_vec,
+    whole_group_counting_check,
+    whole_group_trace,
+)
 
 from xplego.code_structure import (
     EmptyCodeError,
@@ -28,10 +36,13 @@ from xplego.code_structure import (
     canonical_form,
     codewords,
     complete_lid,
+    counting_check,
     diagonal_span_kernel,
     int_to_bits,
     lid_from_phase_table,
+    merge_canonical_blocks,
     orbit_decomposition,
+    phase_identity,
     solve_diagonal_constraints,
     z_support,
 )
@@ -39,7 +50,7 @@ from xplego.dense_oracle import projector, render_operator, xp_state_from_dense
 from xplego.enumerator import biased_distance, dense_enumerators, enumerators
 from xplego.lego import lego_from_group, tensor_product, trace_with_insertion
 from xplego.ring_linalg import ModMatrix, howell_form
-from xplego.xp_algebra import XpOperator, conjugate, multiply
+from xplego.xp_algebra import XpOperator, conjugate, embed, multiply
 
 PRECISIONS = (2, 4, 8, 16)
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
@@ -451,3 +462,62 @@ def test_biased_distances_equal_dense_pauli_strings(g):
     pi = projector(g)
     for axis in "XYZ":
         assert biased_distance(g, axis) == dense_biased_distance(pi, axis), axis
+
+
+@st.composite
+def disjoint_factors(draw, max_factors=4, max_free=2, max_n=12):
+    """Up to four groups at one precision on disjoint, interleaved legs, plus
+    up to two free legs that no generator touches, 12 legs at most.  A factor is a subgroup
+    of an XP state's symmetry group, its full logical identity group, a
+    random XP code, a random group (which may stabilize nothing or hold a
+    phase times identity), or the one-leg group of -P, which for N >= 4
+    fixes no string yet holds no phase times identity.  Returns
+    (n, precision, [(group, legs)]) with each leg list increasing."""
+    precision = draw(st.sampled_from(PRECISIONS))
+    groups = []
+    for _ in range(draw(st.integers(1, max_factors))):
+        kind = draw(st.sampled_from(("code", "complete", "random code", "group", "-P")))
+        if kind == "-P":
+            group = XpGroup(precision, 1, (XpOperator(precision, (0,), (1,), precision),))
+        elif kind in ("code", "complete"):
+            group = draw(stabilizing_groups(max_n=3, precisions=(precision,)))
+            if kind == "complete":
+                group = complete_lid(group)
+        elif kind == "random code":
+            group = draw(xp_codes(max_n=3, precisions=(precision,)))
+        else:
+            group = draw(xp_groups(max_n=3, max_x=2, max_diag=2, precisions=(precision,)))
+        groups.append(group)
+    n = sum(g.n for g in groups)
+    n += draw(st.integers(0, min(max_free, max_n - n)))
+    order = draw(st.permutations(range(n)))
+    placed, start = [], 0
+    for g in groups:
+        placed.append((g, sorted(order[start:start + g.n])))
+        start += g.n
+    return n, precision, placed
+
+
+def product_group(n, precision, placed):
+    rows = [embed(op, n, legs) for g, legs in placed for op in g.generators]
+    return XpGroup(precision, n, tuple(rows))
+
+
+@PROPERTY_SETTINGS
+@given(disjoint_factors())
+def test_the_pivot_merge_of_canonical_blocks_is_the_canonical_product(case):
+    n, precision, placed = case
+    blocks = [(canonical_form(g), legs) for g, legs in placed]
+    assume(all(phase_identity(g) is None for g, _ in blocks))
+    merged = merge_canonical_blocks(n, precision, blocks)
+    assert merged.canonical
+    assert merged.generators == canonical_form(product_group(n, precision, placed)).generators
+
+
+@PROPERTY_SETTINGS
+@given(disjoint_factors())
+def test_per_block_counting_equals_the_whole_group_count(case):
+    group = product_group(*case)
+    for logical_dims in (None, 0):
+        want = whole_group_counting_check(group, logical_dims)
+        assert counting_check(group, logical_dims) == want

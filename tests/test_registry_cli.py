@@ -277,6 +277,17 @@ def test_cli_trace_of_four_722_copies_is_pinned(tmp_path):
     assert doc["warnings"] == []
 
 
+def test_cli_trace_of_five_722_copies_reports_counting(tmp_path):
+    # 27 legs are over the Z-support cap, but no block holds more than 9 of
+    # them, and the counting check reads one block at a time.
+    rc, out = run_cli("trace", str(chain_network(tmp_path, [(2, 4), (3, 5), (1, 6), (2, 4)])))
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["matrix"]["n"] == 27
+    assert doc["counting_check"] is True
+    assert doc["state_counting_check"] is False
+
+
 def test_cli_trace_over_the_support_limit_exits_with_message(tmp_path):
     # Two rm15 copies bonded leg 0 to leg 0: the bond's block holds all 30
     # qubits, so the first trace scans a 30-qubit support.
@@ -364,10 +375,24 @@ def test_cli_trace_malformed_network_exits_with_message(tmp_path, name):
     assert "unpack" not in err.getvalue() and "already contracted" not in err.getvalue()
 
 
+ONE_ROW_MATRIX = {"n": 1, "precision": 4, "rows": [{"x": [1], "z": [0], "p": 0}]}
+
+
+def one_row_matrix(**changes):
+    """The one-row matrix with some top-level or row fields replaced."""
+    row = {key: changes.pop(key, value) for key, value in ONE_ROW_MATRIX["rows"][0].items()}
+    return {**ONE_ROW_MATRIX, **changes, "rows": [row]}
+
+
 MALFORMED_MATRICES = {
     "empty-object": {},
     "document-is-a-list": [1, 2],
     "row-not-an-object": {"n": 2, "precision": 2, "rows": [[1]]},
+    "float-precision": one_row_matrix(precision=4.9),
+    "float-z": one_row_matrix(z=[1.5]),
+    "string-x": one_row_matrix(x=["1"]),
+    "boolean-phase": one_row_matrix(p=True),
+    "float-n": one_row_matrix(n=1.0),
 }
 
 

@@ -1,6 +1,7 @@
 """Shared helpers: random XP states built from twisted stabilizer states, a
 brute-force biased distance over dense Pauli strings, the trace of a whole
-group by operator matching, and the dense projector of a first-round
+group by operator matching, the counting certificate read from the orbit
+structure of the whole group, and the dense projector of a first-round
 decoding sector."""
 
 from __future__ import annotations
@@ -10,7 +11,13 @@ from functools import reduce
 
 import numpy as np
 
-from xplego.code_structure import XpGroup, permute_legs
+from xplego.code_structure import (
+    EmptyCodeError,
+    XpGroup,
+    canonical_form,
+    orbit_decomposition,
+    permute_legs,
+)
 from xplego.dense_oracle import basis_state, hadamard_unitary, projector, render_operator
 from xplego.enumerator import PAULI_LIST
 from xplego.lego import _trace_front_two
@@ -71,6 +78,20 @@ def whole_group_trace(group: XpGroup, j: int, k: int, mode: str = "plain") -> Xp
     keep = [i for i in range(group.n) if i not in (j, k)]
     traced = _trace_front_two(permute_legs(group, [j, k] + keep), mode)
     return XpGroup(group.precision, group.n - 2, ()) if traced is None else traced
+
+
+def whole_group_counting_check(group: XpGroup, logical_dims: int | None = None) -> bool:
+    """|S_X| + k + |S_Z| == n with k read from the orbit structure of the
+    whole group, with no split into blocks: the reference for the per-block
+    ``counting_check``."""
+    g = canonical_form(group)
+    try:
+        k = len(orbit_decomposition(g).logical_x_dirs)
+    except EmptyCodeError:
+        return False
+    if logical_dims is not None and k != logical_dims:
+        return False
+    return len(g.x_block) + k + len(g.z_block) == g.n
 
 
 def dense_sector_projector(setup, s_z) -> np.ndarray:
