@@ -377,13 +377,15 @@ def r_z_generators(g: XpGroup) -> list[XpOperator]:
 
 @dataclass(frozen=True)
 class CodewordTable:
-    """Symbolic codewords as (basis index, phase exponent) pair lists."""
+    """Symbolic codewords as (basis index, phase exponent) pair lists.
+
+    Entry i is the orbit of representative ``orbits.e_m[i]``.
+    """
 
     precision: int
     n: int
     entries: tuple[tuple[tuple[int, int], ...], ...]
-    e_m: tuple[int, ...]
-    e_q: tuple[int, ...]
+    orbits: OrbitDecomposition
 
     def phase_map(self) -> dict[int, int]:
         """Phase exponent per support string, over all codewords."""
@@ -416,7 +418,7 @@ def codewords(g: XpGroup) -> CodewordTable:
     phases %= 2 * g.precision
     entries = tuple(tuple(sorted(zip(es, ps)))
                     for es, ps in zip(strings.T.tolist(), phases.T.tolist()))
-    return CodewordTable(g.precision, g.n, entries, od.e_m, od.e_q)
+    return CodewordTable(g.precision, g.n, entries, od)
 
 
 def _constraint_matrix(n: int, precision: int, strings: Sequence[int],
@@ -462,84 +464,90 @@ def solve_diagonal_constraints(n: int, precision: int, strings: Sequence[int],
     return _solve_constraints(_constraint_matrix(n, precision, strings, orbit_ids), n, targets)
 
 
-def complete_logical_x(table: CodewordTable, dirs: Sequence[int],
-                       ) -> list[tuple[XpOperator, tuple[int, ...]] | None]:
-    """Non-diagonal logicals along directions ``dirs`` of a codeword table.
-
-    The diagonal completion maps every codeword to a codeword: the base
-    orbit with phase one, every other orbit with a constant phase, which is
-    all a valid logical needs.  Returns, per direction, the logical and the
-    per-orbit phases (gamma), or None when no XP completion exists.  One
-    orbit constraint matrix, factored once, serves every direction.
+@dataclass(frozen=True)
+class LogicalBasis:
+    """Per logical direction j of a regular code: ``x[j]``, the completion
+    of X along it with its per-orbit phases (gammas); ``z[j]``, the diagonal
+    logical acting as -1 on the codewords whose representative carries it;
+    ``coords[j]``, that coordinate of each orbit representative.  Orbit
+    tuples follow ``table.entries``; a logical with no XP completion is None.
     """
+
+    table: CodewordTable
+    x: tuple[tuple[XpOperator, tuple[int, ...]] | None, ...]
+    z: tuple[XpOperator | None, ...]
+    coords: tuple[tuple[int, ...], ...]
+
+    def x_logicals(self) -> list[XpOperator]:
+        if None in self.x:
+            raise NonRegularError("no XP completion for a logical direction")
+        return [op for op, _ in self.x]
+
+    def z_logicals(self) -> list[XpOperator]:
+        if None in self.z:
+            raise NonRegularError("no diagonal logical for a direction")
+        return list(self.z)
+
+
+def logical_basis(g: XpGroup) -> LogicalBasis:
+    """Logical basis of a regular code from one read of ``codewords(g)``.
+
+    Representative m has coordinates c with m ^ q0 == sum_j c_j w_j (mod
+    the x-block span) over the logical directions w_j, q0 being the core
+    string.  The X completion maps every codeword to a codeword, the base
+    orbit with phase one and every other orbit with a constant phase, which
+    is all a valid logical needs; the Z logical has exponent N c_j on orbit
+    m.  One orbit constraint matrix serves every X solve and one plain
+    matrix every Z solve.
+
+    Raises NonRegularError when the code core has more than one element.
+    """
+    g = canonical_form(g)
+    table = codewords(g)
+    od = table.orbits
+    if not od.regular:
+        raise NonRegularError("code core has more than one element")
+    n, precision = g.n, g.precision
+    dirs = [op.x_mask for op in g.x_block]
+    pool = ModMatrix.from_rows(
+        [int_to_bits(v, n) for v in dirs + list(od.logical_x_dirs)], 2)
+    sols = [solve_linear_mod(pool, int_to_bits(m ^ od.e_q[0], n)) if pool.rows else ()
+            for m in od.e_m]
+    if None in sols:
+        raise InvariantError("orbit representative outside the logical span")
+    coords = tuple(zip(*(sol[len(dirs):] for sol in sols)))
+
     phases = table.phase_map()
     support = sorted(phases)
-    orbit_of = {e: idx for idx, cw in enumerate(table.entries) for e, _ in cw}
-    mat = _constraint_matrix(table.n, table.precision, support,
-                             [orbit_of[e] for e in support])
-    out = []
-    for w in dirs:
-        solved = _solve_constraints(mat, table.n, [phases[e ^ w] - phases[e] for e in support])
+    orbit_of = {e: orbit for orbit, cw in enumerate(table.entries) for e, _ in cw}
+    orbit_ids = [orbit_of[e] for e in support]
+    x_mat = _constraint_matrix(n, precision, support, orbit_ids)
+    z_mat = _constraint_matrix(n, precision, support)
+    xs, zs = [], []
+    for w, column in zip(od.logical_x_dirs, coords):
+        solved = _solve_constraints(x_mat, n, [phases[e ^ w] - phases[e] for e in support])
         if solved is not None:
             diag, gammas = solved
-            solved = XpOperator(table.precision, int_to_bits(w, table.n),
-                                diag.z, diag.phase), gammas
-        out.append(solved)
-    return out
+            solved = XpOperator(precision, int_to_bits(w, n), diag.z, diag.phase), gammas
+        xs.append(solved)
+        solved = _solve_constraints(z_mat, n, [precision * column[i] for i in orbit_ids])
+        zs.append(None if solved is None else solved[0])
+    return LogicalBasis(table, tuple(xs), tuple(zs), coords)
 
 
 def logical_x_operators(g: XpGroup) -> list[XpOperator]:
     """Non-diagonal logical generators of a regular code, one per logical
-    direction of the representative space (see ``complete_logical_x``)."""
+    direction of the representative space (see ``logical_basis``)."""
     g = canonical_form(g)
     if g.precision & (g.precision - 1):
         raise PrecisionError("logical extraction needs a power-of-two precision")
-    od = orbit_decomposition(g)
-    if not od.regular:
-        raise NonRegularError("code core has more than one element")
-    solved = complete_logical_x(codewords(g), od.logical_x_dirs)
-    if None in solved:
-        raise NonRegularError("no XP completion for a logical direction")
-    return [op for op, _ in solved]
-
-
-def logical_coordinates(g: XpGroup) -> dict[int, tuple[int, ...]]:
-    """Coordinates c of each orbit representative m of a regular code, with
-    m ^ q0 == sum_j c_j w_j (mod the x-block span) over the logical
-    directions w_j, q0 being the core string."""
-    g = canonical_form(g)
-    od = orbit_decomposition(g)
-    if not od.regular:
-        raise NonRegularError("code core has more than one element")
-    dirs = [op.x_mask for op in g.x_block]
-    pool = ModMatrix.from_rows(
-        [int_to_bits(v, g.n) for v in dirs + list(od.logical_x_dirs)], 2)
-    coords = {}
-    for m in od.e_m:
-        sol = solve_linear_mod(pool, int_to_bits(m ^ od.e_q[0], g.n)) if pool.rows else ()
-        if sol is None:
-            raise InvariantError("orbit representative outside the logical span")
-        coords[m] = sol[len(dirs):]
-    return coords
+    return logical_basis(g).x_logicals()
 
 
 def diagonal_logical_operators(g: XpGroup) -> list[XpOperator]:
     """Diagonal logicals, one per logical direction, acting as -1 on the
     codewords whose representative carries that direction."""
-    g = canonical_form(g)
-    coords = logical_coordinates(g)
-    support = z_support(g)
-    span_basis = _xor_basis([op.x_mask for op in g.x_block])
-    labels = _coset_min(np.array(support, dtype=np.int64), span_basis).tolist()
-    mat = _constraint_matrix(g.n, g.precision, support)
-    out = []
-    # One column of coordinates over the support per logical direction.
-    for column in zip(*(coords[m] for m in labels)):
-        solved = _solve_constraints(mat, g.n, [g.precision * c for c in column])
-        if solved is None:
-            raise NonRegularError("no diagonal logical for a direction")
-        out.append(solved[0])
-    return out
+    return logical_basis(g).z_logicals()
 
 
 def diagonal_span_kernel(n: int, precision: int, support: Sequence[int]) -> list[XpOperator]:
@@ -613,21 +621,19 @@ def lid_from_phase_table(pairs: Sequence[tuple[int, int]], n: int, precision: in
     return group
 
 
-def counting_check(g: XpGroup, logical_dims: int | None = None) -> bool:
-    """Generator-counting certificate |S_X| + |L_X| + |S_Z| == n.
+def counted_logicals(g: XpGroup) -> int | None:
+    """The logical count k when the generator-counting certificate
+    |S_X| + k + |S_Z| == n holds, else None.
 
-    ``logical_dims`` is the number of logical directions the object is
-    supposed to carry: pass 0 when the group should pin down a state, or
-    leave it None to accept whatever the orbit structure provides (the
-    check for a code).  This is a necessary condition for the group to be
-    the full symmetry group at power-of-two precision, used as the fast
-    screen after tracing.  The group is the product of its leg blocks' groups
-    and the logical count is additive over a product, so the orbit structure
-    is read one block at a time and the cost follows the largest block.
+    This is a necessary condition for the group to be the full symmetry
+    group at power-of-two precision, used as the fast screen after tracing.
+    The group is the product of its leg blocks' groups and the logical
+    count is additive over a product, so the orbit structure is read one
+    block at a time and the cost follows the largest block.
     """
     g = canonical_form(g)
     if phase_identity(g) is not None:
-        return False
+        return None
     k = 0
     for legs in _leg_blocks(g):
         # The rows of a canonical group inside one block are that block's
@@ -635,11 +641,17 @@ def counting_check(g: XpGroup, logical_dims: int | None = None) -> bool:
         try:
             od = orbit_decomposition(replace(_restrict_group(g, legs), canonical=True))
         except EmptyCodeError:
-            return False
+            return None
         k += len(od.logical_x_dirs)
-    if logical_dims is not None and k != logical_dims:
-        return False
-    return len(g.generators) + k == g.n
+    return k if len(g.generators) + k == g.n else None
+
+
+def counting_check(g: XpGroup, logical_dims: int | None = None) -> bool:
+    """Generator-counting certificate |S_X| + |L_X| + |S_Z| == n (see
+    ``counted_logicals``) with ``logical_dims`` logical directions: 0 for a
+    group that should pin down a state, None to accept any (a code)."""
+    k = counted_logicals(g)
+    return k is not None and logical_dims in (None, k)
 
 
 def permute_legs(g: XpGroup, order: Sequence[int]) -> XpGroup:

@@ -23,13 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from .code_structure import (
+    NonRegularError,
     XpGroup,
     _exponent_table,
     canonical_form,
-    codewords,
-    diagonal_logical_operators,
-    logical_x_operators,
-    orbit_decomposition,
+    logical_basis,
     r_z_generators,
 )
 from .dense_oracle import (
@@ -141,18 +139,18 @@ class DecoderSetup:
                 f"decoding is dense and capped at {PROJECTOR_MAX_QUBITS} qubits")
         if code.precision & (code.precision - 1):
             raise UnsupportedCodeError("precision must be a power of two")
-        od = orbit_decomposition(code)
-        if not od.regular:
-            raise UnsupportedCodeError("code is not regular")
+        try:
+            basis = logical_basis(code)
+        except NonRegularError:
+            raise UnsupportedCodeError("code is not regular") from None
         self.code = code
         self.n = code.n
         self.precision = code.precision
-        self.k = len(od.logical_x_dirs)
+        self.k = len(basis.coords)
         self.r_z = r_z_generators(code)
         self.x_checks = list(code.x_block)
         self.projector = projector(code)
-        table = codewords(code)
-        self.dimension = len(table.entries)
+        self.dimension = len(basis.table.entries)
         # Entry (e, c): the Pauli check r_z[c] has eigenvalue w^N = -1 on string e.
         two_n = 2 * code.precision
         self._z_outcomes = np.array(
@@ -167,17 +165,16 @@ class DecoderSetup:
         self._coset_trace: tuple[tuple, CosetTrace] | None = None
         self.classes: list[tuple[str, XpOperator]] | None = None
         if self.k == 1:
-            xbar = logical_x_operators(code)[0]
-            zbar = diagonal_logical_operators(code)[0]
+            xbar = basis.x_logicals()[0]
+            zbar = basis.z_logicals()[0]
             self.classes = [
                 ("I", XpOperator.identity(code.n, code.precision)),
                 ("X", xbar),
                 ("Z", zbar),
                 ("XZ", multiply(xbar, zbar)),
             ]
-        self.codeword_states = [
-            state_from_pairs(cw, code.n, code.precision) for cw in table.entries
-        ]
+        self.codeword_states = [state_from_pairs(cw, code.n, code.precision)
+                                for cw in basis.table.entries]
 
     def z_representative(self, s_z: Sequence[int]) -> XpOperator:
         bits = self._z_reps[tuple(s_z)]

@@ -45,12 +45,9 @@ from .code_structure import (
     canonical_form,
     codewords,
     complete_lid,
-    complete_logical_x,
-    diagonal_logical_operators,
     lid_from_phase_table,
-    logical_coordinates,
+    logical_basis,
     merge_canonical_blocks,
-    orbit_decomposition,
     permute_legs,
     phase_identity,
 )
@@ -121,10 +118,10 @@ def lego_from_group(group: XpGroup, dense: np.ndarray | None = None,
     return Lego(group, des, dense)
 
 
-def state_lego(group: XpGroup, with_dense: bool = True) -> Lego:
+def state_lego(group: XpGroup) -> Lego:
     """Lego for a group that pins a single state; shadow built symbolically."""
     dense = None
-    if with_dense and group.n <= DENSE_SHADOW_MAX_QUBITS:
+    if group.n <= DENSE_SHADOW_MAX_QUBITS:
         table = codewords(group)
         if len(table.entries) == 1:
             dense = state_from_pairs(table.entries[0], group.n, group.precision)
@@ -491,34 +488,24 @@ def materialize_logical(lego: Lego, logical_index: int = 0) -> Lego:
     channel state of the encoding map.
     """
     group = canonical_form(lego.group)
-    od = orbit_decomposition(group)
-    if not od.regular:
-        raise NonRegularError("only regular codes carry a logical basis")
-    k = len(od.logical_x_dirs)
+    basis = logical_basis(group)
+    k = len(basis.coords)
     if not 0 <= logical_index < k:
         raise LegError(f"logical index {logical_index} out of range for k={k}")
-    precision = group.precision
-    n = group.n
-
-    table = codewords(group)
-    solved = complete_logical_x(table, [od.logical_x_dirs[logical_index]])[0]
+    n, precision = group.n, group.precision
+    solved = basis.x[logical_index]
     if solved is None:
         raise NonRegularError("no XP completion for the logical direction")
     xbar, gammas = solved
-    zbar = diagonal_logical_operators(group)[logical_index]
+    zbar = basis.z_logicals()[logical_index]
 
     # The per-orbit phases must be constant on each slice of the chosen
     # logical bit and differ by an even amount between the slices.
-    coords = logical_coordinates(group)
-    slice_phase = {0: None, 1: None}
-    for idx in range(len(table.entries)):
-        b = coords[table.e_m[idx]][logical_index]
-        if slice_phase[b] is None:
-            slice_phase[b] = gammas[idx]
-        elif slice_phase[b] != gammas[idx]:
-            raise NonRegularError("logical phase does not factor through the chosen qubit")
-    gamma0 = slice_phase[0] or 0
-    gamma1 = slice_phase[1] or 0
+    slices = [{gamma for b, gamma in zip(basis.coords[logical_index], gammas) if b == bit}
+              for bit in (0, 1)]
+    if any(len(s) > 1 for s in slices):
+        raise NonRegularError("logical phase does not factor through the chosen qubit")
+    gamma0, gamma1 = (min(s, default=0) for s in slices)
     if (gamma1 - gamma0) % 2:
         raise NonRegularError("logical phase needs a half step; no XP leg operator")
 

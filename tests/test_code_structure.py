@@ -170,6 +170,30 @@ def test_logical_x_operators_factor_the_orbit_system_once(monkeypatch):
     assert widths.count(augmented) == 1
 
 
+def test_decoder_setup_and_materialize_read_one_logical_basis(monkeypatch):
+    # The logical basis reads one codeword table, so decoder setup scans the
+    # Z-support for it and for the Pauli checks only, and materializing a
+    # logical leg scans it once.
+    from xplego.decoder import DecoderSetup
+    from xplego.lego import lego_from_group, materialize_logical
+
+    code = canonical_form(lookup("steane-xp").group)
+    calls = {"z_support": 0, "orbit_decomposition": 0}
+    for name in calls:
+        original = getattr(code_structure, name)
+
+        def counting(g, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(g)
+
+        monkeypatch.setattr(code_structure, name, counting)
+    DecoderSetup(code)
+    assert calls == {"z_support": 2, "orbit_decomposition": 1}
+    calls.update(z_support=0, orbit_decomposition=0)
+    materialize_logical(lego_from_group(code), 0)
+    assert calls == {"z_support": 1, "orbit_decomposition": 1}
+
+
 def test_orbit_decomposition_for_states_and_codes():
     od = orbit_decomposition(lookup("lego6-second").group)
     assert od.regular and len(od.e_m) == 1 and od.logical_x_dirs == ()

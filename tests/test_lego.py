@@ -40,6 +40,7 @@ from xplego.lego import (
     NotIsometryError,
     lego_from_group,
     materialize_logical,
+    redesignate,
     run_network,
     self_trace,
     shorten_to_logical,
@@ -53,8 +54,8 @@ from xplego.ring_linalg import ModMatrix
 from xplego.xp_algebra import XpOperator
 
 
-def entry_lego(name: str, with_dense: bool = True):
-    return state_lego(lookup(name).group, with_dense=with_dense)
+def entry_lego(name: str):
+    return state_lego(lookup(name).group)
 
 
 def test_tensor_product_with_empty_lego():
@@ -73,7 +74,7 @@ def test_tensor_product_of_plus_states():
 
 
 def test_tensor_product_counting():
-    block = entry_lego("lego6-second", with_dense=False)
+    block = lego_from_group(canonical_form(lookup("lego6-second").group))
     both = tensor_product(block, block)
     assert both.n == 12
     assert len(canonical_form(both.group).generators) == 12
@@ -377,6 +378,15 @@ def test_materialize_logical_keeps_code_consistent():
         assert back.group.generators == code.group.generators
 
 
+def test_redesignate_dispatches_on_the_new_role():
+    sec = lego_from_group(canonical_form(lookup("second-713").group))
+    assert redesignate(sec, 1, "L") == shorten_to_logical(sec, 1)
+    code = lego_from_group(canonical_form(lookup("steane-xp").group))
+    assert redesignate(code, 0, "P") == materialize_logical(code, 0)
+    with pytest.raises(LegError, match="unknown role"):
+        redesignate(code, 0, "X")
+
+
 def test_leg_errors():
     bell = entry_lego("bell")
     with pytest.raises(LegError):
@@ -454,7 +464,7 @@ def test_eight_qubit_code_from_spider_concatenation():
     from xplego.registry import atomic_legos
 
     code711 = lego_from_group(canonical_form(lookup("711").group))
-    spider = next(state_lego(e.group, with_dense=False)
+    spider = next(lego_from_group(canonical_form(e.group))
                   for e in atomic_legos(2) if e.name == "xspider")
     fused = self_trace(tensor_product(code711, spider), 2, 9)
     want = canonical_form(lookup("812").group)

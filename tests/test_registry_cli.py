@@ -288,6 +288,24 @@ def test_cli_trace_of_five_722_copies_reports_counting(tmp_path):
     assert doc["state_counting_check"] is False
 
 
+def test_cli_trace_report_reads_each_leg_block_once(tmp_path, monkeypatch):
+    # Both counting answers come from one orbit pass per leg block.
+    from xplego import cli, code_structure
+    from xplego.code_structure import _leg_blocks
+    from xplego.lego import run_network
+
+    path = chain_network(tmp_path, [(2, 4), (3, 5), (1, 6)])
+    result = run_network(json.loads(path.read_text()))
+    monkeypatch.setattr(cli, "run_network", lambda doc: result)
+    calls = []
+    original = code_structure.orbit_decomposition
+    monkeypatch.setattr(code_structure, "orbit_decomposition",
+                        lambda g: calls.append(g.n) or original(g))
+    rc, out = run_cli("trace", str(path))
+    assert rc == 0 and json.loads(out)["counting_check"] is True
+    assert sorted(calls) == sorted(len(b) for b in _leg_blocks(result.group))
+
+
 def test_cli_trace_over_the_support_limit_exits_with_message(tmp_path):
     # Two rm15 copies bonded leg 0 to leg 0: the bond's block holds all 30
     # qubits, so the first trace scans a 30-qubit support.

@@ -18,3 +18,9 @@ def test_library_raises_typed_errors_not_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_exported_name_is_bound_once():
+    names = xplego.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(xplego, name)] == []
