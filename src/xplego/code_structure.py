@@ -1,10 +1,10 @@
 """Generator lists as codes: canonical form and structural analysis.
 
-A group of XP operators is canonicalized into a block of non-diagonal
-generators whose x parts form a reduced row echelon basis, followed by a
-block of diagonal generators whose (2z|p) embedding over Z_2N is in Howell
-form.  The non-diagonal rows have their diagonal content reduced against
-the Howell basis, which makes the canonical form unique per group.
+A group of XP operators is canonicalized, on integer rows under the group
+law, into non-diagonal generators whose x parts form a reduced row echelon
+basis, then diagonal generators whose (2z|p) embedding over Z_2N is in
+Howell form, closed under conjugation by reduction against that basis.
+Reducing the non-diagonal rows' diagonal parts makes the form unique.
 
 From the canonical form the module derives the Z-support of the stabilized
 space, its orbit and core decomposition under the non-diagonal x action,
@@ -20,23 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from .ring_linalg import ModMatrix, howell_form, kernel_mod, solve_linear_mod
-from .xp_algebra import (
-    XpOperator,
-    conjugate,
-    embed,
-    inverse,
-    multiply,
-    power,
-    restrict,
-)
+from .xp_algebra import PrecisionError, XpOperator, embed, multiply, restrict
 
 
 class EmptyCodeError(ValueError):
     """The generator list stabilizes no state."""
-
-
-class PrecisionError(ValueError):
-    """The operation needs a different precision (even, or a power of two)."""
 
 
 class NonRegularError(ValueError):
@@ -123,82 +111,84 @@ def _coset_min(values: np.ndarray, basis: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _diag_to_vec(op: XpOperator) -> tuple[int, ...]:
-    """(2z|p) embedding of a diagonal operator over Z_2N."""
-    two_n = 2 * op.precision
-    return tuple((2 * zi) % two_n for zi in op.z) + (op.phase,)
+def _row_mul(a: tuple, b: tuple, precision: int) -> tuple:
+    """Group product of reduced (x, z, p) rows, as ``xp_algebra.multiply``."""
+    (xa, za, pa), (xb, zb, pb) = a, b
+    w = [2 * zi if xi else 0 for xi, zi in zip(xb, za)]
+    return (tuple(i ^ j for i, j in zip(xa, xb)),
+            tuple((i + j - k) % precision for i, j, k in zip(za, zb, w)),
+            (pa + pb + sum(w)) % (2 * precision))
 
 
-def _vec_to_diag(vec: Sequence[int], n: int, precision: int) -> XpOperator:
-    z = tuple(v // 2 for v in vec[:n])
-    return XpOperator(precision, (0,) * n, z, vec[n])
+def _row_inv(a: tuple, precision: int) -> tuple:
+    """Group inverse of a reduced (x, z, p) row, as ``xp_algebra.inverse``."""
+    x, z, p = a
+    w = [2 * zi if xi else 0 for xi, zi in zip(x, z)]
+    return x, tuple((k - zi) % precision for zi, k in zip(z, w)), (-p - sum(w)) % (2 * precision)
 
 
-def _diag_howell(ops: Sequence[XpOperator], n: int, precision: int) -> list[XpOperator]:
-    if not ops:
-        return []
-    mat = ModMatrix.from_rows([_diag_to_vec(op) for op in ops], 2 * precision)
-    return [_vec_to_diag(row, n, precision) for row in howell_form(mat).entries]
+def _howell_basis(vecs: list, modulus: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Howell form of the (v|p) rows, as (pivot column, row) pairs."""
+    rows = howell_form(ModMatrix.from_rows(vecs, modulus)).entries if vecs else ()
+    return [(next(c for c, v in enumerate(row) if v), row) for row in rows]
 
 
-def _reduce_diag_part(op: XpOperator, basis: Sequence[XpOperator]) -> XpOperator:
-    """Right-multiply by diagonal basis elements to canonicalize (2z|p)."""
-    if not basis:
-        return op
-    two_n = 2 * op.precision
-    vec = list(_diag_to_vec(op))
-    for b in basis:
-        bvec = _diag_to_vec(b)
-        col = next(c for c, v in enumerate(bvec) if v)
-        q = vec[col] // bvec[col]
+def _reduce(vec: list, basis: list, modulus: int) -> list:
+    """Greedy reduction of a (v|p) row against a ``_howell_basis``: zero exactly
+    when the row is in its module (a Howell form decides membership)."""
+    for col, row in basis:
+        q = vec[col] // row[col]
         if q:
-            vec = [(v - q * w) % two_n for v, w in zip(vec, bvec)]
-    z = tuple(v // 2 for v in vec[: op.n])
-    return XpOperator(op.precision, op.x, z, vec[op.n])
+            vec = [(v - q * w) % modulus for v, w in zip(vec, row)]
+    return vec
 
 
 def canonical_form(g: XpGroup) -> XpGroup:
-    """Unique canonical presentation of the generated group.
-
-    The generated group is unchanged; generators are rewritten with the
-    exact group law only, never plain row addition.
-    """
+    """Unique canonical presentation of the generated group, computed on
+    (x, z, p) integer rows with the exact group law, never plain row
+    addition.  Conjugating a diagonal row (v | p), v = 2z mod 2N, by an x
+    row s gives (v - 2 x_s*v | p + x_s.v); each conjugate is reduced
+    against the Howell basis, which is recomputed only when one is left."""
     if g.canonical:
         return g
-    n, precision = g.n, g.precision
-    work = [op for op in g.generators if not op.is_identity]
+    n, precision, two_n = g.n, g.precision, 2 * g.precision
+    work = [(op.x, op.z, op.phase) for op in g.generators if not op.is_identity]
 
     # Sweep the x block into RREF; every row operation is a group product.
-    sx: list[XpOperator] = []
+    sx: list[tuple] = []
     for col in range(n):
-        idx = next((i for i, op in enumerate(work) if op.x[col]), None)
+        idx = next((i for i, row in enumerate(work) if row[0][col]), None)
         if idx is None:
             continue
         pivot = work.pop(idx)
-        work = [multiply(op, pivot) if op.x[col] else op for op in work]
-        sx = [multiply(op, pivot) if op.x[col] else op for op in sx]
+        work = [_row_mul(row, pivot, precision) if row[0][col] else row for row in work]
+        sx = [_row_mul(row, pivot, precision) if row[0][col] else row for row in sx]
         sx.append(pivot)
 
     # All remaining rows are diagonal.  Close the diagonal subgroup under
     # squares, pairwise commutators, and conjugation by the x block.
-    pool: list[XpOperator] = [op for op in work]
-    for s in sx:
-        pool.append(power(s, 2))
-    for i in range(len(sx)):
-        for j in range(i + 1, len(sx)):
-            ab = multiply(sx[i], sx[j])
-            ba = multiply(sx[j], sx[i])
-            pool.append(multiply(ab, inverse(ba)))
-    basis = _diag_howell(pool, n, precision)
+    pool = work + [_row_mul(s, s, precision) for s in sx]
+    for i, a in enumerate(sx):
+        for b in sx[i + 1:]:
+            ba = _row_inv(_row_mul(b, a, precision), precision)
+            pool.append(_row_mul(_row_mul(a, b, precision), ba, precision))
+    basis = _howell_basis([[2 * zi for zi in z] + [p] for _, z, p in pool], two_n)
     while True:
-        extra = [conjugate(s, d) for s in sx for d in basis]
-        new_basis = _diag_howell(list(basis) + extra, n, precision)
-        if new_basis == basis:
+        grown = []
+        for x, _, _ in sx:
+            for _, row in basis:
+                conj = [(-v if xi else v) % two_n for xi, v in zip(x, row)]
+                conj.append((row[n] + sum(v for xi, v in zip(x, row) if xi)) % two_n)
+                grown.append(_reduce(conj, basis, two_n))
+        grown = [row for row in grown if any(row)]
+        if not grown:
             break
-        basis = new_basis
+        basis = _howell_basis([row for _, row in basis] + grown, two_n)
 
-    sx = [_reduce_diag_part(op, basis) for op in sx]
-    gens = tuple(sx) + tuple(basis)
+    rows = [(x, _reduce([2 * zi for zi in z] + [p], basis, two_n)) for x, z, p in sx]
+    rows += [((0,) * n, row) for _, row in basis]
+    gens = tuple(XpOperator(precision, x, tuple(v // 2 for v in vec[:n]), vec[n])
+                 for x, vec in rows)
     return XpGroup(precision, n, gens, canonical=True)
 
 
@@ -359,19 +349,22 @@ def r_z_generators(g: XpGroup) -> list[XpOperator]:
     g = canonical_form(g)
     if g.precision % 2:
         raise PrecisionError("Pauli extraction needs even precision")
-    support = z_support(g)
-    e0 = support[0]
+    return _r_z_from_support(z_support(g), g.n, g.precision)
+
+
+def _r_z_from_support(support: Sequence[int], n: int, precision: int) -> list[XpOperator]:
+    """``r_z_generators`` for a Z-support listed in any order."""
+    e0 = support[0]  # an annihilator row has one parity on the whole support
     dirs = sorted(_xor_basis([e ^ e0 for e in support]), reverse=True)
     if dirs:
-        vs = kernel_mod(ModMatrix.from_rows(_support_bits(dirs, g.n).tolist(), 2)).entries
+        vs = kernel_mod(ModMatrix.from_rows(_support_bits(dirs, n).tolist(), 2)).entries
     else:
-        vs = ModMatrix.identity(g.n, 2).entries
-    half = g.precision // 2
+        vs = ModMatrix.identity(n, 2).entries
+    half = precision // 2
     out = []
     for v in vs:
-        sign = sum(b * ((e0 >> (g.n - 1 - i)) & 1) for i, b in enumerate(v)) % 2
-        out.append(XpOperator(g.precision, (0,) * g.n,
-                              tuple(half * b for b in v), g.precision * sign))
+        sign = sum(b * ((e0 >> (n - 1 - i)) & 1) for i, b in enumerate(v)) % 2
+        out.append(XpOperator(precision, (0,) * n, tuple(half * b for b in v), precision * sign))
     return out
 
 

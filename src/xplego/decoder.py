@@ -26,9 +26,9 @@ from .code_structure import (
     NonRegularError,
     XpGroup,
     _exponent_table,
+    _r_z_from_support,
     canonical_form,
     logical_basis,
-    r_z_generators,
 )
 from .dense_oracle import (
     PROJECTOR_MAX_QUBITS,
@@ -147,7 +147,7 @@ class DecoderSetup:
         self.n = code.n
         self.precision = code.precision
         self.k = len(basis.coords)
-        self.r_z = r_z_generators(code)
+        self.r_z = _r_z_from_support(list(basis.table.phase_map()), code.n, code.precision)
         self.x_checks = list(code.x_block)
         self.projector = projector(code)
         self.dimension = len(basis.table.entries)

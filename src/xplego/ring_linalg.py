@@ -1,10 +1,9 @@
 """Exact linear algebra over the residue rings Z/mZ.
 
-Provides the Howell form over Z/mZ (the ring generalization of RREF with
-a uniqueness guarantee), linear congruence solving, and kernel
-computation.  All arithmetic is on plain
-Python integers with explicit reduction, so results are exact for any
-modulus that fits in machine words.
+Provides the Howell form over Z/mZ (the ring generalization of RREF with a
+uniqueness guarantee), linear congruence solving, and kernel computation,
+exactly on Python integers; the moduli used, 2 and 2N, stay at most 2^25
+under the precision cap ``xp_algebra.MAX_PRECISION``.
 
 Matrices have few rows (about one per qubit) but can be wide: the
 constraint matrices of ``code_structure`` have one column per Z-support

@@ -25,12 +25,20 @@ class IncompatibleOperatorsError(ValueError):
     """Raised when two operators disagree on qubit count or precision."""
 
 
+class PrecisionError(ValueError):
+    """The operation needs a different precision (in range, even, or a power of two)."""
+
+
+# Keeps the int64 phase tables (sums of about n terms below 2N) exact.
+MAX_PRECISION = 1 << 24
+
+
 @dataclass(frozen=True)
 class XpOperator:
     """A single XP group element in reduced vector form.
 
     Attributes:
-        precision: Group precision N >= 2.
+        precision: Group precision 2 <= N <= ``MAX_PRECISION``.
         x: Length-n tuple over {0, 1}.
         z: Length-n tuple over [0, N).
         phase: Scalar exponent in [0, 2N); the operator carries w^phase.
@@ -43,8 +51,8 @@ class XpOperator:
 
     def __post_init__(self) -> None:
         n = self.precision
-        if n < 2:
-            raise ValueError(f"precision must be >= 2, got {n}")
+        if not 2 <= n <= MAX_PRECISION:
+            raise PrecisionError(f"precision must be in [2, {MAX_PRECISION}], got {n}")
         if len(self.x) != len(self.z):
             raise IncompatibleOperatorsError("x and z blocks differ in length")
         object.__setattr__(self, "x", tuple(int(v) % 2 for v in self.x))

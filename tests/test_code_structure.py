@@ -7,8 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from tests_support import reference_canonical_form
 
-from xplego import code_structure, ring_linalg
+from xplego import code_structure, ring_linalg, xp_algebra
 from xplego.code_structure import (
     Z_SUPPORT_MAX_QUBITS,
     EmptyCodeError,
@@ -34,7 +35,7 @@ from xplego.dense_oracle import (
     stabilizes,
 )
 from xplego.registry import lookup
-from xplego.xp_algebra import XpOperator, from_z_vector, multiply
+from xplego.xp_algebra import MAX_PRECISION, XpOperator, from_z_vector, multiply
 
 
 def single_p_group(precision=8):
@@ -52,6 +53,51 @@ def test_canonical_fixes_all_printed_matrices():
         g = lookup(name).group
         got = canonical_form(g)
         assert got.generators == g.generators, name
+
+
+def count_calls(monkeypatch, calls, module, name):
+    """Count the calls of ``module.name`` in ``calls[name]``."""
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_canonical_closure_grows_the_diagonal_block(monkeypatch):
+    # {X, XZ} at N = 2: the sweep leaves -Z, and conjugating it by X gives Z,
+    # which is not in <-Z>, so -I enters and the Howell form runs again.
+    g = XpGroup.from_generators([XpOperator(2, (1,), (0,), 0), XpOperator(2, (1,), (1,), 0)])
+    calls = {"howell_form": 0}
+    count_calls(monkeypatch, calls, code_structure, "howell_form")
+    got = canonical_form(g)
+    assert calls == {"howell_form": 2}
+    assert got == reference_canonical_form(g)
+    assert XpOperator(2, (0,), (0,), 2) in got.generators
+
+
+def test_canonical_closed_group_needs_one_howell_form_and_no_products(monkeypatch):
+    gens = list(lookup("steane-xp").group.generators)
+    random.Random(5).shuffle(gens)
+    g = XpGroup.from_generators(gens)
+    calls = {"howell_form": 0, "multiply": 0}
+    count_calls(monkeypatch, calls, code_structure, "howell_form")
+    count_calls(monkeypatch, calls, code_structure, "multiply")
+    count_calls(monkeypatch, calls, xp_algebra, "multiply")
+    got = canonical_form(g)
+    assert calls == {"howell_form": 1, "multiply": 0}
+    assert got == reference_canonical_form(g)
+
+
+def test_support_tables_stay_exact_at_the_precision_cap():
+    # At N = MAX_PRECISION the exponent 4 + 2 (N - 1) (b0 + b1) is 4N on the
+    # string 11 only, so the int64 tables must hold sums near 4N exactly.
+    n_cap = MAX_PRECISION
+    g = XpGroup.from_generators([XpOperator(n_cap, (0, 0), (n_cap - 1, n_cap - 1), 4)])
+    assert z_support(g) == (3,)
+    assert codewords(g).entries == (((3, 0),),)
 
 
 def test_canonical_removes_duplicates():
@@ -171,9 +217,9 @@ def test_logical_x_operators_factor_the_orbit_system_once(monkeypatch):
 
 
 def test_decoder_setup_and_materialize_read_one_logical_basis(monkeypatch):
-    # The logical basis reads one codeword table, so decoder setup scans the
-    # Z-support for it and for the Pauli checks only, and materializing a
-    # logical leg scans it once.
+    # The logical basis reads one codeword table, and the Pauli checks read
+    # the support from it, so decoder setup scans the Z-support once, and
+    # materializing a logical leg scans it once.
     from xplego.decoder import DecoderSetup
     from xplego.lego import lego_from_group, materialize_logical
 
@@ -188,7 +234,7 @@ def test_decoder_setup_and_materialize_read_one_logical_basis(monkeypatch):
 
         monkeypatch.setattr(code_structure, name, counting)
     DecoderSetup(code)
-    assert calls == {"z_support": 2, "orbit_decomposition": 1}
+    assert calls == {"z_support": 1, "orbit_decomposition": 1}
     calls.update(z_support=0, orbit_decomposition=0)
     materialize_logical(lego_from_group(code), 0)
     assert calls == {"z_support": 1, "orbit_decomposition": 1}

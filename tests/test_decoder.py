@@ -11,7 +11,7 @@ import pytest
 from tests_support import dense_sector_projector
 
 from xplego import decoder, enumerator
-from xplego.code_structure import canonical_form
+from xplego.code_structure import canonical_form, r_z_generators
 from xplego.decoder import (
     Channel,
     ChannelError,
@@ -180,7 +180,9 @@ def test_ml_probabilities_match_bayes_oracle_sample():
 def test_sector_masks_are_the_dense_sector_projectors(name):
     # Every first-round sector projector E Pi_z E^dag is a 0/1 diagonal with
     # exactly zero off-diagonal entries, and its nonzero diagonal is the mask.
+    # The Pauli checks read from the codeword table are those of the scan.
     setup = decoder_setup(load_code(name))
+    assert setup.r_z == r_z_generators(setup.code)
     assert setup.dimension == round(np.trace(setup.projector).real)
     for s_z in product((0, 1), repeat=len(setup.r_z)):
         dense = dense_sector_projector(setup, s_z)

@@ -1,17 +1,18 @@
 """Property tests of the algebra and the support-sized stages on random XP
 groups.
 
-The group law is checked against dense rendering and the Howell form
-against unimodular remixing and a brute-force span.  Each vectorized stage
-is compared with the per-string loop it replaced, kept here as the
-reference, at precisions N in {2, 4, 8, 16}; the logical identity group
-completion is checked against its defining properties, the symbolic trace
-against the full symmetry group of the dense contraction and, on random
-products, against matching on the whole group, and the exact enumerators
-and biased distances against the dense oracle, also at N in {3, 5, 6}.  On
-products of groups over disjoint legs, the pivot merge of canonical blocks
-is checked against the canonical form of the product and the per-block
-counting certificate against the whole-group one.
+The group law is checked against dense rendering, the Howell form against
+unimodular remixing and a brute-force span, and the canonical form against
+the same algorithm on ``XpOperator`` products, also at N in {3, 6}.  Each
+vectorized stage is compared with the per-string loop it replaced, kept
+here as the reference, at precisions N in {2, 4, 8, 16}; the logical
+identity group completion is checked against its defining properties, the
+symbolic trace against the full symmetry group of the dense contraction
+and, on random products, against matching on the whole group, and the
+exact enumerators and biased distances against the dense oracle, also at N
+in {3, 5, 6}.  On products of groups over disjoint legs, the pivot merge
+of canonical blocks is checked against the canonical form of the product
+and the per-block counting certificate against the whole-group one.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from tests_support import (
     dense_biased_distance,
     random_xp_state_vec,
+    reference_canonical_form,
     whole_group_counting_check,
     whole_group_trace,
 )
@@ -90,6 +92,13 @@ def test_group_law_agrees_with_dense_rendering(pair):
     a, b = pair
     assert np.allclose(render_operator(multiply(a, b)),
                        render_operator(a) @ render_operator(b), atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(xp_groups(max_n=6, max_x=4, precisions=(2, 3, 4, 6, 8, 16)))
+def test_canonical_form_equals_the_operator_product_reference(group):
+    # Odd and non-power-of-two N reach the gcd branches of howell_form.
+    assert canonical_form(group) == reference_canonical_form(group)
 
 
 @st.composite

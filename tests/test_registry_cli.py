@@ -411,6 +411,7 @@ MALFORMED_MATRICES = {
     "string-x": one_row_matrix(x=["1"]),
     "boolean-phase": one_row_matrix(p=True),
     "float-n": one_row_matrix(n=1.0),
+    "precision-over-cap": one_row_matrix(precision=2 ** 62),
 }
 
 

@@ -9,7 +9,9 @@ import pytest
 
 from xplego.dense_oracle import render_operator
 from xplego.xp_algebra import (
+    MAX_PRECISION,
     IncompatibleOperatorsError,
+    PrecisionError,
     XpOperator,
     antisymmetric,
     conjugate,
@@ -62,6 +64,12 @@ def test_incompatible_operators_raise():
     c = XpOperator(4, (1,), (0,), 0)
     with pytest.raises(IncompatibleOperatorsError):
         multiply(a, c)
+
+
+def test_precision_is_capped_with_a_typed_error():
+    assert XpOperator(MAX_PRECISION, (1,), (MAX_PRECISION - 1,), 0).z == (MAX_PRECISION - 1,)
+    with pytest.raises(PrecisionError):
+        XpOperator(2 * MAX_PRECISION, (1,), (0,), 0)
 
 
 def test_antisymmetric_values():

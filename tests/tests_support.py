@@ -1,13 +1,14 @@
 """Shared helpers: random XP states built from twisted stabilizer states, a
 brute-force biased distance over dense Pauli strings, the trace of a whole
 group by operator matching, the counting certificate read from the orbit
-structure of the whole group, and the dense projector of a first-round
-decoding sector."""
+structure of the whole group, the dense projector of a first-round decoding
+sector, and the canonical form computed with ``XpOperator`` products."""
 
 from __future__ import annotations
 
 import random
 from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from xplego.code_structure import (
 from xplego.dense_oracle import basis_state, hadamard_unitary, projector, render_operator
 from xplego.enumerator import PAULI_LIST
 from xplego.lego import _trace_front_two
+from xplego.ring_linalg import ModMatrix, howell_form
+from xplego.xp_algebra import XpOperator, conjugate, inverse, multiply, power
 
 
 def random_clifford_state_vec(rng: random.Random, n: int) -> np.ndarray:
@@ -100,3 +103,72 @@ def dense_sector_projector(setup, s_z) -> np.ndarray:
     rz_group = XpGroup.from_generators(setup.r_z, n=setup.n, precision=setup.precision)
     e_sz = render_operator(setup.z_representative(s_z))
     return e_sz @ projector(rz_group) @ e_sz.conj().T
+
+
+def _diag_to_vec(op: XpOperator) -> tuple[int, ...]:
+    """(2z|p) embedding of a diagonal operator over Z_2N."""
+    two_n = 2 * op.precision
+    return tuple((2 * zi) % two_n for zi in op.z) + (op.phase,)
+
+
+def _vec_to_diag(vec: Sequence[int], n: int, precision: int) -> XpOperator:
+    z = tuple(v // 2 for v in vec[:n])
+    return XpOperator(precision, (0,) * n, z, vec[n])
+
+
+def _diag_howell(ops: Sequence[XpOperator], n: int, precision: int) -> list[XpOperator]:
+    if not ops:
+        return []
+    mat = ModMatrix.from_rows([_diag_to_vec(op) for op in ops], 2 * precision)
+    return [_vec_to_diag(row, n, precision) for row in howell_form(mat).entries]
+
+
+def _reduce_diag_part(op: XpOperator, basis: Sequence[XpOperator]) -> XpOperator:
+    """Right-multiply by diagonal basis elements to canonicalize (2z|p)."""
+    if not basis:
+        return op
+    two_n = 2 * op.precision
+    vec = list(_diag_to_vec(op))
+    for b in basis:
+        bvec = _diag_to_vec(b)
+        col = next(c for c, v in enumerate(bvec) if v)
+        q = vec[col] // bvec[col]
+        if q:
+            vec = [(v - q * w) % two_n for v, w in zip(vec, bvec)]
+    z = tuple(v // 2 for v in vec[: op.n])
+    return XpOperator(op.precision, op.x, z, vec[op.n])
+
+
+def reference_canonical_form(g: XpGroup) -> XpGroup:
+    """Canonical form with ``XpOperator`` products throughout: the x block
+    swept by ``multiply``, the diagonal block closed by ``conjugate`` and a
+    Howell form per round until one round leaves it unchanged.  The
+    reference that ``canonical_form`` must equal."""
+    n, precision = g.n, g.precision
+    work = [op for op in g.generators if not op.is_identity]
+    sx: list[XpOperator] = []
+    for col in range(n):
+        idx = next((i for i, op in enumerate(work) if op.x[col]), None)
+        if idx is None:
+            continue
+        pivot = work.pop(idx)
+        work = [multiply(op, pivot) if op.x[col] else op for op in work]
+        sx = [multiply(op, pivot) if op.x[col] else op for op in sx]
+        sx.append(pivot)
+    pool: list[XpOperator] = [op for op in work]
+    for s in sx:
+        pool.append(power(s, 2))
+    for i in range(len(sx)):
+        for j in range(i + 1, len(sx)):
+            ab = multiply(sx[i], sx[j])
+            ba = multiply(sx[j], sx[i])
+            pool.append(multiply(ab, inverse(ba)))
+    basis = _diag_howell(pool, n, precision)
+    while True:
+        extra = [conjugate(s, d) for s in sx for d in basis]
+        new_basis = _diag_howell(list(basis) + extra, n, precision)
+        if new_basis == basis:
+            break
+        basis = new_basis
+    sx = [_reduce_diag_part(op, basis) for op in sx]
+    return XpGroup(precision, n, tuple(sx) + tuple(basis), canonical=True)
