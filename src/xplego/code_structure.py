@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .ring_linalg import ModMatrix, howell_form, kernel_mod, solve_linear_mod
-from .xp_algebra import PrecisionError, XpOperator, embed, multiply, restrict
+from .xp_algebra import MAX_PRECISION, PrecisionError, XpOperator, embed, multiply, restrict
 
 
 class EmptyCodeError(ValueError):
@@ -55,6 +55,9 @@ class XpGroup:
     canonical: bool = False
 
     def __post_init__(self) -> None:
+        if not 2 <= self.precision <= MAX_PRECISION:
+            raise PrecisionError(
+                f"precision must be in [2, {MAX_PRECISION}], got {self.precision}")
         for op in self.generators:
             if op.n != self.n or op.precision != self.precision:
                 raise ValueError("generator does not match group qubit count / precision")

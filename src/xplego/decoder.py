@@ -16,6 +16,7 @@ harness samples i.i.d. single-qubit channels and scores logical success.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -40,9 +41,11 @@ from .enumerator import PAULI_LIST, CosetTrace, xp_factors
 from .xp_algebra import XpOperator, conjugate, inverse, multiply
 
 TOL = 1e-9
-# Shots simulated together as (MC_BLOCK, 2^n) arrays.  Larger blocks save
-# little more time and cost peak memory.
-MC_BLOCK = 16
+# Amplitudes per Monte Carlo block: shots run max(1, MC_AMPLITUDES >> n) at a
+# time as (B, 2^n) arrays, so 128 shots at n = 7.  Each block costs a fixed
+# number of numpy passes; past this size the passes run at memory speed and
+# a larger block only adds peak memory.
+MC_AMPLITUDES = 2 ** 14
 
 
 class ChannelError(ValueError):
@@ -263,16 +266,18 @@ def _collapse(states: np.ndarray, moved: np.ndarray, rngs: Sequence,
               tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Resolve the two-outcome measurement (1 +- C)/2 on every row.
 
-    ``moved`` holds C applied to each row.  A definite outcome draws
-    nothing; an undecided one takes one ``random()`` from its row's
-    generator, or raises when that generator is None.  Each surviving
+    ``moved`` holds C applied to each row; it is overwritten.  A definite
+    outcome draws nothing; an undecided one takes one ``random()`` from its
+    row's generator, or raises when that generator is None.  Each surviving
     branch keeps the norm of its incoming row, so repeated collapses do not
     shrink the working vectors.
     """
-    plus = (states + moved) / 2.0
-    minus = (states - moved) / 2.0
+    plus = states + moved
+    minus = np.subtract(states, moved, out=moved)
     scale = np.sqrt(_sqnorms(states))
-    wp, wm = _sqnorms(plus), _sqnorms(minus)
+    # The branches are plus/2 and minus/2; halving is exact, so it is folded
+    # into their weights and into the final rescaling.
+    wp, wm = _sqnorms(plus) / 4.0, _sqnorms(minus) / 4.0
     total = wp + wm
     if np.any(total <= tol * scale ** 2):
         raise NondeterministicMeasurementError("state annihilated by the sector projector")
@@ -283,40 +288,67 @@ def _collapse(states: np.ndarray, moved: np.ndarray, rngs: Sequence,
             raise NondeterministicMeasurementError(
                 "measurement outcome is not definite; decoding needs a definite sector")
         bits[row] = not rngs[row].random() < wp[row] / total[row]
-    kept = np.where(bits[:, None], minus, plus)
-    kept *= (scale / np.sqrt(np.where(bits, wm, wp)))[:, None]
+    kept = plus
+    kept[bits] = minus[bits]
+    kept *= (scale / (2.0 * np.sqrt(np.where(bits, wm, wp))))[:, None]
     return bits, kept
 
 
+class _Sectors(dict):
+    """First-round sector -> (mask, moved-row coefficients), built on first use.
+
+    Row c of the coefficients is the conjugated X check c, read as ``moved =
+    states[:, targets_c] * coef[c]``: its phases at the targets, times the
+    sector mask.  Conjugating by the diagonal representative keeps a check's
+    X part, so every sector shares the check's targets.
+    """
+
+    def __init__(self, setup: DecoderSetup):
+        super().__init__()
+        self.setup = setup
+        self.targets = [operator_action(op)[1] for op in setup.x_checks]
+
+    def __missing__(self, s_z: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        mask = self.setup.sector_mask(s_z)
+        e_sz = self.setup.z_representative(s_z)
+        coef = np.zeros((len(self.targets), len(mask)), dtype=complex)
+        for c, (op, targets) in enumerate(zip(self.setup.x_checks, self.targets)):
+            coef[c] = operator_action(conjugate(e_sz, op))[0][targets] * mask
+        entry = self[s_z] = (mask, coef)
+        return entry
+
+
 def _measure_block(setup: DecoderSetup, states: np.ndarray, rngs: Sequence,
-                   tol: float, actions: _Actions,
+                   tol: float, actions: _Actions, sectors: _Sectors,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both syndrome rounds on a (B, 2^n) block, one generator per row.
 
     Returns the first- and second-round outcome bits, (B, |r_z|) and
-    (B, |x_checks|), and the collapsed rows.  Round two runs per group of
-    rows sharing a first-round sector, with every moved row masked to it.
+    (B, |x_checks|), and the collapsed rows.  Each check is one collapse over
+    the whole block.  In round two every row gathers the conjugated checks
+    and the mask of its own first-round sector, and a row with weight outside
+    that mask raises ``NondeterministicMeasurementError``.
     """
     if states.shape[1] != 2 ** setup.n:
         raise ValueError("state dimension does not match operator")
     s_z = np.zeros((len(states), len(setup.r_z)), dtype=np.int64)
     for c, op in enumerate(setup.r_z):
-        s_z[:, c], states = _collapse(states, _act(actions[op], states), rngs, tol)
+        # A diagonal check acts by its phases alone.
+        s_z[:, c], states = _collapse(states, states * actions[op][0], rngs, tol)
+    codes = s_z @ (1 << np.arange(s_z.shape[1]))
+    _, first, row_sector = np.unique(codes, return_index=True, return_inverse=True)
+    tables = [sectors[tuple(s_z[row].tolist())] for row in first]
+    masks = np.array([mask for mask, _ in tables])[row_sector]
+    coefs = np.array([coef for _, coef in tables])
+    drift = np.sqrt(_sqnorms(np.where(masks, 0, states)))
+    if np.any(drift > tol * np.maximum(np.sqrt(_sqnorms(states)), 1e-30)):
+        raise NondeterministicMeasurementError("state is not supported on its sector")
     s_x = np.zeros((len(states), len(setup.x_checks)), dtype=np.int64)
-    out = np.empty_like(states)
-    for key, rows in _groups(s_z).items():
-        e_sz = setup.z_representative(key)
-        mask = setup.sector_mask(key)
-        block = states[rows]
-        drift = np.sqrt(_sqnorms(block[:, ~mask]))
-        if np.any(drift > tol * np.maximum(np.sqrt(_sqnorms(block)), 1e-30)):
-            raise NondeterministicMeasurementError("state is not supported on its sector")
-        block_rngs = [rngs[r] for r in rows]
-        for c, op in enumerate(setup.x_checks):
-            moved = _act(actions[conjugate(e_sz, op)], block) * mask
-            s_x[rows, c], block = _collapse(block, moved, block_rngs, tol)
-        out[rows] = block
-    return s_z, s_x, out
+    for c, targets in enumerate(sectors.targets):
+        moved = states[:, targets]
+        moved *= coefs[row_sector, c]
+        s_x[:, c], states = _collapse(states, moved, rngs, tol)
+    return s_z, s_x, states
 
 
 def measure_syndrome(state: np.ndarray, code: XpGroup, rng=None,
@@ -330,7 +362,8 @@ def measure_syndrome(state: np.ndarray, code: XpGroup, rng=None,
     """
     setup = decoder_setup(canonical_form(code))
     block = np.asarray(state, dtype=complex)[None, :]
-    s_z, s_x, out = _measure_block(setup, block, [rng], tol, _Actions())
+    s_z, s_x, out = _measure_block(setup, block, [rng], tol, _Actions(),
+                                   _Sectors(setup))
     return Syndrome(tuple(s_z[0].tolist()), tuple(s_x[0].tolist())), out[0]
 
 
@@ -407,23 +440,103 @@ def _twirl_noise(states: np.ndarray, picks: np.ndarray, setup: DecoderSetup,
 def _kraus_noise(states: np.ndarray, draws: np.ndarray, kraus: np.ndarray) -> np.ndarray:
     """Branch every row on each qubit in turn and keep one Kraus branch.
 
-    All branches of one qubit come from one contraction over the block; the
-    branch is picked from its weights with one uniform draw per row and
-    qubit, ``draws`` (B, n), by the rule of ``Generator.choice``.
+    On qubit q the weight of branch m is Tr[K_m^dag K_m rho_q], read from each
+    row's 2x2 reduced density matrix rho_q with the Gram matrices made once,
+    and clipped at 0.  One uniform draw per row and qubit, ``draws`` (B, n),
+    picks a branch by the rule of ``Generator.choice``, and only the picked
+    operator is applied.  Weights are normalized per row, so the rows are
+    renormalized once, at the end.  The pass runs on the transposed block,
+    so every per-row factor multiplies a contiguous axis.
     """
-    rows = np.arange(len(states))
-    m = len(kraus)
-    stacked = kraus.reshape(2 * m, 2)
+    count, dim = states.shape
+    gram = np.einsum("mai,maj->mij", kraus.conj(), kraus)
+    # (rho_00, rho_11, Re rho_10, Im rho_10) -> Tr[gram_m rho] for every m.
+    to_weights = np.array([gram[:, 0, 0].real, gram[:, 1, 1].real,
+                           2 * gram[:, 0, 1].real, -2 * gram[:, 0, 1].imag])
+    rho = np.empty((count, 4))
+    block = np.ascontiguousarray(states.T)
     for q in range(draws.shape[1]):
-        t = states.reshape(len(states), 2 ** q, 2, -1)
-        branches = stacked @ t.transpose(2, 0, 1, 3).reshape(2, -1)
-        branches = branches.reshape(m, 2, *t.shape[:2], t.shape[3])
-        flat = branches.view(float)
-        weights = np.einsum("mabcd,mabcd->bm", flat, flat)
-        pick = _choice(weights / weights.sum(axis=1, keepdims=True), draws[:, q])
-        kept = branches[pick, :, rows].transpose(0, 2, 1, 3).reshape(states.shape)
-        states = kept / np.sqrt(weights[rows, pick])[:, None]
+        t = block.reshape(2 ** q, 2, -1, count)
+        low, high = t[:, 0], t[:, 1]
+        for c, half in enumerate((low, high)):
+            flat = half.view(float)
+            rho[:, c] = np.einsum("ijk,ijk->k", flat, flat).reshape(count, 2).sum(axis=1)
+        rho_10 = np.einsum("ijk,ijk->k", low.conj(), high)
+        rho[:, 2], rho[:, 3] = rho_10.real, rho_10.imag
+        weights = np.clip(rho @ to_weights, 0.0, None)
+        op = kraus[_choice(weights / weights.sum(axis=1, keepdims=True), draws[:, q])]
+        kept = np.empty_like(t)
+        np.multiply(low, op[:, 0, 0], out=kept[:, 0])
+        kept[:, 0] += high * op[:, 0, 1]
+        np.multiply(low, op[:, 1, 0], out=kept[:, 1])
+        kept[:, 1] += high * op[:, 1, 1]
+        block = kept.reshape(dim, count)
+    states = np.ascontiguousarray(block.T)
+    states *= (1.0 / np.sqrt(_sqnorms(states)))[:, None]
     return states
+
+
+class _SeedWords:
+    """A seed sequence that hands ``PCG64`` its four precomputed state words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only four 64-bit words were precomputed")
+        return self.words
+
+
+def _shot_generators(seed: int, start: int, stop: int) -> list[np.random.Generator]:
+    """``default_rng([seed, shot])`` for every shot in [start, stop).
+
+    Runs ``SeedSequence``'s hash (entropy words, then a pool of four words,
+    then PCG64's four state words) on all shots at once; only the generator
+    objects are made one by one.  ``seed`` is split into 32-bit words, least
+    significant first, and each shot below 2^32 is one word.
+    """
+    # Imported here, like numpy's own lazy ``numpy.random``, so that commands
+    # that run no shots do not load it.
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    if stop > 1 << 32:
+        return [np.random.default_rng([seed, shot]) for shot in range(start, stop)]
+    # The hex constants are SeedSequence's: INIT_A, MULT_A, MIX_MULT_L,
+    # MIX_MULT_R, INIT_B and MULT_B.  Arithmetic is uint32 and wraps.
+    shots = np.arange(start, stop, dtype=np.uint32)
+    entropy = [np.full_like(shots, (seed >> s) & 0xFFFFFFFF)
+               for s in range(0, max(seed.bit_length(), 1), 32)] + [shots]
+    const = 0x43B0D7E5
+
+    def scramble(value: np.ndarray, mult: int) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return value ^ (value >> np.uint32(16))
+
+    pool = [scramble(entropy[i] if i < len(entropy) else np.zeros_like(shots), 0x931E8875)
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], scramble(pool[src], 0x931E8875))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], scramble(word, 0x931E8875))
+    const = 0x8B51F9DD
+    state = np.stack([scramble(pool[i % 4], 0x58F38DED) for i in range(8)], axis=1)
+    state = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in state]
 
 
 def _choice(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -446,7 +559,8 @@ def monte_carlo(code: XpGroup, channel: Channel, shots: int, seed: int,
     shot), so results do not depend on execution order: each generator
     gives ``normal(2K)`` for the amplitudes, ``random(n)`` for the noise
     picks, then one ``random()`` per undecided measurement in check order.
-    Shots run ``MC_BLOCK`` at a time as (B, 2^n) arrays.
+    Shots run max(1, ``MC_AMPLITUDES`` >> n) at a time as (B, 2^n) arrays;
+    the result does not depend on the block size.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
@@ -460,34 +574,36 @@ def monte_carlo(code: XpGroup, channel: Channel, shots: int, seed: int,
     twirl_probs = np.clip(np.real(np.diag(coeffs)), 0.0, None)
     twirl_probs = twirl_probs / twirl_probs.sum()
     kraus = np.array([np.asarray(k, dtype=complex) for k in channel.kraus])
-    basis = [v / np.linalg.norm(v) for v in setup.codeword_states]
-    actions = _Actions()
+    basis = np.array([v / np.linalg.norm(v) for v in setup.codeword_states])
+    actions, sectors = _Actions(), _Sectors(setup)
     corrections: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
     per_syndrome: dict[tuple[int, ...], list[int]] = {}
     failures = 0
     n, r = setup.n, len(setup.r_z)
-    for start in range(0, shots, MC_BLOCK):
-        rngs = [np.random.default_rng([seed, shot])
-                for shot in range(start, min(start + MC_BLOCK, shots))]
+    block = max(1, MC_AMPLITUDES >> n)
+    for start in range(0, shots, block):
+        rngs = _shot_generators(seed, start, min(start + block, shots))
         raw = np.array([rng.normal(size=2 * len(basis)) for rng in rngs])
         draws = np.array([rng.random(n) for rng in rngs])
         amps = raw[:, ::2] + 1j * raw[:, 1::2]
         amps = amps / np.linalg.norm(amps, axis=1, keepdims=True)
-        reference = sum(amps[:, j, None] * v for j, v in enumerate(basis))
-
+        prepared = sum(amps[:, j, None] * v for j, v in enumerate(basis))
         if mode == "twirl":
-            states = _twirl_noise(reference, _choice(twirl_probs, draws), setup, actions)
+            states = _twirl_noise(prepared, _choice(twirl_probs, draws), setup, actions)
         else:
-            states = _kraus_noise(reference, draws, kraus)
+            states = _kraus_noise(prepared, draws, kraus)
+        # The decodes below run with only the noisy block alive; the overlap
+        # with the prepared state is read through the codeword basis.
+        del prepared
 
-        s_z, s_x, states = _measure_block(setup, states, rngs, 1e-7, actions)
+        s_z, s_x, states = _measure_block(setup, states, rngs, 1e-7, actions, sectors)
         groups = _groups(np.concatenate([s_z, s_x], axis=1))
         for key, rows in groups.items():
             if key not in corrections:
                 syndrome = Syndrome(key[:r], key[r:])
                 corrections[key] = actions[ml_decode(syndrome, coeffs, code).correction]
             states[rows] = _act(corrections[key], states[rows])
-        overlap = np.einsum("ij,ij->i", reference.conj(), states)
+        overlap = np.einsum("ij,ij->i", amps.conj(), states @ basis.conj().T)
         ok = np.abs(overlap) ** 2 / _sqnorms(states) >= 1.0 - 1e-9
         for key, rows in groups.items():
             failed = int(np.count_nonzero(~ok[rows]))

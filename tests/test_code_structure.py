@@ -100,6 +100,13 @@ def test_support_tables_stay_exact_at_the_precision_cap():
     assert codewords(g).entries == (((3, 0),),)
 
 
+@pytest.mark.parametrize("precision", [0, 1, 2 * MAX_PRECISION, 2 ** 62])
+def test_a_group_checks_its_precision_without_rows(precision):
+    with pytest.raises(PrecisionError):
+        XpGroup(precision, 1, ())
+    assert XpGroup(MAX_PRECISION, 1, ()).generators == ()
+
+
 def test_canonical_removes_duplicates():
     g = lookup("422").group
     doubled = XpGroup.from_generators(g.generators + g.generators)

@@ -3,7 +3,8 @@
 The per-shot loop that ``decoder.monte_carlo`` replaced is kept here as the
 reference, together with the per-state syndrome measurement it called.  Both
 draw from ``default_rng([seed, shot])`` in the same order, so the rate, the
-failure count and the per-syndrome tallies must agree exactly.
+failure count and the per-syndrome tallies must agree exactly, and so must
+runs of the block loop with different block sizes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from xplego import decoder
 from xplego.cli import _parse_channel
 from xplego.code_structure import canonical_form
 from xplego.decoder import (
-    MC_BLOCK,
     NondeterministicMeasurementError,
     Syndrome,
     amplitude_damping,
@@ -205,12 +205,35 @@ def test_block_loop_matches_per_shot_loop(name, mode, tmp_path, decode_calls):
     assert sum(v["ok"] + v["fail"] for v in got.per_syndrome.values()) == 37
 
 
-@pytest.mark.parametrize("shots", [1, MC_BLOCK + 1])
+def block_shots(monkeypatch, shots):
+    """Make every Monte Carlo block on ``CODE`` hold ``shots`` shots."""
+    monkeypatch.setattr(decoder, "MC_AMPLITUDES", shots << CODE.n)
+
+
+@pytest.mark.parametrize("shots", [1, 17])
 @pytest.mark.parametrize("name,mode", [("damping-0.3", "exact"),
                                        ("depolarizing-0.1", "twirl")])
 def test_block_loop_matches_per_shot_loop_on_partial_blocks(name, mode, shots, tmp_path,
-                                                            decode_calls):
+                                                            decode_calls, monkeypatch):
+    # Blocks of 16 shots: 17 shots end on a one-shot block.
+    block_shots(monkeypatch, 16)
     check_against_reference(CHANNELS[name](tmp_path), shots, 3, mode, decode_calls)
+
+
+@pytest.mark.parametrize("name,mode", [("damping-0.3", "exact"),
+                                       ("kraus-file", "exact"),
+                                       ("depolarizing-0.1", "twirl")])
+def test_results_do_not_depend_on_the_block_size(name, mode, tmp_path, decode_calls,
+                                                 monkeypatch):
+    channel = CHANNELS[name](tmp_path)
+    shots = 2 * (decoder.MC_AMPLITUDES >> CODE.n) + 5
+    default = monte_carlo(CODE, channel, shots=shots, seed=13, mode=mode)
+    want = (default.rate, default.failures, default.per_syndrome)
+    assert sum(v["ok"] + v["fail"] for v in default.per_syndrome.values()) == shots
+    for size in (1, 3):
+        block_shots(monkeypatch, size)
+        got = monte_carlo(CODE, channel, shots=shots, seed=13, mode=mode)
+        assert (got.rate, got.failures, got.per_syndrome) == want
 
 
 def test_damping_draws_for_undecided_measurements():
@@ -225,3 +248,76 @@ def test_damping_draws_for_undecided_measurements():
     syn, _ = decoder.measure_syndrome(damped, CODE, rng=rng)
     ref, _ = reference_measure_syndrome(damped, CODE, rng=np.random.default_rng(0))
     assert syn == ref
+
+
+@pytest.mark.parametrize("draw", [0.0, np.nextafter(1.0, 0.0)])
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_a_zero_weight_kraus_branch_is_never_picked(order, draw):
+    # Qubit 0 of every row is exactly |0>, where the damping branch K1 has
+    # weight 0, whether it comes first or last and whatever the draw.
+    kraus = np.array(amplitude_damping(0.3).kraus)[list(order)]
+    zero = np.array([1, 0, 0, 0], dtype=complex)
+    plus = np.array([1, 1, 0, 0], dtype=complex) / np.sqrt(2)
+    states = np.array([zero, plus, zero])
+    draws = np.full((3, 1), draw)
+    with np.errstate(all="raise"):
+        out = decoder._kraus_noise(states, draws, kraus)
+    assert np.all(np.isfinite(out))
+    # K0 leaves every row alone.
+    np.testing.assert_allclose(out, states, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 5, 2 ** 100 + 17])
+@pytest.mark.parametrize("start,stop", [(0, 40), (2 ** 32 - 3, 2 ** 32 + 2), (9, 9)])
+def test_block_generators_are_the_per_shot_generators(seed, start, stop):
+    gens = decoder._shot_generators(seed, start, stop)
+    assert len(gens) == stop - start
+    for shot, gen in zip(range(start, stop), gens):
+        want = np.random.default_rng([seed, shot])
+        assert gen.bit_generator.state == want.bit_generator.state
+        assert gen.random() == want.random()
+
+
+def test_block_generators_reject_a_negative_seed():
+    with pytest.raises(ValueError):
+        decoder._shot_generators(-1, 0, 3)
+
+
+def test_kraus_noise_weighs_and_applies_branches_like_the_branch_norms():
+    # A random three-branch channel has complex Gram off-diagonals, so every
+    # entry of each row's reduced density matrix enters the weights.
+    rng = np.random.default_rng(4)
+    isometry, _ = np.linalg.qr(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
+    kraus = isometry.reshape(3, 2, 2)
+    n, rows = 3, 25
+    states = rng.normal(size=(rows, 2 ** n)) + 1j * rng.normal(size=(rows, 2 ** n))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    draws = rng.random((rows, n))
+    got = decoder._kraus_noise(states, draws, kraus)
+    for row, state in enumerate(states):
+        for q in range(n):
+            branches = [np.moveaxis(np.tensordot(k, state.reshape((2,) * n), axes=([1], [q])),
+                                    0, q).reshape(-1) for k in kraus]
+            weights = np.array([np.vdot(b, b).real for b in branches])
+            pick = decoder._choice(weights / weights.sum(), np.array(draws[row, q]))
+            state = branches[pick] / np.linalg.norm(branches[pick])
+        np.testing.assert_allclose(got[row], state, atol=1e-12)
+
+
+def test_the_drift_check_reads_each_rows_own_sector():
+    setup = decoder_setup(CODE)
+    codeword = setup.codeword_states[0] / np.linalg.norm(setup.codeword_states[0])
+    flipped = codeword[np.arange(2 ** CODE.n) ^ (1 << (CODE.n - 1))]
+    block = np.array([codeword, flipped])
+
+    def measure(sectors):
+        return decoder._measure_block(setup, block.copy(), [None, None], 1e-7,
+                                      decoder._Actions(), sectors)
+
+    s_z, _, _ = measure(decoder._Sectors(setup))
+    assert s_z[0].tolist() != s_z[1].tolist()
+    sectors = decoder._Sectors(setup)
+    mask, coef = sectors[tuple(s_z[1].tolist())]
+    sectors[tuple(s_z[1].tolist())] = (~mask, coef)
+    with pytest.raises(NondeterministicMeasurementError, match="not supported on its sector"):
+        measure(sectors)

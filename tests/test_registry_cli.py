@@ -412,6 +412,7 @@ MALFORMED_MATRICES = {
     "boolean-phase": one_row_matrix(p=True),
     "float-n": one_row_matrix(n=1.0),
     "precision-over-cap": one_row_matrix(precision=2 ** 62),
+    "rowless-precision-over-cap": {"n": 1, "precision": 2 ** 62, "rows": []},
 }
 
 
