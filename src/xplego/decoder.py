@@ -16,7 +16,6 @@ harness samples i.i.d. single-qubit channels and scores logical success.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -42,9 +41,9 @@ from .xp_algebra import XpOperator, conjugate, inverse, multiply
 
 TOL = 1e-9
 # Amplitudes per Monte Carlo block: shots run max(1, MC_AMPLITUDES >> n) at a
-# time as (B, 2^n) arrays, so 128 shots at n = 7.  Each block costs a fixed
-# number of numpy passes; past this size the passes run at memory speed and
-# a larger block only adds peak memory.
+# time as (B, 2^n) arrays, so 128 shots at n = 7 and 4 at n = 12.  Each block
+# costs a fixed number of numpy passes, so its per-shot overhead falls as it
+# grows; BENCH_mc_shots.json records shots per second against the block size.
 MC_AMPLITUDES = 2 ** 14
 
 
@@ -299,8 +298,9 @@ class _Sectors(dict):
 
     Row c of the coefficients is the conjugated X check c, read as ``moved =
     states[:, targets_c] * coef[c]``: its phases at the targets, times the
-    sector mask.  Conjugating by the diagonal representative keeps a check's
-    X part, so every sector shares the check's targets.
+    sector mask.  Conjugation by any XP operator (here the sector's X-type
+    representative) keeps a check's X part, so every sector shares the
+    check's targets.
     """
 
     def __init__(self, setup: DecoderSetup):
@@ -476,69 +476,6 @@ def _kraus_noise(states: np.ndarray, draws: np.ndarray, kraus: np.ndarray) -> np
     return states
 
 
-class _SeedWords:
-    """A seed sequence that hands ``PCG64`` its four precomputed state words."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("only four 64-bit words were precomputed")
-        return self.words
-
-
-def _shot_generators(seed: int, start: int, stop: int) -> list[np.random.Generator]:
-    """``default_rng([seed, shot])`` for every shot in [start, stop).
-
-    Runs ``SeedSequence``'s hash (entropy words, then a pool of four words,
-    then PCG64's four state words) on all shots at once; only the generator
-    objects are made one by one.  ``seed`` is split into 32-bit words, least
-    significant first, and each shot below 2^32 is one word.
-    """
-    # Imported here, like numpy's own lazy ``numpy.random``, so that commands
-    # that run no shots do not load it.
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_SeedWords)
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    if stop > 1 << 32:
-        return [np.random.default_rng([seed, shot]) for shot in range(start, stop)]
-    # The hex constants are SeedSequence's: INIT_A, MULT_A, MIX_MULT_L,
-    # MIX_MULT_R, INIT_B and MULT_B.  Arithmetic is uint32 and wraps.
-    shots = np.arange(start, stop, dtype=np.uint32)
-    entropy = [np.full_like(shots, (seed >> s) & 0xFFFFFFFF)
-               for s in range(0, max(seed.bit_length(), 1), 32)] + [shots]
-    const = 0x43B0D7E5
-
-    def scramble(value: np.ndarray, mult: int) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & 0xFFFFFFFF
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        value = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-        return value ^ (value >> np.uint32(16))
-
-    pool = [scramble(entropy[i] if i < len(entropy) else np.zeros_like(shots), 0x931E8875)
-            for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], scramble(pool[src], 0x931E8875))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], scramble(word, 0x931E8875))
-    const = 0x8B51F9DD
-    state = np.stack([scramble(pool[i % 4], 0x58F38DED) for i in range(8)], axis=1)
-    state = state.astype("<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in state]
-
-
 def _choice(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``Generator.choice(m, p=probs[..., :])`` given its uniform draws ``u``:
     the count of normalized cumulative weights at or below the draw."""
@@ -582,7 +519,8 @@ def monte_carlo(code: XpGroup, channel: Channel, shots: int, seed: int,
     n, r = setup.n, len(setup.r_z)
     block = max(1, MC_AMPLITUDES >> n)
     for start in range(0, shots, block):
-        rngs = _shot_generators(seed, start, min(start + block, shots))
+        rngs = [np.random.default_rng([seed, shot])
+                for shot in range(start, min(start + block, shots))]
         raw = np.array([rng.normal(size=2 * len(basis)) for rng in rngs])
         draws = np.array([rng.random(n) for rng in rngs])
         amps = raw[:, ::2] + 1j * raw[:, 1::2]

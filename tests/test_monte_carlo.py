@@ -267,22 +267,6 @@ def test_a_zero_weight_kraus_branch_is_never_picked(order, draw):
     np.testing.assert_allclose(out, states, atol=1e-15)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 5, 2 ** 100 + 17])
-@pytest.mark.parametrize("start,stop", [(0, 40), (2 ** 32 - 3, 2 ** 32 + 2), (9, 9)])
-def test_block_generators_are_the_per_shot_generators(seed, start, stop):
-    gens = decoder._shot_generators(seed, start, stop)
-    assert len(gens) == stop - start
-    for shot, gen in zip(range(start, stop), gens):
-        want = np.random.default_rng([seed, shot])
-        assert gen.bit_generator.state == want.bit_generator.state
-        assert gen.random() == want.random()
-
-
-def test_block_generators_reject_a_negative_seed():
-    with pytest.raises(ValueError):
-        decoder._shot_generators(-1, 0, 3)
-
-
 def test_kraus_noise_weighs_and_applies_branches_like_the_branch_norms():
     # A random three-branch channel has complex Gram off-diagonals, so every
     # entry of each row's reduced density matrix enters the weights.
