@@ -130,10 +130,14 @@ def _row_inv(a: tuple, precision: int) -> tuple:
     return x, tuple((k - zi) % precision for zi, k in zip(z, w)), (-p - sum(w)) % (2 * precision)
 
 
+def _pivoted(rows) -> list[tuple[int, tuple[int, ...]]]:
+    """The rows of a Howell form as (pivot column, row) pairs."""
+    return [(next(c for c, v in enumerate(row) if v), row) for row in rows]
+
+
 def _howell_basis(vecs: list, modulus: int) -> list[tuple[int, tuple[int, ...]]]:
     """Howell form of the (v|p) rows, as (pivot column, row) pairs."""
-    rows = howell_form(ModMatrix.from_rows(vecs, modulus)).entries if vecs else ()
-    return [(next(c for c, v in enumerate(row) if v), row) for row in rows]
+    return _pivoted(howell_form(ModMatrix.from_rows(vecs, modulus)).entries if vecs else ())
 
 
 def _reduce(vec: list, basis: list, modulus: int) -> list:
@@ -393,18 +397,22 @@ class CodewordTable:
 
 
 def codewords(g: XpGroup) -> CodewordTable:
-    """Orbit expansion of each representative under the x-block generators."""
+    """Orbit expansion of each representative under the x-block generators.
+
+    The 2^|S_X| subset products of the x block, shared by every orbit, are
+    built as (x, z, p) integer rows with the group law of ``canonical_form``.
+    """
     g = canonical_form(g)
     od = orbit_decomposition(g)
-    # The 2^|S_X| subset products of the x block, shared by every orbit.
-    prods = [XpOperator.identity(g.n, g.precision)]
-    for s in g.x_block:
-        prods += [multiply(op, s) for op in prods]
-    masks = np.array([op.x_mask for op in prods], dtype=np.int64)
+    prods = [((0,) * g.n, (0,) * g.n, 0)]
+    for s in [(op.x, op.z, op.phase) for op in g.x_block]:
+        prods += [_row_mul(row, s, g.precision) for row in prods]
+    xs, zs, ps = zip(*prods)
+    masks = np.array(xs, dtype=np.int64) @ (1 << np.arange(g.n - 1, -1, -1, dtype=np.int64))
     if len(set(masks.tolist())) != masks.size:
         raise InvariantError("two x-block products move a string to the same place")
-    z = np.array([op.z for op in prods], dtype=np.int64)
-    p = np.array([op.phase for op in prods], dtype=np.int64)
+    z = np.array(zs, dtype=np.int64)
+    p = np.array(ps, dtype=np.int64)
     reps = np.array(od.e_m, dtype=np.int64)
     # Product k sends |m> to w^phases[k, m] |strings[k, m]>.
     strings = masks[:, None] ^ reps[None, :]
@@ -562,20 +570,46 @@ def _lid(phases: dict[int, int], dirs: Sequence[int], n: int, precision: int,
     carries each w^phases[e] |e> to w^phases[e ^ w] |e ^ w>; None when a
     direction has no completion.  One constraint matrix, factored once,
     serves every solve and the kernel.
+
+    The result is built in canonical form, with no ``canonical_form`` pass.
+    The kernel of the constraint matrix is the module of every diagonal
+    (2z|p) row fixing the support, which is the group's diagonal block, and
+    ``kernel_mod`` returns its Howell form.  ``dirs`` must be in reduced row
+    echelon order (pivots ascending, each pivot bit clear in the other
+    directions), so they are the canonical x parts; reducing each solved
+    completion against the kernel rows leaves the canonical (2z|p) part.
     """
     support = sorted(phases)
+    two_n = 2 * precision
     mat = _constraint_matrix(n, precision, support)
+    basis = _pivoted(kernel_mod(mat).entries)
     gens = []
     for w in dirs:
-        solved = _solve_constraints(mat, n, [phases[e ^ w] - phases[e] for e in support])
-        if solved is None:
+        sol = solve_linear_mod(mat, [phases[e ^ w] - phases[e] for e in support] + [0] * n)
+        if sol is None:
             return None
-        d, _ = solved
-        gens.append(XpOperator(precision, int_to_bits(w, n), d.z, d.phase))
+        vec = _reduce(list(sol[:n + 1]), basis, two_n)
+        gens.append(XpOperator(precision, int_to_bits(w, n), tuple(u // 2 for u in vec[:n]),
+                               vec[n]))
     # Kernel rows are (2z|p) vectors; howell_form has dropped the zero ones.
-    gens += [XpOperator(precision, (0,) * n, tuple(u // 2 for u in krow[:n]), krow[n])
-             for krow in kernel_mod(mat).entries]
-    return canonical_form(XpGroup(precision, n, tuple(gens)))
+    gens += [XpOperator(precision, (0,) * n, tuple(u // 2 for u in row[:n]), row[n])
+             for _, row in basis]
+    return XpGroup(precision, n, tuple(gens), canonical=True)
+
+
+def _completion(g: XpGroup) -> tuple[XpGroup, CodewordTable]:
+    """``complete_lid(g)`` and the codeword table of ``g`` it was built from.
+
+    The completion has the code space and the x span of ``g``, so that table
+    is also the completion's own: a caller that needs both reads it here
+    instead of building it again.
+    """
+    g = canonical_form(g)
+    table = codewords(g)
+    lid = _lid(table.phase_map(), [op.x_mask for op in g.x_block], g.n, g.precision)
+    if lid is None:
+        raise InvariantError("stabilizer row lost its own completion")
+    return lid, table
 
 
 def complete_lid(g: XpGroup) -> XpGroup:
@@ -584,13 +618,10 @@ def complete_lid(g: XpGroup) -> XpGroup:
     The diagonal block is recomputed as every diagonal operator fixing the
     Z-support, and each x-block direction is re-completed so that it fixes
     every codeword exactly.  The input generators witness solvability, so
-    the output always contains the input group.
+    the output always contains the input group.  The result is canonical
+    (see ``_lid``) and has the same ``codewords`` table as ``g``.
     """
-    g = canonical_form(g)
-    lid = _lid(codewords(g).phase_map(), [op.x_mask for op in g.x_block], g.n, g.precision)
-    if lid is None:
-        raise InvariantError("stabilizer row lost its own completion")
-    return lid
+    return _completion(g)[0]
 
 
 def lid_from_phase_table(pairs: Sequence[tuple[int, int]], n: int, precision: int,

@@ -36,10 +36,12 @@ from typing import Sequence
 import numpy as np
 
 from .code_structure import (
+    CodewordTable,
     EmptyCodeError,
     InvariantError,
     NonRegularError,
     XpGroup,
+    _completion,
     _leg_blocks,
     _restrict_group,
     canonical_form,
@@ -120,12 +122,13 @@ def lego_from_group(group: XpGroup, dense: np.ndarray | None = None,
 
 def state_lego(group: XpGroup) -> Lego:
     """Lego for a group that pins a single state; shadow built symbolically."""
+    group = canonical_form(group)
     dense = None
     if group.n <= DENSE_SHADOW_MAX_QUBITS:
         table = codewords(group)
         if len(table.entries) == 1:
             dense = state_from_pairs(table.entries[0], group.n, group.precision)
-    return lego_from_group(canonical_form(group), dense)
+    return lego_from_group(group, dense)
 
 
 def tensor_product(a: Lego, b: Lego) -> Lego:
@@ -149,8 +152,9 @@ def tensor_product(a: Lego, b: Lego) -> Lego:
     return Lego(group, a.designation + b.designation, dense, warnings, complete)
 
 
-def _traced_table_if_collisions(g: XpGroup):
-    """Traced phase table of a one-codeword group whose strings collide.
+def _traced_table_if_collisions(table: CodewordTable):
+    """Traced phase table of a one-codeword table whose strings collide on
+    the first two legs.
 
     Returns None when matching needs no help (multiple codewords, or no two
     support strings differ exactly on the traced legs).  Otherwise returns
@@ -158,11 +162,11 @@ def _traced_table_if_collisions(g: XpGroup):
     combined phase table when the traced amplitudes stay uniform, or
     ("mixed", None) when they cannot belong to an XP state.
     """
-    table = codewords(g)
     if len(table.entries) != 1:
         return None
-    two_n = 2 * g.precision
-    mask_rest = (1 << (g.n - 2)) - 1
+    precision = table.precision
+    two_n = 2 * precision
+    mask_rest = (1 << (table.n - 2)) - 1
     buckets: dict[int, list[int]] = {}
     for e, ph in table.entries[0]:
         buckets.setdefault(e & mask_rest, []).append(ph)
@@ -177,7 +181,7 @@ def _traced_table_if_collisions(g: XpGroup):
         else:
             a, b = phs
             d = (b - a) % two_n
-            if d == g.precision:
+            if d == precision:
                 continue  # the pair cancels
             dcls = min(d, two_n - d)
             classes.add(("pair", dcls))
@@ -209,7 +213,9 @@ def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup
     a phase times identity.  ``rebuild`` is False when the
     group is one factor of a code whose other factors hold several
     codewords: the whole code then has several, so the one-codeword
-    collision rebuild does not apply.
+    collision rebuild does not apply.  The restricted group and its
+    completion share one codeword table, so the completion's table is the
+    one the collision check reads.
     """
     precision = group.precision
     g = canonical_form(group)
@@ -236,7 +242,7 @@ def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup
     phase = 0 if mode == "plain" else -2
     rows = rows + [XpOperator(precision, (0,) * g.n, tuple(restrict_z), phase)]
     try:
-        g = complete_lid(XpGroup(precision, g.n, tuple(rows)))
+        g, table = _completion(XpGroup(precision, g.n, tuple(rows)))
     except EmptyCodeError:
         return None
 
@@ -245,7 +251,7 @@ def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup
     # amplitudes then add and can cancel, which is invisible to operator
     # matching; in that situation a one-codeword result is rebuilt exactly
     # from its combined phase table.
-    collided = _traced_table_if_collisions(g) if rebuild else None
+    collided = _traced_table_if_collisions(table) if rebuild else None
     if collided is not None:
         status, pairs = collided
         if status == "empty":
@@ -565,6 +571,8 @@ def _check_network(doc) -> dict[str, list]:
         _insertion_mode(bond[4] if len(bond) == 5 else None)
     if not all(is_int(v) for v in lists["designate"] + lists["order"]):
         raise LegError("designate and order must list integer leg indices")
+    if len(set(lists["designate"])) != len(lists["designate"]):
+        raise LegError(f"designate {lists['designate']} lists a leg more than once")
     return lists
 
 

@@ -17,6 +17,7 @@ and the per-block counting certificate against the whole-group one.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -452,6 +453,37 @@ def xp_codes(draw, max_n=5, precisions=(2, 4, 8)):
             return code
         except EmptyCodeError:
             gens.pop()
+
+
+# Codes from both generators: twisted stabilizer codes and random XP codes.
+LID_CODES = st.one_of(stabilizing_groups(), xp_codes(precisions=PRECISIONS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(LID_CODES)
+def test_logical_identity_groups_are_built_in_canonical_form(g):
+    # complete_lid, lid_from_phase_table and diagonal_span_kernel skip the
+    # canonical_form pass, so each result must already be its own form.
+    def recanonicalized(group):
+        return canonical_form(replace(group, canonical=False)).generators
+
+    lid = complete_lid(g)
+    assert lid.canonical and recanonicalized(lid) == lid.generators
+    for cw in codewords(g).entries:
+        state = lid_from_phase_table(cw, g.n, g.precision)
+        assert state is not None and state.canonical
+        assert recanonicalized(state) == state.generators
+    kernel = XpGroup(g.precision, g.n, tuple(
+        diagonal_span_kernel(g.n, g.precision, z_support(g))))
+    assert canonical_form(kernel).generators == kernel.generators
+
+
+@settings(max_examples=300, deadline=None)
+@given(LID_CODES)
+def test_a_completion_has_the_codeword_table_of_its_group(g):
+    # A trace reads the codeword table of the group it completes as the
+    # table of the completion.
+    assert codewords(complete_lid(g)).entries == codewords(g).entries
 
 
 # Reduced coordinates differ from x^N = -1 exactly at N = 3, 5 and 6.

@@ -376,6 +376,7 @@ MALFORMED_NETWORKS = {
         "rows": [{"x": [1, 1], "z": [0, 0], "p": 0}]}}]},
     "designate-strings": {"legos": [{"name": "722"}], "designate": ["a"]},
     "designate-out-of-range": {"legos": [{"name": "722"}], "designate": [7]},
+    "designate-repeated-leg": {"legos": [{"name": "steane-xp"}], "designate": [0, 0]},
     "order-objects": {"legos": [{"name": "722"}], "bonds": [[0, 0, 0, 1]],
                       "order": [{}, 1, 2, 3, 4]},
 }
