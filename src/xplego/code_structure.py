@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .ring_linalg import ModMatrix, howell_form, kernel_mod, solve_linear_mod
-from .xp_algebra import MAX_PRECISION, PrecisionError, XpOperator, embed, multiply, restrict
+from .xp_algebra import MAX_PRECISION, PrecisionError, XpOperator, embed, restrict
 
 
 class EmptyCodeError(ValueError):

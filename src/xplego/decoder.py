@@ -36,7 +36,7 @@ from .dense_oracle import (
     projector,
     state_from_pairs,
 )
-from .enumerator import PAULI_LIST, CosetTrace, xp_factors
+from .enumerator import PAULI_LIST, CosetTrace
 from .xp_algebra import XpOperator, conjugate, inverse, multiply
 
 TOL = 1e-9
@@ -401,7 +401,7 @@ def ml_decode(syndrome: Syndrome, coeffs: np.ndarray, code: XpGroup) -> DecodeRe
     scored = []
     for idx, (name, logical) in enumerate(setup.classes):
         e_tilde = multiply(base, logical)
-        a_scalar, b_scalar = coset_trace(xp_factors(e_tilde))
+        a_scalar, b_scalar = coset_trace(e_tilde)
         weight = (b_scalar.real + a_scalar.real) / (kdim * (kdim + 1))
         probabilities[name] = weight
         scored.append((-weight, _op_weight(logical), idx, name, logical, e_tilde))

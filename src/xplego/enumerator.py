@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb, lcm
-from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .code_structure import (
     codewords,
 )
 from .dense_oracle import omega_table
+from .xp_algebra import XpOperator
 
 # A per-shift table counts as 2^n x 2N entries, which n = 20 at N = 8
 # reaches; reduced modulo Phi_2N it holds at most 2^n x N int64 entries,
@@ -43,6 +43,10 @@ SHIFT_TABLE_MAX_ENTRIES = 1 << 24
 BATCH_ENTRIES = 1 << 18
 # The dense oracle holds 4^n complex numbers.
 DENSE_ENUMERATOR_MAX_QUBITS = 11
+# CosetTrace's block products equal one dense product bit for bit when they
+# run through the same BLAS kernel.  2 x 2 blocks do not (bell, ghz and 422
+# change); 4 x 4 blocks matched in the tests, and 8 leaves a margin.
+MIN_COSET_SIZE = 8
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -485,22 +489,6 @@ def biased_distance(code: XpGroup, axis: str) -> int:
     return int(weights.min()) if weights.size else code.n + 1
 
 
-def xp_factors(op) -> list[np.ndarray]:
-    """Single-qubit matrix factors of an XP operator, global phase on the first."""
-    table = omega_table(op.precision)
-    factors = []
-    for q in range(op.n):
-        mat = np.diag([1.0 + 0j, table[(2 * op.z[q]) % (2 * op.precision)]])
-        if op.x[q]:
-            mat = PAULI["X"] @ mat
-        factors.append(mat)
-    if factors:
-        factors[0] = factors[0] * table[op.phase]
-    else:
-        factors = [np.eye(1, dtype=complex) * table[op.phase]]
-    return factors
-
-
 def channel_kernel_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Single-qubit superoperator kernel from the Pauli pairing table.
 
@@ -528,14 +516,53 @@ def apply_channel(mat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return t.reshape(mat.shape)
 
 
+def _coset_blocks(projector: np.ndarray) -> np.ndarray:
+    """Basis strings grouped into cosets that the projector does not couple.
+
+    Pi[i, j] != 0 only when i ^ j lies in D, the GF(2) span of those
+    differences, so Pi is zero between two cosets of D.  D is padded with
+    unit strings to at least min(2^n, ``MIN_COSET_SIZE``) strings.  Row c
+    holds coset c in increasing order; cosets are ordered by least string.
+    """
+    size = projector.shape[0]
+    rows, cols = np.nonzero(projector)
+    coupled = np.zeros(size, dtype=bool)
+    coupled[rows ^ cols] = True
+    basis = _span_basis(np.flatnonzero(coupled))
+    unit = 1
+    while 1 << len(basis) < min(size, MIN_COSET_SIZE):
+        basis = _xor_basis(basis + [unit])
+        unit <<= 1
+    order = np.argsort(_coset_min(np.arange(size), basis), kind="stable")
+    return order.reshape(-1, 1 << len(basis))
+
+
+def _row_values(op: XpOperator) -> np.ndarray:
+    """The nonzero entry of each row i of the dense XP operator, at column i ^ x.
+
+    Qubit q contributes 1 or w^(2 z_q) (X swaps the two rows), the global
+    phase multiplies qubit 0's pair, and the pairs fold left as
+    ``np.kron`` folds the single-qubit matrices: the same products, in the
+    same order and through the same broadcast multiply.
+    """
+    table = omega_table(op.precision)
+    values = None
+    for q in range(op.n):
+        pair = np.array([1.0 + 0j, table[(2 * op.z[q]) % (2 * op.precision)]])
+        if op.x[q]:
+            pair = pair[::-1]
+        if q == 0:
+            pair = pair * table[op.phase]
+        values = pair if values is None else (values[:, None] * pair).reshape(-1)
+    return values
+
+
 class CosetTrace:
     """The coset trace scalars of one code projector under one channel.
 
     ``coeffs`` is the 4x4 Pauli pairing table of the single-qubit channel.
-    The projector check and the channel-applied projector, one 4^n complex
-    array, depend only on the pair, so they are made once here; calling
-    the context with the single-qubit factors of a residual error times
-    logical representative returns (a_scalar, b_scalar) with
+    Calling the context with the XP operator Etilde (a residual error times
+    a logical representative) returns (a_scalar, b_scalar) with
 
         a = sum_i Tr[K_i Pi Etilde^dag] Tr[K_i^dag Etilde Pi]
         b = sum_i Tr[K_i Pi K_i^dag Pi_s],   Pi_s = Etilde Pi Etilde^dag
@@ -544,34 +571,69 @@ class CosetTrace:
     operators.  The a side contracts two Pauli transform vectors through
     coeffs one qubit at a time; the b side reads the channel-applied
     projector.
+
+    Pi is block diagonal on the cosets of ``_coset_blocks``, and Etilde
+    maps coset c onto coset c ^ x, so the three products with Etilde run as
+    batched block products and Etilde is never rendered densely.  Made once
+    here: the projector check, Pi's diagonal blocks and the rows of the
+    channel-applied projector in coset order (4^n complex entries).  Every
+    float equals the dense computation's bit for bit: each block product
+    entry is one nonzero term through the same BLAS kernel (blocks hold at
+    least ``MIN_COSET_SIZE`` strings for that reason), and each diagonal
+    entry of the b side sums over all 2^n columns in index order.
     """
 
     def __init__(self, coeffs: np.ndarray, projector: np.ndarray):
         self.n = _check_projector(projector)
         self.coeffs = np.asarray(coeffs, dtype=complex)
-        self.projector = projector
-        self.channel_projector = apply_channel(projector, self.coeffs)
+        members = self._members = _coset_blocks(projector)
+        count, width = members.shape
+        self._coset = np.empty(1 << self.n, dtype=np.intp)
+        self._coset[members] = np.arange(count)[:, None]
+        self._position = np.empty(1 << self.n, dtype=np.intp)
+        self._position[members] = np.arange(width)
+        self._blocks = projector[members[:, :, None], members[:, None, :]]
+        self._channel_rows = apply_channel(projector, self.coeffs)[members]
 
-    def __call__(self, e_tilde_factors: Sequence[np.ndarray]) -> tuple[complex, complex]:
-        n = self.n
-        if len(e_tilde_factors) != n:
-            raise ValueError("factor list length must equal the qubit count")
-        e_tilde = reduce(np.kron, [np.asarray(f, dtype=complex) for f in e_tilde_factors])
-        e_dag = e_tilde.conj().T
+    def __call__(self, e_tilde: XpOperator) -> tuple[complex, complex]:
+        n, size = self.n, 1 << self.n
+        if e_tilde.n != n:
+            raise ValueError("the operator's qubit count must equal the projector's")
+        members = self._members
+        count, width = members.shape
+        batch = np.arange(count)[:, None]
+        # Block c maps coset source[c] onto coset c: row t holds the value
+        # of string members[c, t] in the column of members[c, t] ^ x.
+        shifted = members ^ e_tilde.x_mask
+        source = self._coset[shifted[:, 0]]
+        e_blocks = np.zeros((count, width, width), dtype=complex)
+        e_blocks[batch, np.arange(width), self._position[shifted]] = _row_values(e_tilde)[members]
+        e_dag = e_blocks.conj().transpose(0, 2, 1)
+        pi_blocks = self._blocks[source]
+        e_pi = np.matmul(e_blocks, pi_blocks)
+        pi_s = np.matmul(e_pi, e_dag)
 
-        e_pi = e_tilde @ self.projector
-        t1 = pauli_transform(self.projector @ e_dag)
-        t2 = pauli_transform(e_pi)
-        for i in range(n):
-            t2 = np.moveaxis(np.tensordot(t2, self.coeffs, axes=([i], [1])), -1, i)
+        sources = members[source]
+        dense = np.zeros((size, size), dtype=complex)
+        dense[sources[:, :, None], members[:, None, :]] = np.matmul(pi_blocks, e_dag)
+        t1 = pauli_transform(dense)
+        dense = np.zeros((size, size), dtype=complex)
+        dense[members[:, :, None], sources[:, None, :]] = e_pi
+        t2 = pauli_transform(dense)
+        for _ in range(n):
+            t2 = np.tensordot(t2, self.coeffs, axes=([0], [1]))
         a_scalar = complex(np.tensordot(t1, t2, axes=n))
 
-        pi_s = e_pi @ e_dag
-        b_scalar = complex(np.trace(self.channel_projector @ pi_s))
+        # The columns of coset c of Pi_s, zero outside the rows of coset c.
+        slabs = np.zeros((count, size, width), dtype=complex)
+        slabs[batch, members] = pi_s
+        diagonal = np.zeros(size, dtype=complex)
+        diagonal[members] = np.matmul(self._channel_rows, slabs).diagonal(axis1=1, axis2=2)
+        b_scalar = complex(diagonal.sum())
         return a_scalar, b_scalar
 
 
 def coset_scalars(coeffs: np.ndarray, projector: np.ndarray,
-                  e_tilde_factors: Sequence[np.ndarray]) -> tuple[complex, complex]:
+                  e_tilde: XpOperator) -> tuple[complex, complex]:
     """The two trace scalars of ``CosetTrace`` for a single residual error."""
-    return CosetTrace(coeffs, projector)(e_tilde_factors)
+    return CosetTrace(coeffs, projector)(e_tilde)

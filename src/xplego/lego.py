@@ -46,7 +46,6 @@ from .code_structure import (
     _restrict_group,
     canonical_form,
     codewords,
-    complete_lid,
     lid_from_phase_table,
     logical_basis,
     merge_canonical_blocks,
@@ -343,10 +342,10 @@ def _trace_blocks(group: XpGroup, j: int, k: int, mode: str,
         count = complete.get(tuple(legs))
         if count is None:
             try:
-                block = complete_lid(block)
+                block, table = _completion(block)
             except EmptyCodeError:
                 return empty, {}
-            count = len(codewords(block).entries)
+            count = len(table.entries)
         moved = [position[i] for i in legs]
         parts.append((block, moved))
         done[tuple(moved)] = count

@@ -27,7 +27,13 @@ from xplego.decoder import (
     pauli_process_coeffs,
     representative_errors,
 )
-from xplego.dense_oracle import lu_conjugate, phase_unitary, projector, render_operator
+from xplego.dense_oracle import (
+    lu_conjugate,
+    omega_table,
+    phase_unitary,
+    projector,
+    render_operator,
+)
 from xplego.enumerator import (
     PAULI_LIST,
     CosetTrace,
@@ -42,7 +48,6 @@ from xplego.enumerator import (
     macwilliams_transform,
     pauli_transform,
     pauli_weights,
-    xp_factors,
 )
 from xplego.lego import lego_from_group, tensor_product
 from xplego.registry import group_from_rows, lookup, registry
@@ -285,8 +290,7 @@ def test_enumerate_biased_makes_one_trace_pass(monkeypatch, capsys):
 def test_coset_scalars_trivial_channel():
     pi = code_projector("422")
     identity_channel = pauli_process_coeffs(depolarizing(0.0))
-    factors = [np.eye(2, dtype=complex)] * 4
-    a, b = coset_scalars(identity_channel, pi, factors)
+    a, b = coset_scalars(identity_channel, pi, XpOperator.identity(4, 2))
     assert abs(a - 16.0) < 1e-9  # Tr[Pi]^2
     assert abs(b - 4.0) < 1e-9   # Tr[Pi^2]
 
@@ -307,7 +311,7 @@ def test_coset_scalars_match_direct_kraus_sum():
             kc = reduce(np.kron, [kraus[c] for c in combo])
             a_direct += np.trace(kc @ pi @ e.conj().T) * np.trace(kc.conj().T @ e @ pi)
             b_direct += np.trace(kc @ pi @ kc.conj().T @ pi_s)
-        a, b = coset_scalars(coeffs, pi, xp_factors(op))
+        a, b = coset_scalars(coeffs, pi, op)
         assert abs(a - a_direct) < 1e-9
         assert abs(b - b_direct) < 1e-9
 
@@ -338,9 +342,23 @@ def test_pauli_transform_agrees_with_traces():
         assert weights[i] == sum(1 for c in combo if c)
 
 
-# Reference implementations: the tensordot Pauli transform and the one-call
-# coset scalars that the butterfly transform and CosetTrace replace.  The
-# production results must equal them bit for bit (the sign of a zero aside).
+# Reference implementations: the tensordot Pauli transform and the dense
+# one-call coset scalars that the butterfly transform and CosetTrace replace.
+# The production results must equal them bit for bit (the sign of a zero
+# aside).
+
+def xp_factors(op) -> list[np.ndarray]:
+    """Single-qubit matrix factors of an XP operator, global phase on the first."""
+    table = omega_table(op.precision)
+    factors = []
+    for q in range(op.n):
+        mat = np.diag([1.0 + 0j, table[(2 * op.z[q]) % (2 * op.precision)]])
+        if op.x[q]:
+            mat = PAULI_LIST[1] @ mat
+        factors.append(mat)
+    factors[0] = factors[0] * table[op.phase]
+    return factors
+
 
 def reference_pauli_transform(mat):
     n = int(np.log2(mat.shape[0]))
@@ -397,33 +415,93 @@ SCALAR_CHANNELS = {"depolarizing-0.05": depolarizing(0.05),
                    "damping-0.2": amplitude_damping(0.2)}
 
 
+def random_operator(rng: random.Random, n: int, precision: int) -> XpOperator:
+    return XpOperator(precision, tuple(rng.randrange(2) for _ in range(n)),
+                      tuple(rng.randrange(precision) for _ in range(n)),
+                      rng.randrange(2 * precision))
+
+
+def assert_equals_reference(coeffs, pi, context, op):
+    want = reference_coset_scalars(coeffs, pi, xp_factors(op))
+    assert context(op) == want, op
+
+
 @pytest.mark.parametrize("channel", sorted(SCALAR_CHANNELS))
 def test_coset_trace_equals_reference_on_steane_xp_classes(channel):
     code = canonical_form(lookup("steane-xp").group)
     setup = decoder_setup(code)
     coeffs = pauli_process_coeffs(SCALAR_CHANNELS[channel])
     context = CosetTrace(coeffs, setup.projector)
-    for bits in list(product((0, 1), repeat=6))[::4]:
+    for bits in product((0, 1), repeat=6):
         e_sz, e_sx = representative_errors(Syndrome(bits[:3], bits[3:]), code)
-        for name, logical in setup.classes:
-            factors = xp_factors(multiply(multiply(e_sz, e_sx), logical))
-            want = reference_coset_scalars(coeffs, setup.projector, factors)
-            assert context(factors) == want, (bits, name)
-            assert coset_scalars(coeffs, setup.projector, factors) == want, (bits, name)
+        for _, logical in setup.classes:
+            op = multiply(multiply(e_sz, e_sx), logical)
+            assert_equals_reference(coeffs, setup.projector, context, op)
+    assert coset_scalars(coeffs, setup.projector, op) == context(op)
 
 
 @pytest.mark.parametrize("channel", sorted(SCALAR_CHANNELS))
-@pytest.mark.parametrize("name", ["722", "812"])
+@pytest.mark.parametrize("name", ["second-713", "steane", "711"])
+def test_coset_trace_equals_reference_on_decoder_classes(name, channel):
+    # Every fourth syndrome, with all four classes of each.
+    code = canonical_form(lookup(name).group)
+    setup = decoder_setup(code)
+    coeffs = pauli_process_coeffs(SCALAR_CHANNELS[channel])
+    context = CosetTrace(coeffs, setup.projector)
+    nz = len(setup.r_z)
+    for bits in list(product((0, 1), repeat=nz + len(setup.x_checks)))[::4]:
+        e_sz, e_sx = representative_errors(Syndrome(bits[:nz], bits[nz:]), code)
+        for _, logical in setup.classes:
+            assert_equals_reference(coeffs, setup.projector, context,
+                                    multiply(multiply(e_sz, e_sx), logical))
+
+
+SMALL_REGISTRY = [name for name, entry in registry().items() if entry.group.n <= 8]
+
+
+@pytest.mark.parametrize("channel", sorted(SCALAR_CHANNELS))
+@pytest.mark.parametrize("name", SMALL_REGISTRY)
 def test_coset_trace_equals_reference_on_random_residuals(name, channel):
     rng = random.Random(f"{name}:{channel}")
     group = canonical_form(lookup(name).group)
     pi = projector(group)
     coeffs = pauli_process_coeffs(SCALAR_CHANNELS[channel])
     context = CosetTrace(coeffs, pi)
-    n, precision = group.n, group.precision
+    for _ in range(4):
+        assert_equals_reference(coeffs, pi, context, random_operator(rng, group.n, group.precision))
+
+
+@pytest.mark.parametrize("channel", sorted(SCALAR_CHANNELS))
+def test_coset_trace_equals_reference_on_a_dense_projector(channel):
+    # A random rank-2 projector couples every pair of strings: one block.
+    rng = np.random.default_rng(17)
+    n = 4
+    raw = rng.normal(size=(2 ** n, 2)) + 1j * rng.normal(size=(2 ** n, 2))
+    q, _ = np.linalg.qr(raw)
+    pi = q @ q.conj().T
+    coeffs = pauli_process_coeffs(SCALAR_CHANNELS[channel])
+    context = CosetTrace(coeffs, pi)
+    assert enumerator._coset_blocks(pi).shape == (1, 2 ** n)
+    ops = random.Random(channel)
     for _ in range(6):
-        op = XpOperator(precision, tuple(rng.randrange(2) for _ in range(n)),
-                        tuple(rng.randrange(precision) for _ in range(n)),
-                        rng.randrange(2 * precision))
-        factors = xp_factors(op)
-        assert context(factors) == reference_coset_scalars(coeffs, pi, factors), op
+        assert_equals_reference(coeffs, pi, context, random_operator(ops, n, 4))
+    with pytest.raises(ValueError):
+        context(random_operator(ops, n + 1, 4))
+
+
+def test_registry_projectors_vanish_between_coset_blocks():
+    for name, entry in registry().items():
+        if entry.group.n > 10:
+            continue
+        pi = code_projector(name)
+        members = enumerator._coset_blocks(pi)
+        size = pi.shape[0]
+        assert sorted(members.ravel().tolist()) == list(range(size)), name
+        assert members.shape[1] >= min(size, enumerator.MIN_COSET_SIZE), name
+        # Each block is a coset of one subspace: a shift of the first block.
+        shifts = members[:, :1] ^ members[0]
+        assert (np.sort(shifts, axis=1) == members).all(), name
+        coset = np.empty(size, dtype=np.intp)
+        coset[members] = np.arange(len(members))[:, None]
+        across = coset[:, None] != coset[None, :]
+        assert not pi[across].any(), name

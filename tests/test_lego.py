@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from tests_support import whole_group_trace
 
-from xplego import lego
+from xplego import code_structure, lego
 from xplego.code_structure import (
     InvariantError,
     XpGroup,
+    _completion,
     canonical_form,
     codewords,
     complete_lid,
@@ -187,16 +188,25 @@ def test_an_annihilated_block_or_spectator_empties_the_whole_trace(rows):
     assert traced.warnings == ("trivial-symbolic-group",)
 
 
-def count_spectator_completions(monkeypatch) -> list[int]:
-    """Patch lego so that every complete_lid call made outside operator
-    matching appends the size of its group to the returned list."""
+def count_spectator_completions(monkeypatch, tables: list[int] | None = None) -> list[int]:
+    """Patch lego so that every completion made outside operator matching
+    appends the size of its group to the returned list; with ``tables``,
+    every codeword table built outside matching appends its size there."""
     sizes: list[int] = []
     matching: list[bool] = []
+    if tables is not None:
+        def building(group, _real=code_structure.codewords):
+            if not matching:
+                tables.append(group.n)
+            return _real(group)
+
+        monkeypatch.setattr(code_structure, "codewords", building)
+        monkeypatch.setattr(lego, "codewords", building)
 
     def completing(group):
         if not matching:
             sizes.append(group.n)
-        return complete_lid(group)
+        return _completion(group)
 
     def matching_front(*args, **kwargs):
         matching.append(True)
@@ -205,7 +215,7 @@ def count_spectator_completions(monkeypatch) -> list[int]:
         finally:
             matching.pop()
 
-    monkeypatch.setattr(lego, "complete_lid", completing)
+    monkeypatch.setattr(lego, "_completion", completing)
     monkeypatch.setattr(lego, "_trace_front_two", matching_front)
     return sizes
 
@@ -215,10 +225,14 @@ def test_a_chain_completes_each_spectator_block_once(monkeypatch):
     # completes the four blocks it does not touch; the bond (3, 5) touches
     # copy 1's traced block and copy 2's legs 3-6, and its three spectators
     # are still recorded.  Without the record it completes them again (7).
-    sizes = count_spectator_completions(monkeypatch)
+    # Each completion hands its codeword table on for the count; the one
+    # 7-qubit table is the named 722 lego's, built once for its shadow.
+    tables: list[int] = []
+    sizes = count_spectator_completions(monkeypatch, tables)
     network = {"legos": [{"name": "722"}] * 3, "bonds": [[0, 2, 1, 4], [1, 3, 2, 5]]}
     run_network(network)
     assert sorted(sizes) == [3, 3, 4, 4]
+    assert sorted(tables) == [3, 3, 4, 4, 7]
 
 
 def test_a_recorded_block_that_a_later_bond_touches_is_completed_again(monkeypatch):
