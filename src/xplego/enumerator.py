@@ -43,9 +43,12 @@ SHIFT_TABLE_MAX_ENTRIES = 1 << 24
 BATCH_ENTRIES = 1 << 18
 # The dense oracle holds 4^n complex numbers.
 DENSE_ENUMERATOR_MAX_QUBITS = 11
-# CosetTrace's block products equal one dense product bit for bit when they
-# run through the same BLAS kernel.  2 x 2 blocks do not (bell, ghz and 422
-# change); 4 x 4 blocks matched in the tests, and 8 leaves a margin.
+# CosetTrace's block products equal one dense product bit for bit only when
+# BLAS runs them through a kernel that rounds like the dense one, and BLAS
+# picks its kernel by the matrix shape.  With numpy 2.4's scipy-openblas
+# 0.3.31 on x86_64, 2 x 2 blocks change bits and blocks of 4, 8 and 16
+# strings do not; 8 is a margin over 4 that no measurement has shown to be
+# needed.  The == tests in tests/test_enumerator.py check any other build.
 MIN_COSET_SIZE = 8
 
 PAULI = {
@@ -576,11 +579,13 @@ class CosetTrace:
     maps coset c onto coset c ^ x, so the three products with Etilde run as
     batched block products and Etilde is never rendered densely.  Made once
     here: the projector check, Pi's diagonal blocks and the rows of the
-    channel-applied projector in coset order (4^n complex entries).  Every
-    float equals the dense computation's bit for bit: each block product
-    entry is one nonzero term through the same BLAS kernel (blocks hold at
-    least ``MIN_COSET_SIZE`` strings for that reason), and each diagonal
-    entry of the b side sums over all 2^n columns in index order.
+    channel-applied projector in coset order (4^n complex entries).  Each
+    block product entry is one nonzero term, and each diagonal entry of the
+    b side sums over all 2^n columns in index order, so every float equals
+    the dense computation's as long as BLAS rounds a block product like
+    the dense one.  That holds per BLAS build, not by the algorithm: blocks
+    hold at least ``MIN_COSET_SIZE`` strings because 2-string blocks did
+    not, and the == tests against the dense computation enforce it.
     """
 
     def __init__(self, coeffs: np.ndarray, projector: np.ndarray):

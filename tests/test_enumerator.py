@@ -424,6 +424,7 @@ def random_operator(rng: random.Random, n: int, precision: int) -> XpOperator:
 def assert_equals_reference(coeffs, pi, context, op):
     want = reference_coset_scalars(coeffs, pi, xp_factors(op))
     assert context(op) == want, op
+    return want
 
 
 @pytest.mark.parametrize("channel", sorted(SCALAR_CHANNELS))
@@ -432,12 +433,13 @@ def test_coset_trace_equals_reference_on_steane_xp_classes(channel):
     setup = decoder_setup(code)
     coeffs = pauli_process_coeffs(SCALAR_CHANNELS[channel])
     context = CosetTrace(coeffs, setup.projector)
-    for bits in product((0, 1), repeat=6):
+    for index, bits in enumerate(product((0, 1), repeat=6)):
         e_sz, e_sx = representative_errors(Syndrome(bits[:3], bits[3:]), code)
-        for _, logical in setup.classes:
+        for name, logical in setup.classes:
             op = multiply(multiply(e_sz, e_sx), logical)
-            assert_equals_reference(coeffs, setup.projector, context, op)
-    assert coset_scalars(coeffs, setup.projector, op) == context(op)
+            want = assert_equals_reference(coeffs, setup.projector, context, op)
+            if index % 4 == 0:
+                assert coset_scalars(coeffs, setup.projector, op) == want, (bits, name)
 
 
 @pytest.mark.parametrize("channel", sorted(SCALAR_CHANNELS))
@@ -467,8 +469,25 @@ def test_coset_trace_equals_reference_on_random_residuals(name, channel):
     pi = projector(group)
     coeffs = pauli_process_coeffs(SCALAR_CHANNELS[channel])
     context = CosetTrace(coeffs, pi)
-    for _ in range(4):
+    for _ in range(6):
         assert_equals_reference(coeffs, pi, context, random_operator(rng, group.n, group.precision))
+
+
+def test_coset_trace_equals_reference_on_a_ten_qubit_tensor_code():
+    # Blocks of a larger code run larger batched products against the
+    # 1024 x 1024 dense ones.
+    group = canonical_form(tensor_product(
+        lego_from_group(canonical_form(lookup("steane-xp").group)),
+        lego_from_group(canonical_form(lookup("ghz").group))).group)
+    assert group.n == 10
+    pi = projector(group)
+    rng = random.Random("steane-xp*ghz")
+    for channel in sorted(SCALAR_CHANNELS):
+        coeffs = pauli_process_coeffs(SCALAR_CHANNELS[channel])
+        context = CosetTrace(coeffs, pi)
+        for _ in range(2):
+            assert_equals_reference(coeffs, pi, context,
+                                    random_operator(rng, group.n, group.precision))
 
 
 @pytest.mark.parametrize("channel", sorted(SCALAR_CHANNELS))
