@@ -393,8 +393,8 @@ def ml_decode(syndrome: Syndrome, coeffs: np.ndarray, code: XpGroup) -> DecodeRe
     setup = decoder_setup(canonical_form(code))
     if setup.classes is None:
         raise UnsupportedCodeError("maximum-likelihood classes need k = 1")
-    e_sz, e_sx = representative_errors(syndrome, code)
-    base = multiply(e_sz, e_sx)
+    base = multiply(setup.z_representative(syndrome.s_z),
+                    setup.x_representative(syndrome.s_x))
     kdim = setup.dimension
     coset_trace = setup.coset_trace(coeffs)
     probabilities = {}

@@ -3,15 +3,13 @@
 A lego is a generator list over an ordered set of legs plus an optional
 dense amplitude shadow.  Legos combine by tensor product and fuse by
 self-trace, which glues two legs through an unnormalized Bell kernel.  The
-symbolic side of a trace keeps exactly the generators that can be brought
-to the matching form
+symbolic side of a trace keeps every element of the group that matches on
+the traced legs,
 
-    x[j] == x[k]  and  z[j] + z[k] == 0 (mod N)
+    x[j] == x[k]  and  z[j] + z[k] == 0 (mod N).
 
-by composing with diagonal generators supported on the traced legs; the
-composition uses the exact group law, never plain row addition.  Before
-matching, the group is restricted to the Bell sector the trace keeps and
-completed to its full logical identity group, and support strings that
+Before matching, the group is restricted to the Bell sector the trace keeps
+and completed to its full logical identity group, and support strings that
 collide on the traced legs are combined exactly so that amplitude
 cancellation cannot hide symmetries of the result.  Tracing with an X
 inserted on the bond flips the diagonal condition to z[j] == z[k] and adds
@@ -21,11 +19,13 @@ holding its two legs and only completes the others, and the result
 records the blocks it completed so that later traces skip them.  The cost
 of a trace follows the traced block rather than the whole network.
 
-Re-designating a physical leg as logical shortens the code in place:
-columns of the leg move to the front, rows supported on it are dropped
-after canonicalization, then the columns are deleted.  The reverse
-direction materializes one implicit logical qubit as a fresh physical leg
-paired with its X and Z logical operators.
+Re-designating a physical leg as logical shortens the code in place: the
+group keeps every element with no X and z == 0 on the leg, then the leg's
+column is deleted.  Matching and shortening select through one routine,
+which finds generators of the elements whose z entries on the removed legs
+satisfy a linear condition mod N, with the exact group law, never plain row
+addition.  The reverse direction materializes one implicit logical qubit as
+a fresh physical leg paired with its X and Z logical operators.
 """
 
 from __future__ import annotations
@@ -194,13 +194,49 @@ def _traced_table_if_collisions(table: CodewordTable):
     return ("table", pairs)
 
 
-def _matching_ok(op: XpOperator, mode: str) -> bool:
-    n_mod = op.precision
-    if op.x[0] != op.x[1]:
-        return False
-    if mode == "plain":
-        return (op.z[0] + op.z[1]) % n_mod == 0
-    return (op.z[0] - op.z[1]) % n_mod == 0
+def _vanishing_subgroup(g: XpGroup, column: Sequence[int]) -> list[XpOperator]:
+    """Generators of the elements of canonical ``g`` whose column vanishes.
+
+    The column of an operator is sum(column[i] * z[i]) mod N over the legs
+    a trace or a shortening removes.  At most one row, the lead, has X on
+    leg 0 and no other row may have X on a leg the column reads, so every
+    element is lead^e * h with h an ordered product of powers of the other
+    rows, and the column of h is linear in their exponents.  Rows with
+    column 0 stay; the kernel of the column over the others, kept in
+    canonical order (x rows first), gives their vanishing products, and its
+    Howell form spans the diagonal part, so no product is missed; one solve
+    completes the lead when it can be.
+    """
+    precision = g.precision
+    reads = [(i, c) for i, c in enumerate(column) if c]
+    rows = list(g.generators)
+    lead = rows.pop(0) if rows and rows[0].x[0] else None
+    if any(op.x[i] for op in rows for i, _ in reads):
+        raise InvariantError("a row past the lead has X on a removed leg")
+
+    def col(op: XpOperator) -> int:
+        return sum(c * op.z[i] for i, c in reads) % precision
+
+    def product(start: XpOperator, coeffs: Sequence[int]) -> XpOperator:
+        for c, r in zip(coeffs, live):
+            if c:
+                start = multiply(start, power(r, c))
+        return start
+
+    kept = [r for r in rows if not col(r)]
+    live = [r for r in rows if col(r)]
+    sol = None if lead is None or col(lead) else ()
+    if live:
+        cmat = ModMatrix.from_rows([[col(r)] for r in live], precision)
+        kept += [product(XpOperator.identity(g.n, precision), coeffs)
+                 for coeffs in kernel_mod(cmat).entries]
+        if lead is not None:
+            sol = solve_linear_mod(cmat, (-col(lead),))
+    if sol is not None:
+        kept.append(product(lead, sol))
+    if any(col(op) for op in kept):
+        raise InvariantError("a kept element has a nonzero column")
+    return [op for op in kept if not op.is_identity]
 
 
 def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup | None:
@@ -209,8 +245,10 @@ def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup
     Returns the post-trace group (columns 0 and 1 removed, canonical), or
     None when the traced state vanishes: the support restriction leaves no
     string, the collision rebuild finds the table empty, or matching keeps
-    a phase times identity.  ``rebuild`` is False when the
-    group is one factor of a code whose other factors hold several
+    a phase times identity.  Matching keeps every element of the completed
+    group with x[0] == x[1] and z[0] + z[1] == 0 (z[0] == z[1] with an X
+    inserted), through ``_vanishing_subgroup``.  ``rebuild`` is False when
+    the group is one factor of a code whose other factors hold several
     codewords: the whole code then has several, so the one-codeword
     collision rebuild does not apply.  The restricted group and its
     completion share one codeword table, so the completion's table is the
@@ -220,26 +258,18 @@ def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup
     g = canonical_form(group)
 
     # Consolidate X support on the traced legs.  In canonical form at most
-    # one row has X on leg 0 and at most one on leg 1: a pair merges into a
-    # single row with X on both, an unpaired one can never match and is
-    # dropped before the support restriction.
-    rows = list(g.generators)
-    only0 = next((r for r in rows if r.x[0] and not r.x[1]), None)
-    only1 = next((r for r in rows if r.x[1] and not r.x[0]), None)
-    if only0 is not None and only1 is not None:
-        merged = multiply(only0, only1)
-        rows = [merged if r == only0 else r for r in rows if r != only1]
-    elif only0 is not None or only1 is not None:
-        lone = only0 if only0 is not None else only1
-        rows = [r for r in rows if r != lone]
-    # Restrict the support to the kept Bell sector, then rebuild the full
-    # logical identity group: the restricted object can have strictly finer
+    # one row has X on leg 0 alone and at most one on leg 1 alone: their
+    # product has X on both, and a lone one can never match.
+    rows = [r for r in g.generators if r.x[0] == r.x[1]]
+    lone = [r for r in g.generators if r.x[0] != r.x[1]]
+    if len(lone) == 2:
+        rows.append(multiply(*lone))
+    # Restrict the support to the kept Bell sector (e[0] == e[1], or
+    # e[0] != e[1] with an X inserted), then rebuild the full logical
+    # identity group: the restricted object can have strictly finer
     # symmetries than the presentation generates.
-    restrict_z = [0] * g.n
-    restrict_z[0] = 1
-    restrict_z[1] = (precision - 1) if mode == "plain" else 1
-    phase = 0 if mode == "plain" else -2
-    rows = rows + [XpOperator(precision, (0,) * g.n, tuple(restrict_z), phase)]
+    sign = 1 if mode == "plain" else -1
+    rows.append(XpOperator(precision, (0,) * g.n, (1, -sign) + (0,) * (g.n - 2), sign - 1))
     try:
         g, table = _completion(XpGroup(precision, g.n, tuple(rows)))
     except EmptyCodeError:
@@ -260,53 +290,13 @@ def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup
             if lid is not None:
                 return lid
 
-    m_rows = [r for r in g.z_block if r.z[0] or r.z[1]]
-    sign = 1 if mode == "plain" else -1
-
-    def column_sum(op: XpOperator) -> int:
-        return (op.z[0] + sign * op.z[1]) % precision
-
-    matched: list[XpOperator] = []
-
-    # Diagonal combinations from the matched kernel of the column functional.
-    cmat = ModMatrix.from_rows([[column_sum(r)] for r in m_rows], precision)
-    if m_rows:
-        for coeffs in kernel_mod(cmat).entries:
-            op = XpOperator.identity(g.n, precision)
-            for c, r in zip(coeffs, m_rows):
-                if c:
-                    op = multiply(op, power(r, c))
-            if not op.is_identity:
-                matched.append(op)
-
-    for r in g.generators:
-        if r in m_rows:
-            continue
-        if r.x[0] != r.x[1]:
-            continue
-        target = (-column_sum(r)) % precision
-        if m_rows:
-            sol = solve_linear_mod(cmat, (target,))
-        else:
-            sol = () if target == 0 else None
-        if sol is None:
-            continue
-        op = r
-        for c, mr in zip(sol, m_rows):
-            if c:
-                op = multiply(op, power(mr, c))
-        matched.append(op)
-    if not all(_matching_ok(op, mode) for op in matched):
-        raise InvariantError("a matched generator fails the matching condition")
-
-    survivors = []
-    for op in matched:
-        phase_fix = 2 * op.z[0] if mode == "insert_x" else 0
-        cut = delete_legs(op, (0, 1))
-        cut = XpOperator(precision, cut.x, cut.z, cut.phase + phase_fix)
-        if not cut.is_identity:
-            survivors.append(cut)
-    traced = canonical_form(XpGroup(precision, g.n - 2, tuple(survivors)))
+    matched = _vanishing_subgroup(g, (1, sign) + (0,) * (g.n - 2))
+    if any(op.x[0] != op.x[1] for op in matched):
+        raise InvariantError("a matched element has X on one traced leg only")
+    # An inserted X adds 2 z[0] to the surviving phase.
+    survivors = tuple(XpOperator(precision, op.x[2:], op.z[2:], op.phase + (1 - sign) * op.z[0])
+                      for op in matched)
+    traced = canonical_form(XpGroup(precision, g.n - 2, survivors))
     # A phase times identity stabilizes nothing: the traced state vanished.
     return None if phase_identity(traced) is not None else traced
 
@@ -473,13 +463,14 @@ def _check_shortening_isometry(lego: Lego, leg: int) -> None:
 
 
 def shorten_to_logical(lego: Lego, leg: int) -> Lego:
-    """Re-designate a physical leg as logical by code shortening."""
+    """Re-designate a physical leg as logical by code shortening: keep every
+    element with no X and z == 0 on the leg, then delete the leg."""
     _check_physical(lego, leg)
     _check_shortening_isometry(lego, leg)
     order = [leg] + [i for i in range(lego.n) if i != leg]
     front = canonical_form(permute_legs(lego.group, order))
-    kept = [op for op in front.generators if op.x[0] == 0 and op.z[0] == 0]
-    cut = tuple(delete_legs(op, (0,)) for op in kept)
+    kept = _vanishing_subgroup(front, (1,) + (0,) * (lego.n - 1))
+    cut = tuple(delete_legs(op, (0,)) for op in kept if not op.x[0])
     group = canonical_form(XpGroup(lego.precision, lego.n - 1, cut))
     designation = tuple(d for i, d in enumerate(lego.designation) if i != leg)
     return Lego(group, designation, None, lego.warnings)

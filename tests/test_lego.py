@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from tests_support import whole_group_trace
+from tests_support import brute_force_shortening, digit_rows, whole_group_trace
 
 from xplego import code_structure, lego
 from xplego.code_structure import (
@@ -370,6 +370,33 @@ def test_shortening_check_covers_codes_above_twelve_qubits():
         shorten_to_logical(tensor_product(rm15, lego_from_group(zero.group)), 15)
 
 
+def shortened_codeword_rank(group: XpGroup, leg: int) -> int:
+    """Rank of the codewords with ``leg`` fixed to 0 and to 1: the dimension
+    of the code left when the leg becomes logical."""
+    vecs = []
+    for cw in codewords(group).entries:
+        vec = state_from_pairs(cw, group.n, group.precision).reshape((2,) * group.n)
+        vecs += [np.take(vec, bit, axis=leg).reshape(-1) for bit in (0, 1)]
+    return int(np.linalg.matrix_rank(np.array(vecs), tol=1e-9))
+
+
+@pytest.mark.parametrize("precision,rows,leg,dimension", [
+    (4, [("10000", "10022", 7), ("01000", "01020", 3), ("00010", "22002", 4),
+         ("00001", "20020", 0), ("00000", "00100", 6)], 3, 2),
+    (8, [("10000", "30044", 13), ("01001", "40005", 11), ("00010", "40040", 4)], 0, 8),
+])
+def test_shortening_keeps_products_whose_z_on_the_leg_cancels(precision, rows, leg, dimension):
+    # No single row has X and z both clear on the leg; products of rows do,
+    # and a shortening that drops them leaves a code too large (8 and 16).
+    group = digit_rows(precision, rows)
+    short = shorten_to_logical(lego_from_group(group), leg).group
+    assert shortened_codeword_rank(group, leg) == dimension
+    assert np.trace(projector(short)).real == pytest.approx(dimension)
+    assert [short] == brute_force_shortening(group, [leg])
+    if precision == 8:
+        assert XpOperator(8, (1, 0, 1, 1), (0, 0, 4, 5), 15) in short.generators
+
+
 def test_materialize_logical_gives_five_qubit_code():
     code = lego_from_group(canonical_form(lookup("422").group))
     five = materialize_logical(code, 0)
@@ -420,8 +447,9 @@ def test_insertions_other_than_names_and_2x2_matrices_are_refused():
 
 
 def test_wrong_kernel_combination_raises_invariant_error(monkeypatch):
-    # Unit coefficients pick single diagonal rows whose traced columns do
-    # not cancel; the matching check must stop them entering the group.
+    # Unit coefficients pick single rows whose traced column does not
+    # vanish; the check on every kept element must stop them entering the
+    # group.
     monkeypatch.setattr(lego, "kernel_mod", lambda a: ModMatrix.identity(a.rows, a.modulus))
     with pytest.raises(InvariantError):
         self_trace(lego_from_group(lookup("722").group), 0, 1)

@@ -8,11 +8,13 @@ vectorized stage is compared with the per-string loop it replaced, kept
 here as the reference, at precisions N in {2, 4, 8, 16}; the logical
 identity group completion is checked against its defining properties, the
 symbolic trace against the full symmetry group of the dense contraction
-and, on random products, against matching on the whole group, and the
-exact enumerators and biased distances against the dense oracle, also at N
-in {3, 5, 6}.  On products of groups over disjoint legs, the pivot merge
-of canonical blocks is checked against the canonical form of the product
-and the per-block counting certificate against the whole-group one.
+and, on random products, against matching on the whole group, operator
+matching and code shortening against the brute-force subgroup of every
+group element that meets their condition, and the exact enumerators and
+biased distances against the dense oracle, also at N in {3, 5, 6}.  On
+products of groups over disjoint legs, the pivot merge of canonical blocks
+is checked against the canonical form of the product and the per-block
+counting certificate against the whole-group one.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from tests_support import (
+    brute_force_shortening,
+    brute_force_trace_front,
     dense_biased_distance,
+    digit_rows,
     random_xp_state_vec,
     reference_canonical_form,
     whole_group_counting_check,
@@ -45,13 +50,21 @@ from xplego.code_structure import (
     lid_from_phase_table,
     merge_canonical_blocks,
     orbit_decomposition,
+    permute_legs,
     phase_identity,
     solve_diagonal_constraints,
     z_support,
 )
 from xplego.dense_oracle import projector, render_operator, xp_state_from_dense
 from xplego.enumerator import biased_distance, dense_enumerators, enumerators
-from xplego.lego import lego_from_group, tensor_product, trace_with_insertion
+from xplego.lego import (
+    NotIsometryError,
+    _trace_front_two,
+    lego_from_group,
+    shorten_to_logical,
+    tensor_product,
+    trace_with_insertion,
+)
 from xplego.ring_linalg import ModMatrix, howell_form
 from xplego.xp_algebra import XpOperator, conjugate, embed, multiply
 
@@ -484,6 +497,62 @@ def test_a_completion_has_the_codeword_table_of_its_group(g):
     # A trace reads the codeword table of the group it completes as the
     # table of the completion.
     assert codewords(complete_lid(g)).entries == codewords(g).entries
+
+
+@st.composite
+def small_codes_and_states(draw, max_n=5):
+    """A code from either generator of ``LID_CODES`` or one random XP state,
+    on 2 to ``max_n`` legs in a random order."""
+    if draw(st.booleans()):
+        g = draw(st.one_of(stabilizing_groups(max_n=max_n),
+                           xp_codes(max_n=max_n, precisions=PRECISIONS)))
+    else:
+        precision = draw(st.sampled_from(PRECISIONS))
+        n = draw(st.integers(2, max_n))
+        rng = draw(st.randoms(use_true_random=False))
+        g = xp_state_from_dense(random_xp_state_vec(rng, n, precision), precision)
+        assume(g is not None)
+    assume(g.n >= 2)
+    return permute_legs(g, draw(st.permutations(range(g.n))))
+
+
+# Neither x row matches on legs 0 and 1 alone; their product does.
+@example(digit_rows(4, [("100000", "300202", 1), ("000100", "200300", 5),
+                        ("000001", "200001", 3), ("000000", "000010", 0)]), "plain")
+@settings(max_examples=100, deadline=None)
+@given(small_codes_and_states(), st.sampled_from(("plain", "insert_x")))
+def test_matching_keeps_every_matched_element_of_the_front(g, mode):
+    try:
+        want = brute_force_trace_front(g, mode, limit=2048)
+    except ValueError:
+        assume(False)
+    got = _trace_front_two(g, mode, rebuild=False)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.generators == want.generators
+
+
+# Products of rows whose z on the leg cancels have no X and z == 0 there.
+@example(digit_rows(4, [("10000", "10022", 7), ("01000", "01020", 3), ("00010", "22002", 4),
+                        ("00001", "20020", 0), ("00000", "00100", 6)]))
+@example(digit_rows(8, [("10000", "30044", 13), ("01001", "40005", 11),
+                        ("00010", "40040", 4)]))
+# Most draws have no leg that can be shortened and are filtered out.
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_codes_and_states())
+def test_shortening_keeps_every_element_clear_on_the_leg(g):
+    shortened = {}
+    for leg in range(g.n):
+        try:
+            shortened[leg] = shorten_to_logical(lego_from_group(g), leg).group
+        except NotIsometryError:
+            pass
+    assume(shortened)
+    try:
+        want = brute_force_shortening(g, list(shortened))
+    except ValueError:
+        assume(False)
+    assert [s.generators for s in shortened.values()] == [s.generators for s in want]
 
 
 # Reduced coordinates differ from x^N = -1 exactly at N = 3, 5 and 6.

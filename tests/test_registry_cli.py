@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from tests_support import digit_rows
 
 from xplego.cli import main
 from xplego.code_structure import (
@@ -18,7 +19,7 @@ from xplego.code_structure import (
     orbit_decomposition,
     z_support,
 )
-from xplego.dense_oracle import stabilizes, state_from_pairs
+from xplego.dense_oracle import contract, projector, stabilizes, state_from_pairs
 from xplego.registry import (
     UnknownCodeError,
     _entry_from_state,
@@ -153,6 +154,28 @@ def test_cli_trace_network(tmp_path):
     doc = json.loads(out)
     assert doc["counting_check"] is True
     assert doc["matrix"]["n"] == 5
+
+
+def test_cli_trace_keeps_a_product_of_two_unmatched_rows(tmp_path):
+    # Neither x row matches on legs 0 and 1 by itself, but their product
+    # XP_4(0101|0301|0) fixes every traced codeword; without it the traced
+    # code has dimension 8 where the contraction spans 4.
+    group = digit_rows(4, [("100000", "300202", 1), ("000100", "200300", 5),
+                           ("000001", "200001", 3), ("000000", "000010", 0)])
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"legos": [{"matrix": group_to_json(group)}],
+                                "bonds": [[0, 0, 0, 1]]}))
+    rc, out = run_cli("trace", str(path))
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["counting_check"] is True
+    assert doc["matrix"]["rows"] == [{"x": [0, 1, 0, 1], "z": [0, 3, 0, 1], "p": 0},
+                                     {"x": [0, 0, 0, 0], "z": [0, 0, 1, 0], "p": 0}]
+    traced, _ = group_from_json(doc["matrix"])
+    contracted = [contract([state_from_pairs(cw, 6, 4)], [(0, 1)])[0]
+                  for cw in codewords(group).entries]
+    assert np.linalg.matrix_rank(np.array(contracted), tol=1e-9) == 4
+    assert np.trace(projector(traced)).real == pytest.approx(4)
 
 
 def test_cli_decode_report():

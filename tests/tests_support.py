@@ -1,8 +1,11 @@
 """Shared helpers: random XP states built from twisted stabilizer states, a
 brute-force biased distance over dense Pauli strings, the trace of a whole
-group by operator matching, the counting certificate read from the orbit
-structure of the whole group, the dense projector of a first-round decoding
-sector, and the canonical form computed with ``XpOperator`` products."""
+group by operator matching, a group from rows written as digit strings, the
+matched subgroup of a trace and the kept subgroup of a shortening by brute
+force over the group's elements, the counting certificate read from the
+orbit structure of the whole group, the dense projector of a first-round
+decoding sector, and the canonical form computed with ``XpOperator``
+products."""
 
 from __future__ import annotations
 
@@ -16,14 +19,22 @@ from xplego.code_structure import (
     EmptyCodeError,
     XpGroup,
     canonical_form,
+    complete_lid,
     orbit_decomposition,
     permute_legs,
+    phase_identity,
 )
-from xplego.dense_oracle import basis_state, hadamard_unitary, projector, render_operator
+from xplego.dense_oracle import (
+    basis_state,
+    group_elements,
+    hadamard_unitary,
+    projector,
+    render_operator,
+)
 from xplego.enumerator import PAULI_LIST
 from xplego.lego import _trace_front_two
 from xplego.ring_linalg import ModMatrix, howell_form
-from xplego.xp_algebra import XpOperator, conjugate, inverse, multiply, power
+from xplego.xp_algebra import XpOperator, conjugate, delete_legs, inverse, multiply, power
 
 
 def random_clifford_state_vec(rng: random.Random, n: int) -> np.ndarray:
@@ -81,6 +92,55 @@ def whole_group_trace(group: XpGroup, j: int, k: int, mode: str = "plain") -> Xp
     keep = [i for i in range(group.n) if i not in (j, k)]
     traced = _trace_front_two(permute_legs(group, [j, k] + keep), mode)
     return XpGroup(group.precision, group.n - 2, ()) if traced is None else traced
+
+
+def digit_rows(precision: int, rows) -> XpGroup:
+    """Group of (x, z, p) rows with x and z written as digit strings."""
+    return XpGroup(precision, len(rows[0][0]), tuple(
+        XpOperator(precision, tuple(map(int, x)), tuple(map(int, z)), p) for x, z, p in rows))
+
+
+def brute_force_trace_front(group: XpGroup, mode: str, limit: int = 4096) -> XpGroup | None:
+    """Operator matching on the first two legs by brute force: every element
+    of the completed front with x[0] == x[1] and z[0] + z[1] == 0 (z[0] ==
+    z[1] for ``insert_x``), legs 0 and 1 deleted.  The front is built as a
+    trace builds it: rows with X on one traced leg only are merged in pairs
+    or dropped, the support is restricted to the kept Bell sector, and the
+    group is completed.  None when the traced state vanishes, as for
+    ``_trace_front_two`` without the collision rebuild; ValueError when the
+    completed front has more than ``limit`` elements."""
+    n, precision = group.n, group.precision
+    g = canonical_form(group)
+    rows = [op for op in g.generators if op.x[0] == op.x[1]]
+    lone = [op for op in g.generators if op.x[0] != op.x[1]]
+    if len(lone) == 2:
+        rows.append(multiply(*lone))
+    sign = 1 if mode == "plain" else -1
+    rows.append(XpOperator(precision, (0,) * n, (1, -sign) + (0,) * (n - 2),
+                           0 if mode == "plain" else -2))
+    try:
+        front = complete_lid(XpGroup(precision, n, tuple(rows)))
+    except EmptyCodeError:
+        return None
+    kept = []
+    for op in group_elements(front, limit=limit):
+        if op.x[0] == op.x[1] and (op.z[0] + sign * op.z[1]) % precision == 0:
+            cut = delete_legs(op, (0, 1))
+            fix = 2 * op.z[0] if mode == "insert_x" else 0
+            kept.append(XpOperator(precision, cut.x, cut.z, cut.phase + fix))
+    traced = canonical_form(XpGroup(precision, n - 2, tuple(kept)))
+    return None if phase_identity(traced) is not None else traced
+
+
+def brute_force_shortening(group: XpGroup, legs: Sequence[int],
+                           limit: int = 4096) -> list[XpGroup]:
+    """Per leg in ``legs``, the group a shortening of it must keep: every
+    element with no X and z == 0 on the leg, the leg deleted, in canonical
+    form.  ValueError when the group has more than ``limit`` elements."""
+    elements = group_elements(canonical_form(group), limit)
+    return [canonical_form(XpGroup(group.precision, group.n - 1, tuple(
+        delete_legs(op, (leg,)) for op in elements if op.x[leg] == 0 and op.z[leg] == 0)))
+        for leg in legs]
 
 
 def whole_group_counting_check(group: XpGroup, logical_dims: int | None = None) -> bool:
