@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .ring_linalg import ModMatrix, howell_form, kernel_mod, solve_linear_mod
-from .xp_algebra import MAX_PRECISION, PrecisionError, XpOperator, embed, restrict
+from .xp_algebra import (MAX_PRECISION, PrecisionError, XpOperator, _row_inv, _row_mul,
+                         embed, restrict)
 
 
 class EmptyCodeError(ValueError):
@@ -114,20 +115,14 @@ def _coset_min(values: np.ndarray, basis: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _row_mul(a: tuple, b: tuple, precision: int) -> tuple:
-    """Group product of reduced (x, z, p) rows, as ``xp_algebra.multiply``."""
-    (xa, za, pa), (xb, zb, pb) = a, b
-    w = [2 * zi if xi else 0 for xi, zi in zip(xb, za)]
-    return (tuple(i ^ j for i, j in zip(xa, xb)),
-            tuple((i + j - k) % precision for i, j, k in zip(za, zb, w)),
-            (pa + pb + sum(w)) % (2 * precision))
-
-
-def _row_inv(a: tuple, precision: int) -> tuple:
-    """Group inverse of a reduced (x, z, p) row, as ``xp_algebra.inverse``."""
-    x, z, p = a
-    w = [2 * zi if xi else 0 for xi, zi in zip(x, z)]
-    return x, tuple((k - zi) % precision for zi, k in zip(z, w)), (-p - sum(w)) % (2 * precision)
+def _span_basis(values: np.ndarray) -> list[int]:
+    """``_xor_basis`` of many values, adding one value outside the span per pass."""
+    basis: list[int] = []
+    while True:
+        values = values[_coset_min(values, basis) != 0]
+        if not values.size:
+            return basis
+        basis = _xor_basis(basis + [int(values[0])])
 
 
 def _pivoted(rows) -> list[tuple[int, tuple[int, ...]]]:
@@ -362,7 +357,7 @@ def r_z_generators(g: XpGroup) -> list[XpOperator]:
 def _r_z_from_support(support: Sequence[int], n: int, precision: int) -> list[XpOperator]:
     """``r_z_generators`` for a Z-support listed in any order."""
     e0 = support[0]  # an annihilator row has one parity on the whole support
-    dirs = sorted(_xor_basis([e ^ e0 for e in support]), reverse=True)
+    dirs = sorted(_span_basis(np.asarray(support) ^ e0), reverse=True)
     if dirs:
         vs = kernel_mod(ModMatrix.from_rows(_support_bits(dirs, n).tolist(), 2)).entries
     else:
@@ -400,7 +395,7 @@ def codewords(g: XpGroup) -> CodewordTable:
     """Orbit expansion of each representative under the x-block generators.
 
     The 2^|S_X| subset products of the x block, shared by every orbit, are
-    built as (x, z, p) integer rows with the group law of ``canonical_form``.
+    built as (x, z, p) integer rows with the row law ``xp_algebra._row_mul``.
     """
     g = canonical_form(g)
     od = orbit_decomposition(g)
@@ -639,7 +634,7 @@ def lid_from_phase_table(pairs: Sequence[tuple[int, int]], n: int, precision: in
     phases = {e: ph % (2 * precision) for e, ph in pairs}
     support = sorted(phases)
     # The support is affine exactly when it fills the span of its shifts.
-    dirs = sorted(_xor_basis([e ^ support[0] for e in support]), reverse=True)
+    dirs = sorted(_span_basis(np.asarray(support) ^ support[0]), reverse=True)
     if len(support) != 2 ** len(dirs):
         return None
     group = _lid(phases, dirs, n, precision)
@@ -683,11 +678,4 @@ def counting_check(g: XpGroup, logical_dims: int | None = None) -> bool:
 
 def permute_legs(g: XpGroup, order: Sequence[int]) -> XpGroup:
     """Reorder qubit columns; ``order[i]`` is the old index of new leg i."""
-    gens = tuple(
-        XpOperator(g.precision,
-                   tuple(op.x[j] for j in order),
-                   tuple(op.z[j] for j in order),
-                   op.phase)
-        for op in g.generators
-    )
-    return XpGroup(g.precision, g.n, gens, canonical=False)
+    return XpGroup(g.precision, g.n, tuple(restrict(op, order) for op in g.generators))

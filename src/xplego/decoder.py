@@ -25,13 +25,14 @@ import numpy as np
 from .code_structure import (
     NonRegularError,
     XpGroup,
-    _exponent_table,
     _r_z_from_support,
+    _support_bits,
     canonical_form,
     logical_basis,
 )
 from .dense_oracle import (
     PROJECTOR_MAX_QUBITS,
+    _phase_exponents,
     operator_action,
     projector,
     state_from_pairs,
@@ -154,10 +155,8 @@ class DecoderSetup:
         self.projector = projector(code)
         self.dimension = len(basis.table.entries)
         # Entry (e, c): the Pauli check r_z[c] has eigenvalue w^N = -1 on string e.
-        two_n = 2 * code.precision
-        self._z_outcomes = np.array(
-            [(op.phase + _exponent_table(op.z, two_n)) % two_n == code.precision
-             for op in self.r_z], dtype=bool).reshape(len(self.r_z), 2 ** code.n).T
+        self._z_outcomes = np.array([_phase_exponents(op) == code.precision for op in self.r_z],
+                                    dtype=bool).reshape(len(self.r_z), 2 ** code.n).T
         self._z_reps = _min_weight_reps(
             [[1 if z else 0 for z in op.z] for op in self.r_z], code.n)
         self._x_reps = _min_weight_reps(
@@ -215,8 +214,7 @@ def _min_weight_reps(rows: list[list[int]], n: int) -> dict[tuple[int, ...], lis
     index, which is lexicographic on the packed bits).
     """
     mat = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    idx = np.arange(2 ** n)
-    bits = ((idx[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1)
+    bits = _support_bits(np.arange(2 ** n), n).T
     syndromes = bits @ mat.T % 2
     weights = bits.sum(axis=1)
     order = np.argsort(weights, kind="stable")
@@ -228,7 +226,8 @@ def _min_weight_reps(rows: list[list[int]], n: int) -> dict[tuple[int, ...], lis
     return reps
 
 
-@lru_cache(maxsize=32)
+# One setup: each holds 4^n-entry arrays, and a process decodes one code.
+@lru_cache(maxsize=1)
 def decoder_setup(code: XpGroup) -> DecoderSetup:
     return DecoderSetup(code)
 

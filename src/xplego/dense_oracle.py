@@ -57,21 +57,13 @@ def operator_action(op: XpOperator) -> tuple[np.ndarray, np.ndarray]:
     return phases, np.arange(2 ** op.n) ^ op.x_mask
 
 
-def apply_operator(op: XpOperator, vec: np.ndarray) -> np.ndarray:
-    """Sparse action |e> -> w^(p + 2 z.e) |e xor x| on a state vector."""
-    if vec.shape[0] != 2 ** op.n:
+def apply_operator(op: XpOperator, arr: np.ndarray) -> np.ndarray:
+    """Sparse action |e> -> w^(p + 2 z.e) |e xor x> along axis 0: a vector or matrix columns."""
+    if arr.shape[0] != 2 ** op.n:
         raise ValueError("state dimension does not match operator")
     phases, targets = operator_action(op)
-    out = np.zeros(vec.shape, dtype=complex)
-    out[targets] = phases * vec
-    return out
-
-
-def apply_operator_to_matrix(op: XpOperator, mat: np.ndarray) -> np.ndarray:
-    """Left-multiply a dense matrix by the operator, column by column."""
-    phases, targets = operator_action(op)
-    out = np.zeros(mat.shape, dtype=complex)
-    out[targets, :] = phases[:, None] * mat
+    out = np.zeros(arr.shape, dtype=complex)
+    out[targets] = phases.reshape((-1,) + (1,) * (arr.ndim - 1)) * arr
     return out
 
 
@@ -80,7 +72,7 @@ def render_operator(op: XpOperator) -> np.ndarray:
     if op.n > PROJECTOR_MAX_QUBITS:
         raise SizeLimitError(
             f"a dense rendering of {op.n} qubits exceeds the {PROJECTOR_MAX_QUBITS}-qubit limit")
-    return apply_operator_to_matrix(op, np.eye(2 ** op.n, dtype=complex))
+    return apply_operator(op, np.eye(2 ** op.n, dtype=complex))
 
 
 def basis_state(e: int, n: int) -> np.ndarray:
@@ -124,7 +116,7 @@ def projector(g: XpGroup) -> np.ndarray:
                 diag += table[(l * expo) % (2 * g.precision)]
             mat = (diag / g.precision)[:, None] * mat
         else:
-            mat = (mat + apply_operator_to_matrix(op, mat)) / 2.0
+            mat = (mat + apply_operator(op, mat)) / 2.0
     if abs(np.trace(mat)) < 0.5:
         raise EmptyCodeError("projector has vanishing trace")
     return mat
@@ -215,7 +207,7 @@ def xp_state_from_dense(vec: np.ndarray, precision: int, tol: float = 1e-9,
     n = int(np.log2(vec.shape[0]))
     mags = np.abs(vec)
     amax = float(np.max(mags))
-    if amax <= 0.0:
+    if not 0.0 < amax < np.inf:  # a zero vector, or a non-finite entry
         return None
     on = mags > 0.5 * amax
     if np.any(mags[~on] > tol * amax):

@@ -28,6 +28,7 @@ from .code_structure import (
     SizeLimitError,
     XpGroup,
     _coset_min,
+    _span_basis,
     _xor_basis,
     canonical_form,
     codewords,
@@ -457,16 +458,6 @@ def enumerators(code: XpGroup) -> tuple[EnumeratorPoly, EnumeratorPoly]:
     if not all(0 <= x <= y for x, y in zip(a_poly.coefficients, b_poly.coefficients)):
         raise InvariantError("A and B violate 0 <= A_d <= B_d")
     return a_poly, b_poly
-
-
-def _span_basis(values: np.ndarray) -> list[int]:
-    """``_xor_basis`` of many values, adding one value outside the span per pass."""
-    basis: list[int] = []
-    while True:
-        values = values[_coset_min(values, basis) != 0]
-        if not values.size:
-            return basis
-        basis = _xor_basis(basis + [int(values[0])])
 
 
 def biased_distance(code: XpGroup, axis: str) -> int:

@@ -366,9 +366,9 @@ def _insertion_mode(insertion) -> tuple[str, np.ndarray | None]:
         mat = np.asarray(insertion)
     except ValueError:  # a ragged nested list
         mat = np.empty(0)
-    if mat.shape != (2, 2) or mat.dtype.kind not in "iufc":
+    if mat.shape != (2, 2) or mat.dtype.kind not in "iufc" or not np.isfinite(mat).all():
         raise LegError(f"insertion {insertion!r} is not None, 'I', 'X' or a 2x2 matrix"
-                       " of numbers")
+                       " of finite numbers")
     if np.allclose(mat, np.eye(2)):
         return "plain", None
     if np.allclose(mat, X_MATRIX):
@@ -401,8 +401,12 @@ def _trace(lego: Lego, j: int, k: int, mode: str, kernel: np.ndarray | None) -> 
 
     dense = None
     if lego.dense is not None:
-        dense, _ = contract([lego.dense], [(j, k)], [kernel])
-        if np.linalg.norm(dense) < 1e-12:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            dense, _ = contract([lego.dense], [(j, k)], [kernel])
+            norm = np.linalg.norm(dense)
+        if not np.isfinite(norm):
+            raise LegError("the dense contraction left a shadow whose norm is not finite")
+        if norm < 1e-12:
             warnings.append("empty-trace")
     if not traced.generators and traced.n > 0 and mode != "dense-only":
         warnings.append("trivial-symbolic-group")

@@ -115,23 +115,32 @@ def antisymmetric(z: Sequence[int], precision: int) -> XpOperator:
     return XpOperator(precision, (0,) * len(tuple(z)), tuple(-int(v) for v in z), total)
 
 
+def _row_mul(a: tuple, b: tuple, precision: int) -> tuple:
+    """The group law on reduced (x, z, p) rows; ``multiply`` wraps it."""
+    (xa, za, pa), (xb, zb, pb) = a, b
+    w = [2 * zi if xi else 0 for xi, zi in zip(xb, za)]
+    return (tuple(i ^ j for i, j in zip(xa, xb)),
+            tuple((i + j - k) % precision for i, j, k in zip(za, zb, w)),
+            (pa + pb + sum(w)) % (2 * precision))
+
+
+def _row_inv(a: tuple, precision: int) -> tuple:
+    """Group inverse of a reduced (x, z, p) row; ``inverse`` wraps it."""
+    x, z, p = a
+    w = [2 * zi if xi else 0 for xi, zi in zip(x, z)]
+    return x, tuple((k - zi) % precision for zi, k in zip(z, w)), (-p - sum(w)) % (2 * precision)
+
+
 def multiply(a: XpOperator, b: XpOperator) -> XpOperator:
     """Group product a * b via the exact composition rule."""
     _check_compatible(a, b)
-    n = a.precision
-    w = [2 * xb * za for xb, za in zip(b.x, a.z)]
-    x = tuple(xa ^ xb for xa, xb in zip(a.x, b.x))
-    z = tuple(za + zb - wi for za, zb, wi in zip(a.z, b.z, w))
-    phase = a.phase + b.phase + sum(w)
-    return XpOperator(n, x, z, phase)
+    return XpOperator(a.precision, *_row_mul((a.x, a.z, a.phase), (b.x, b.z, b.phase),
+                                             a.precision))
 
 
 def inverse(a: XpOperator) -> XpOperator:
     """Group inverse; both a*inv(a) and inv(a)*a reduce to the identity."""
-    w = [2 * xa * za for xa, za in zip(a.x, a.z)]
-    z = tuple(-za + wi for za, wi in zip(a.z, w))
-    phase = -a.phase - sum(w)
-    return XpOperator(a.precision, a.x, z, phase)
+    return XpOperator(a.precision, *_row_inv((a.x, a.z, a.phase), a.precision))
 
 
 def power(a: XpOperator, k: int) -> XpOperator:

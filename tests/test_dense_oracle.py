@@ -179,14 +179,20 @@ def test_certificate_rejects_non_xp_states():
     vec[0b1110] = w[1]
     vec[0b1100] = w[13]
     assert xp_state_from_dense(vec, 8) is None
+    # Non-finite amplitudes.
+    for bad in (np.nan, np.inf, complex(np.inf, np.nan)):
+        assert xp_state_from_dense(np.array([1.0, bad], dtype=complex), 8) is None
 
 
 def test_apply_operator_matches_matrix():
+    # Along axis 0: a state vector, and every column of a matrix.
     rng = random.Random(6)
     for _ in range(20):
         op = random_op(rng, 3, 4)
         vec = np.array([rng.random() + 1j * rng.random() for _ in range(8)])
         assert np.max(np.abs(apply_operator(op, vec) - render_operator(op) @ vec)) < 1e-12
+        mat = np.array([[rng.random() + 1j * rng.random() for _ in range(5)] for _ in range(8)])
+        assert np.max(np.abs(apply_operator(op, mat) - render_operator(op) @ mat)) < 1e-12
 
 
 def test_channel_state_duality_of_symmetries():

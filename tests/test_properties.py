@@ -1,7 +1,8 @@
 """Property tests of the algebra and the support-sized stages on random XP
 groups.
 
-The group law is checked against dense rendering, the Howell form against
+The group law, inverses and powers are checked against dense rendering,
+the GF(2) span routine against the per-value basis, the Howell form against
 unimodular remixing and a brute-force span, and the canonical form against
 the same algorithm on ``XpOperator`` products, also at N in {3, 6}.  Each
 vectorized stage is compared with the per-string loop it replaced, kept
@@ -41,6 +42,8 @@ from tests_support import (
 from xplego.code_structure import (
     EmptyCodeError,
     XpGroup,
+    _span_basis,
+    _xor_basis,
     canonical_form,
     codewords,
     complete_lid,
@@ -66,7 +69,7 @@ from xplego.lego import (
     trace_with_insertion,
 )
 from xplego.ring_linalg import ModMatrix, howell_form
-from xplego.xp_algebra import XpOperator, conjugate, embed, multiply
+from xplego.xp_algebra import XpOperator, conjugate, embed, inverse, multiply, power
 
 PRECISIONS = (2, 4, 8, 16)
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
@@ -101,11 +104,21 @@ def xp_operator_pairs(draw, max_n=4):
 
 
 @PROPERTY_SETTINGS
-@given(xp_operator_pairs())
-def test_group_law_agrees_with_dense_rendering(pair):
+@given(xp_operator_pairs(), st.integers(-3, 5))
+def test_group_law_agrees_with_dense_rendering(pair, k):
     a, b = pair
     assert np.allclose(render_operator(multiply(a, b)),
                        render_operator(a) @ render_operator(b), atol=1e-12)
+    assert np.allclose(render_operator(inverse(a)), render_operator(a).conj().T, atol=1e-12)
+    assert np.allclose(render_operator(power(a, k)),
+                       np.linalg.matrix_power(render_operator(a), k), atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(0, 255), max_size=12).map(lambda v: v + v[:3] + [0]))
+def test_span_basis_equals_the_per_value_xor_basis(values):
+    # Zeros and repeated values included; both bases are reduced, hence unique.
+    assert set(_span_basis(np.array(values))) == set(_xor_basis(values))
 
 
 @PROPERTY_SETTINGS

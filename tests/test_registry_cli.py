@@ -402,6 +402,11 @@ MALFORMED_NETWORKS = {
     "designate-repeated-leg": {"legos": [{"name": "steane-xp"}], "designate": [0, 0]},
     "order-objects": {"legos": [{"name": "722"}], "bonds": [[0, 0, 0, 1]],
                       "order": [{}, 1, 2, 3, 4]},
+    # json writes and reads NaN; the second shadow's norm overflows at its first bond.
+    "insertion-nan": {"legos": [{"name": "bell"}],
+                      "bonds": [[0, 0, 0, 1, [[float("nan"), 0], [0, 1]]]]},
+    "insertion-overflows-the-shadow": {"legos": [{"name": "lego6-steane"}], "bonds": [
+        [0, 0, 0, 1, [[1e200, 0], [0, 1e200]]], [0, 2, 0, 3, [[1e200, 0], [0, 1e200]]]]},
 }
 
 
