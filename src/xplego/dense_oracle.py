@@ -143,11 +143,27 @@ def group_elements(g: XpGroup, limit: int = 4096) -> list[XpOperator]:
 
 def stabilizes(op, state: np.ndarray, tol: float = 1e-9) -> bool:
     """True when op fixes the state: ||op s - s|| <= tol * ||s||."""
-    if isinstance(op, XpOperator):
-        moved = apply_operator(op, state)
-    else:
-        moved = np.asarray(op) @ state
-    return bool(np.linalg.norm(moved - state) <= tol * np.linalg.norm(state))
+    return stabilized_by((op,), state, tol)
+
+
+def stabilized_by(ops, state: np.ndarray, tol: float = 1e-9) -> bool:
+    """True when every op fixes the state: ||op s - s|| <= tol * ||s||.
+
+    The state is divided by its largest magnitude first, once for all ops,
+    so that the norms of huge finite amplitudes do not overflow.
+    """
+    scale = np.max(np.abs(state), initial=0.0)
+    if 0 < scale < np.inf:
+        state = state / scale
+    bound = tol * np.linalg.norm(state)
+    for op in ops:
+        if isinstance(op, XpOperator):
+            moved = apply_operator(op, state)
+        else:
+            moved = np.asarray(op) @ state
+        if not np.linalg.norm(moved - state) <= bound:
+            return False
+    return True
 
 
 def contract(states: Sequence[np.ndarray], bonds: Sequence[tuple[int, int]],
@@ -230,9 +246,8 @@ def xp_state_from_dense(vec: np.ndarray, precision: int, tol: float = 1e-9,
     group = lid_from_phase_table(pairs, n, precision)
     if group is None:
         return None
-    for op in group.generators:
-        if not stabilizes(op, vec, tol=1e-7):
-            return None
+    if not stabilized_by(group.generators, vec, tol=1e-7):
+        return None
     return group
 
 

@@ -122,28 +122,65 @@ def _check_projector(mat: np.ndarray, tol: float = 1e-9) -> int:
     return n
 
 
+def _pauli_butterfly(v: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Tr[X^a Z^b M] for the x parts a = shifts[s] and every z part b.
+
+    Row s of v holds v[s, k] = M[k, k ^ a], the only entries of M that
+    X^a Z^b meets, and row s of the result holds the traces over b; v is
+    overwritten.  Bit q of k and b belongs to qubit n - 1 - q, as in
+    ``XpOperator.x_mask``.  One butterfly per qubit, qubit 0 first: the
+    halves of a row that differ in that qubit, lo with a 0 and hi with a 1,
+    become lo + hi (I or X) and lo - hi (Z), times 1j for Y where a has
+    that qubit.  The new z bit goes last, so after n steps the z bits are
+    back in qubit order.  Every Pauli entry is 0, +-1 or +-i, so each
+    output is one rounded sum of two exact terms.
+    """
+    count, size = v.shape
+    n = size.bit_length() - 1
+    spare = np.empty_like(v)
+    for q in range(n):
+        m = v.reshape(count, 2, size >> 1)
+        out = spare.reshape(count, size >> 1, 2)
+        np.add(m[:, 0], m[:, 1], out=out[..., 0])
+        diff = out[..., 1]
+        np.subtract(m[:, 0], m[:, 1], out=diff)
+        np.multiply(diff, 1j, out=diff, where=((shifts >> (n - 1 - q)) & 1 == 1)[:, None])
+        v, spare = spare, v
+    return v
+
+
+def _pauli_index(strings: np.ndarray) -> np.ndarray:
+    """Each bit string with bit i moved to bit 2i: the base-4 digits of its X^a.
+
+    A Pauli string X^a Z^b (I, X, Y, Z = 0, 1, 2, 3 per qubit, qubit 0
+    first) has the base-4 index ``_pauli_index(a) ^ 3 * _pauli_index(b)``.
+    """
+    out = np.zeros_like(strings)
+    for i in range(int(strings.max(initial=0)).bit_length()):
+        out |= ((strings >> i) & 1) << (2 * i)
+    return out
+
+
 def pauli_transform(mat: np.ndarray) -> np.ndarray:
     """Tr[E mat] for every n-qubit Pauli string E, as a (4,)*n tensor.
 
-    E is indexed base 4 per qubit in I, X, Y, Z order, qubit 0 first.  One
-    butterfly per qubit, so the cost is O(n 4^n).  Every Pauli entry is 0,
-    +-1 or +-i, so each output is one rounded sum of two exact terms.
+    E is indexed base 4 per qubit in I, X, Y, Z order, qubit 0 first.  This
+    is ``_pauli_butterfly`` over all 2^n x parts, so the cost is O(n 4^n);
+    the rows are read and written one x part at a time, so no index array
+    holds more than 2^n entries.
     """
     n = int(np.log2(mat.shape[0]))
-    t = mat
-    for i in range(n):
-        # Row bit i, remaining rows, column bit i, remaining columns with
-        # the Pauli axes done so far; the fresh Pauli axis goes last.
-        rows = 2 ** (n - 1 - i)
-        m = t.reshape(2, rows, 2, rows * 4 ** i)
-        t = np.empty((rows, rows * 4 ** i, 4), dtype=complex)
-        np.add(m[0, :, 0], m[1, :, 1], out=t[..., 0])
-        np.add(m[0, :, 1], m[1, :, 0], out=t[..., 1])
-        y = t[..., 2]
-        np.subtract(m[0, :, 1], m[1, :, 0], out=y)
-        y *= 1j
-        np.subtract(m[0, :, 0], m[1, :, 1], out=t[..., 3])
-    return t.reshape((4,) * n)
+    strings = np.arange(1 << n)
+    mat = np.asarray(mat, dtype=complex)
+    v = np.empty_like(mat)
+    for a in strings:
+        v[a] = mat[strings, strings ^ a]
+    t = _pauli_butterfly(v, strings)
+    index = _pauli_index(strings)
+    out = np.empty(1 << 2 * n, dtype=complex)
+    for a in strings:
+        out[index[a] ^ 3 * index] = t[a]
+    return out.reshape((4,) * n)
 
 
 def pauli_weights(n: int) -> np.ndarray:
@@ -551,6 +588,60 @@ def _row_values(op: XpOperator) -> np.ndarray:
     return values
 
 
+# The x and z part of each Pauli digit I, X, Y, Z.
+_DIGIT_X = np.array([0, 1, 1, 0])
+_DIGIT_Z = np.array([0, 0, 1, 1])
+
+
+def _ranks(strings: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The index of each value in the sorted strings, len(strings) where absent."""
+    at = np.minimum(np.searchsorted(strings, values), strings.size - 1)
+    return np.where(strings[at] == values, at, strings.size)
+
+
+@dataclass(frozen=True)
+class _ContractionStep:
+    """The x offsets that the channel contraction of one qubit pairs up.
+
+    A spectrum on the x parts x ^ L, for sorted offsets L, is held flat
+    as a (len(L) + 1, 2^n) array over (offset, z part) whose last row is
+    zero.  Row r of ``rows_in`` holds the flat starts of the rows of
+    offsets l and l | bit, which differ only in the qubit's bit, or of the
+    zero row where one is not in L.  ``rows_out`` holds the same pair
+    among the ``support`` offsets after the step, or the last row, which
+    takes the products that have no offset there.
+    """
+
+    rows_in: np.ndarray
+    rows_out: np.ndarray
+    support: int
+
+
+def _contraction_plan(span: np.ndarray, n: int, mixes: bool,
+                      ) -> tuple[tuple[_ContractionStep, ...], np.ndarray]:
+    """The steps that contract qubits 0..n-1 of a Pauli spectrum on x ^ span.
+
+    A channel whose pairing table couples different x parts lets the
+    support take both x parts of each contracted qubit; otherwise it stays
+    x ^ span.  Returns the steps and the final sorted offsets.
+    """
+    size = 1 << n
+    steps = []
+    support = span
+    for q in range(n):
+        bit = 1 << (n - 1 - q)
+        present = np.zeros(size, dtype=bool)
+        present[support] = present[support ^ bit] = True
+        both = np.flatnonzero(present)
+        low = both[both & bit == 0]
+        pairs = np.stack([low, low | bit], axis=1)
+        grown = both if mixes else support
+        steps.append(_ContractionStep(_ranks(support, pairs) * size,
+                                      _ranks(grown, pairs) * size, grown.size))
+        support = grown
+    return tuple(steps), support
+
+
 class CosetTrace:
     """The coset trace scalars of one code projector under one channel.
 
@@ -562,21 +653,42 @@ class CosetTrace:
         b = sum_i Tr[K_i Pi K_i^dag Pi_s],   Pi_s = Etilde Pi Etilde^dag
 
     where the index runs over all n-fold tensor products of the Kraus
-    operators.  The a side contracts two Pauli transform vectors through
-    coeffs one qubit at a time; the b side reads the channel-applied
-    projector.
+    operators.  The a side contracts the Pauli spectra of Pi Etilde^dag and
+    Etilde Pi through coeffs one qubit at a time; the b side reads the
+    channel-applied projector.
 
     Pi is block diagonal on the cosets of ``_coset_blocks``, and Etilde
     maps coset c onto coset c ^ x, so the three products with Etilde run as
-    batched block products and Etilde is never rendered densely.  Made once
-    here: the projector check, Pi's diagonal blocks and the rows of the
-    channel-applied projector in coset order (4^n complex entries).  Each
-    block product entry is one nonzero term, and each diagonal entry of the
-    b side sums over all 2^n columns in index order, so every float equals
-    the dense computation's as long as BLAS rounds a block product like
-    the dense one.  That holds per BLAS build, not by the algorithm: blocks
-    hold at least ``MIN_COSET_SIZE`` strings because 2-string blocks did
-    not, and the == tests against the dense computation enforce it.
+    batched block products and Etilde is never rendered densely.
+
+    The two a-side products couple i to j only when i ^ j lies in x ^ D,
+    with D the padded coupling span, so Tr[X^a Z^b .] of either vanishes
+    unless a does: |D| 2^n of the 4^n Pauli entries.  Their spectra are
+    read from the block products as (|D|, 2^n) arrays and transformed by
+    ``_pauli_butterfly``.  The n contraction steps through coeffs run on
+    the rows of the support only, as (M, 4) @ coeffs.T products; the
+    support grows on every qubit where coeffs pairs different x parts.
+    Both spectra are then scattered into 4^n arrays for the final sum.
+
+    Made once here: the projector check, Pi's diagonal blocks, the rows of
+    the channel-applied projector in coset order (4^n complex entries),
+    and the index plan of the a side from D and coeffs' zero pattern,
+    which each call translates by x: at most (2n + 7) 2^n integers, less
+    memory than the channel rows from 3 qubits up.
+
+    Bits.  Every float equals the dense computation's, zeros aside, whose
+    sign may differ where the dense arrays held zeros outside the support.
+    The butterfly, the gathers and the scatters move floats or combine
+    them elementwise as the dense transform did, so they keep every bit by
+    construction.  The BLAS products keep bits per BLAS build only: each
+    block product entry is one nonzero term, each contraction step
+    multiplies a subset of the dense step's (4^(n-1), 4) rows, and each
+    diagonal entry of the b side sums over all 2^n columns in index order,
+    so they agree as long as BLAS rounds an entry alike whatever the
+    matrix shape.  Blocks hold at least ``MIN_COSET_SIZE`` strings because
+    2-string blocks did not, and the == tests against the dense
+    computation check the rest on the build they run on.  The final sum is
+    the dense one, over the same two 4^n arrays.
     """
 
     def __init__(self, coeffs: np.ndarray, projector: np.ndarray):
@@ -584,12 +696,25 @@ class CosetTrace:
         self.coeffs = np.asarray(coeffs, dtype=complex)
         members = self._members = _coset_blocks(projector)
         count, width = members.shape
-        self._coset = np.empty(1 << self.n, dtype=np.intp)
+        size = 1 << self.n
+        self._coset = np.empty(size, dtype=np.intp)
         self._coset[members] = np.arange(count)[:, None]
-        self._position = np.empty(1 << self.n, dtype=np.intp)
+        self._position = np.empty(size, dtype=np.intp)
         self._position[members] = np.arange(width)
         self._blocks = projector[members[:, :, None], members[:, None, :]]
         self._channel_rows = apply_channel(projector, self.coeffs)[members]
+
+        span = members[0]
+        mixes = bool(np.any(self.coeffs[_DIGIT_X[:, None] != _DIGIT_X]))
+        self._steps, grown = _contraction_plan(span, self.n, mixes)
+        # A contraction step reads column c of its product at z part
+        # _DIGIT_Z[c] of the leading bit and writes it as the trailing bit.
+        rest = np.arange(size >> 1)[:, None]
+        self._z_in = _DIGIT_Z * (size >> 1) + rest
+        self._z_out = 2 * rest + _DIGIT_Z
+        self._digits = _pauli_index(np.arange(size))
+        self._span_digits = self._digits[span]
+        self._grown_digits = self._digits[grown]
 
     def __call__(self, e_tilde: XpOperator) -> tuple[complex, complex]:
         n, size = self.n, 1 << self.n
@@ -598,9 +723,10 @@ class CosetTrace:
         members = self._members
         count, width = members.shape
         batch = np.arange(count)[:, None]
+        x = e_tilde.x_mask
         # Block c maps coset source[c] onto coset c: row t holds the value
         # of string members[c, t] in the column of members[c, t] ^ x.
-        shifted = members ^ e_tilde.x_mask
+        shifted = members ^ x
         source = self._coset[shifted[:, 0]]
         e_blocks = np.zeros((count, width, width), dtype=complex)
         e_blocks[batch, np.arange(width), self._position[shifted]] = _row_values(e_tilde)[members]
@@ -609,16 +735,7 @@ class CosetTrace:
         e_pi = np.matmul(e_blocks, pi_blocks)
         pi_s = np.matmul(e_pi, e_dag)
 
-        sources = members[source]
-        dense = np.zeros((size, size), dtype=complex)
-        dense[sources[:, :, None], members[:, None, :]] = np.matmul(pi_blocks, e_dag)
-        t1 = pauli_transform(dense)
-        dense = np.zeros((size, size), dtype=complex)
-        dense[members[:, :, None], sources[:, None, :]] = e_pi
-        t2 = pauli_transform(dense)
-        for _ in range(n):
-            t2 = np.tensordot(t2, self.coeffs, axes=([0], [1]))
-        a_scalar = complex(np.tensordot(t1, t2, axes=n))
+        a_scalar = self._a_scalar(x, np.matmul(pi_blocks, e_dag), e_pi)
 
         # The columns of coset c of Pi_s, zero outside the rows of coset c.
         slabs = np.zeros((count, size, width), dtype=complex)
@@ -627,6 +744,43 @@ class CosetTrace:
         diagonal[members] = np.matmul(self._channel_rows, slabs).diagonal(axis1=1, axis2=2)
         b_scalar = complex(diagonal.sum())
         return a_scalar, b_scalar
+
+    def _a_scalar(self, x: int, pi_e: np.ndarray, e_pi: np.ndarray) -> complex:
+        """The a side from the blocks of Pi Etilde^dag and Etilde Pi."""
+        n, size = self.n, 1 << self.n
+        span = self._members[0]  # D, whose size is the block width
+        width = span.size
+        # Row s of each spectrum input holds M[k, k ^ x ^ span[s]], read in
+        # the block of row k at the position of that string in its coset.
+        moved = np.arange(size) ^ x
+        column = self._position[moved ^ span[:, None]]
+        v = np.concatenate([
+            pi_e.reshape(-1)[(self._coset[moved] * width + self._position) * width + column],
+            e_pi.reshape(-1)[(self._coset * width + self._position) * width + column]])
+        shifts = span ^ x
+        t = _pauli_butterfly(v, np.concatenate([shifts, shifts]))
+
+        # The second spectrum over (offset, z part), z bits rotating so that
+        # the contracted qubit leads; the last row stays zero.
+        t2 = np.zeros((width + 1) * size, dtype=complex)
+        t2[:-size] = t[width:].reshape(-1)
+        coeffs_t = self.coeffs.T
+        for q, step in enumerate(self._steps):
+            # Digit c reads the offset whose bit is its x part ^ x's bit.
+            digit_x = _DIGIT_X ^ ((x >> (n - 1 - q)) & 1)
+            product = np.dot(t2[step.rows_in[:, None, digit_x] + self._z_in].reshape(-1, 4),
+                             coeffs_t)
+            t2 = np.empty((step.support + 1) * size, dtype=complex)
+            t2[step.rows_out[:, None, digit_x] + self._z_out] = product.reshape(-1, size >> 1, 4)
+            t2[-size:] = 0
+
+        x_digits = self._digits[x]
+        z_digits = 3 * self._digits
+        dense1 = np.zeros(1 << 2 * n, dtype=complex)
+        dense1[(self._span_digits ^ x_digits)[:, None] ^ z_digits] = t[:width]
+        dense2 = np.zeros(1 << 2 * n, dtype=complex)
+        dense2[(self._grown_digits ^ x_digits)[:, None] ^ z_digits] = t2[:-size].reshape(-1, size)
+        return complex(np.tensordot(dense1.reshape((4,) * n), dense2.reshape((4,) * n), axes=n))
 
 
 def coset_scalars(coeffs: np.ndarray, projector: np.ndarray,

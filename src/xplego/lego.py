@@ -52,7 +52,7 @@ from .code_structure import (
     permute_legs,
     phase_identity,
 )
-from .dense_oracle import contract, state_from_pairs, stabilizes
+from .dense_oracle import contract, stabilized_by, state_from_pairs
 from .enumerator import _reduction_rows
 from .registry import MalformedMatrixError, group_from_json, is_int, lookup
 from .ring_linalg import ModMatrix, kernel_mod, solve_linear_mod
@@ -99,10 +99,10 @@ class Lego:
         if self.dense is not None:
             if self.dense.shape[0] != 2 ** self.group.n:
                 raise LegError("dense shadow dimension does not match leg count")
-            if np.linalg.norm(self.dense) > 1e-12:
-                for op in self.group.generators:
-                    if not stabilizes(op, self.dense, tol=1e-9):
-                        raise ValueError("dense shadow is not stabilized by the generators")
+            with np.errstate(over="ignore"):  # a norm that overflows is still > 1e-12
+                nonzero = np.linalg.norm(self.dense) > 1e-12
+            if nonzero and not stabilized_by(self.group.generators, self.dense, tol=1e-9):
+                raise ValueError("dense shadow is not stabilized by the generators")
 
     @property
     def n(self) -> int:

@@ -83,15 +83,6 @@ class XpOperator:
     def identity(cls, n: int, precision: int) -> "XpOperator":
         return cls(precision, (0,) * n, (0,) * n, 0)
 
-    def action_phase(self, e: int) -> int:
-        """Exponent of w picked up when acting on basis index ``e`` (big endian)."""
-        n = self.n
-        acc = self.phase
-        for i, zi in enumerate(self.z):
-            if zi and (e >> (n - 1 - i)) & 1:
-                acc += 2 * zi
-        return acc % (2 * self.precision)
-
     def __str__(self) -> str:
         xs = " ".join(str(v) for v in self.x)
         zs = " ".join(str(v) for v in self.z)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from xplego.dense_oracle import (
     state_from_pairs,
     xp_state_from_dense,
 )
+from xplego.lego import lego_from_group
 from xplego.registry import lookup
 from xplego.xp_algebra import XpOperator, multiply
 
@@ -182,6 +184,19 @@ def test_certificate_rejects_non_xp_states():
     # Non-finite amplitudes.
     for bad in (np.nan, np.inf, complex(np.inf, np.nan)):
         assert xp_state_from_dense(np.array([1.0, bad], dtype=complex), 8) is None
+
+
+def test_huge_finite_amplitudes_answer_without_overflow():
+    # Norms are taken after dividing by the largest magnitude, so this
+    # state is certified like (1, i) and its lego accepts the shadow.
+    vec = np.array([1e308, 1e308j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        group = xp_state_from_dense(vec, 4)
+        assert group is not None
+        assert group == xp_state_from_dense(np.array([1, 1j]), 4)
+        assert all(stabilizes(op, vec) for op in group.generators)
+        assert lego_from_group(group, vec).dense is vec
 
 
 def test_apply_operator_matches_matrix():

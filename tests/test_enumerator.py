@@ -20,6 +20,7 @@ from tests_support import dense_biased_distance
 from xplego import cli, enumerator
 from xplego.code_structure import SizeLimitError, XpGroup, canonical_form
 from xplego.decoder import (
+    Channel,
     Syndrome,
     amplitude_damping,
     decoder_setup,
@@ -28,6 +29,7 @@ from xplego.decoder import (
     representative_errors,
 )
 from xplego.dense_oracle import (
+    hadamard_unitary,
     lu_conjugate,
     omega_table,
     phase_unitary,
@@ -403,6 +405,34 @@ def test_pauli_transform_equals_tensordot_reference(n):
         assert exactly_equal(pauli_transform(mat), reference_pauli_transform(mat))
 
 
+def random_span(rng: np.random.Generator, n: int, generators: int) -> np.ndarray:
+    span = np.zeros(1, dtype=np.int64)
+    for v in rng.integers(1 << n, size=generators):
+        span = np.union1d(span, span ^ v)
+    return span
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pauli_butterfly_equals_reference_on_a_coset_support(n):
+    # A matrix that couples i to j only for i ^ j in x ^ D has its Pauli
+    # spectrum on the x parts x ^ D, which the butterfly computes alone.
+    rng = np.random.default_rng(300 + n)
+    size = 2 ** n
+    strings = np.arange(size)
+    for span in (np.zeros(1, dtype=np.int64), random_span(rng, n, n // 2), strings):
+        shifts = span ^ int(rng.integers(size))
+        mat = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        mat[~np.isin(strings ^ strings[:, None], shifts)] = 0
+        want = reference_pauli_transform(mat).reshape(-1)
+        index = enumerator._pauli_index(shifts)[:, None] ^ 3 * enumerator._pauli_index(strings)
+        got = enumerator._pauli_butterfly(mat[strings, strings ^ shifts[:, None]], shifts)
+        assert exactly_equal(got, want[index])
+        outside = np.ones(4 ** n, dtype=bool)
+        outside[index] = False
+        assert not want[outside].any()
+        assert not pauli_transform(mat).reshape(-1)[outside].any()
+
+
 def test_pauli_transform_equals_reference_on_registry_projectors():
     for name, entry in registry().items():
         if entry.group.n > 8:
@@ -411,8 +441,13 @@ def test_pauli_transform_equals_reference_on_registry_projectors():
         assert exactly_equal(pauli_transform(pi), reference_pauli_transform(pi)), name
 
 
+# Depolarizing and damping pair Pauli strings with the same x parts only;
+# the Hadamard mixture also pairs X with Z, so it grows the support of the
+# contracted spectrum.
 SCALAR_CHANNELS = {"depolarizing-0.05": depolarizing(0.05),
-                   "damping-0.2": amplitude_damping(0.2)}
+                   "damping-0.2": amplitude_damping(0.2),
+                   "hadamard-mixture-0.1": Channel((np.sqrt(0.9) * PAULI_LIST[0],
+                                                    np.sqrt(0.1) * hadamard_unitary()))}
 
 
 def random_operator(rng: random.Random, n: int, precision: int) -> XpOperator:
@@ -506,6 +541,21 @@ def test_coset_trace_equals_reference_on_a_dense_projector(channel):
         assert_equals_reference(coeffs, pi, context, random_operator(ops, n, 4))
     with pytest.raises(ValueError):
         context(random_operator(ops, n + 1, 4))
+
+
+def test_coset_trace_index_plan_is_smaller_than_the_channel_rows():
+    # The a-side plan of a context: its contraction steps and its z and
+    # digit tables, under channels that keep and that mix x parts.
+    for name, entry in registry().items():
+        if not 3 <= entry.group.n <= 8:
+            continue
+        pi = code_projector(name)
+        for channel in SCALAR_CHANNELS.values():
+            context = CosetTrace(pauli_process_coeffs(channel), pi)
+            arrays = [context._z_in, context._z_out, context._digits,
+                      context._span_digits, context._grown_digits]
+            arrays += [a for step in context._steps for a in (step.rows_in, step.rows_out)]
+            assert sum(a.nbytes for a in arrays) < context._channel_rows.nbytes, name
 
 
 def test_registry_projectors_vanish_between_coset_blocks():

@@ -1,11 +1,11 @@
-"""Shared helpers: random XP states built from twisted stabilizer states, a
-brute-force biased distance over dense Pauli strings, the trace of a whole
-group by operator matching, a group from rows written as digit strings, the
-matched subgroup of a trace and the kept subgroup of a shortening by brute
-force over the group's elements, the counting certificate read from the
-orbit structure of the whole group, the dense projector of a first-round
-decoding sector, and the canonical form computed with ``XpOperator``
-products."""
+"""Shared helpers: the phase of an XP operator on one basis string, random
+XP states built from twisted stabilizer states, a brute-force biased
+distance over dense Pauli strings, the trace of a whole group by operator
+matching, a group from rows written as digit strings, the matched subgroup
+of a trace and the kept subgroup of a shortening by brute force over the
+group's elements, the counting certificate read from the orbit structure of
+the whole group, the dense projector of a first-round decoding sector, and
+the canonical form computed with ``XpOperator`` products."""
 
 from __future__ import annotations
 
@@ -35,6 +35,19 @@ from xplego.enumerator import PAULI_LIST
 from xplego.lego import _trace_front_two
 from xplego.ring_linalg import ModMatrix, howell_form
 from xplego.xp_algebra import XpOperator, conjugate, delete_legs, inverse, multiply, power
+
+
+def action_phase(op: XpOperator, e: int) -> int:
+    """Exponent of w that op picks up on basis index ``e`` (big endian).
+
+    One string at a time, as the reference for the library's tables of all
+    strings (``code_structure._exponent_table``).
+    """
+    acc = op.phase
+    for i, zi in enumerate(op.z):
+        if zi and (e >> (op.n - 1 - i)) & 1:
+            acc += 2 * zi
+    return acc % (2 * op.precision)
 
 
 def random_clifford_state_vec(rng: random.Random, n: int) -> np.ndarray:
