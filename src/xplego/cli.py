@@ -36,8 +36,8 @@ from .dense_oracle import (
     group_elements,
     projector,
     render_operator,
+    stabilized_by,
     state_from_pairs,
-    stabilizes,
     xp_state_from_dense,
 )
 from .enumerator import biased_distance, dense_enumerators, distance, enumerators
@@ -218,13 +218,11 @@ def _verify_entry(name: str, tolerance: float, out) -> bool:
             pz_diag = projector(XpGroup.from_generators(
                 diag, n=canonical.n, precision=canonical.precision))
             check("support projector match", bool(np.max(np.abs(pz_pauli - pz_diag)) < tolerance * 10))
-        table = codewords(canonical)
-        stabilized = True
-        for cw in table.entries:
-            vec = state_from_pairs(cw, canonical.n, canonical.precision)
-            stabilized = stabilized and all(
-                stabilizes(op, vec, tol=tolerance * 10) for op in canonical.generators)
-        check("codewords stabilized", stabilized)
+        check("codewords stabilized", all(
+            stabilized_by(canonical.generators,
+                          state_from_pairs(cw, canonical.n, canonical.precision),
+                          tol=tolerance * 10)
+            for cw in codewords(canonical).entries))
         check("exact enumerators match the dense oracle",
               enumerators(canonical) == dense_enumerators(pi))
         try:

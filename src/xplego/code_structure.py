@@ -20,8 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .ring_linalg import ModMatrix, howell_form, kernel_mod, solve_linear_mod
-from .xp_algebra import (MAX_PRECISION, PrecisionError, XpOperator, _row_inv, _row_mul,
-                         embed, restrict)
+from .xp_algebra import MAX_PRECISION, PrecisionError, XpOperator, _row_mul, embed, restrict
 
 
 class EmptyCodeError(ValueError):
@@ -145,6 +144,26 @@ def _reduce(vec: list, basis: list, modulus: int) -> list:
     return vec
 
 
+def _square_vec(a: tuple) -> list:
+    """(2z|p) of the square of an (x, z, p) row, unreduced:
+    (4z - 4x*z | 2p + 2 x.z)."""
+    x, z, p = a
+    xz = [xi * zi for xi, zi in zip(x, z)]
+    return [4 * (zi - v) for zi, v in zip(z, xz)] + [2 * p + 2 * sum(xz)]
+
+
+def _commutator_vec(a: tuple, b: tuple) -> list | None:
+    """(2z|p) of the commutator a b (b a)^-1 of two (x, z, p) rows, unreduced:
+    (2d - 4x*d | 2 x.d - sum d) with d = 2(x_a*z_b - x_b*z_a) and
+    x = x_a ^ x_b.  None when d = 0, where it is the identity."""
+    (xa, za, _), (xb, zb, _) = a, b
+    d = [2 * (u * zv - v * zu) for u, zu, v, zv in zip(xa, za, xb, zb)]
+    if not any(d):
+        return None
+    xd = [(u ^ v) * dv for u, v, dv in zip(xa, xb, d)]
+    return [2 * dv - 4 * w for dv, w in zip(d, xd)] + [2 * sum(xd) - sum(d)]
+
+
 def canonical_form(g: XpGroup) -> XpGroup:
     """Unique canonical presentation of the generated group, computed on
     (x, z, p) integer rows with the exact group law, never plain row
@@ -168,13 +187,12 @@ def canonical_form(g: XpGroup) -> XpGroup:
         sx.append(pivot)
 
     # All remaining rows are diagonal.  Close the diagonal subgroup under
-    # squares, pairwise commutators, and conjugation by the x block.
-    pool = work + [_row_mul(s, s, precision) for s in sx]
-    for i, a in enumerate(sx):
-        for b in sx[i + 1:]:
-            ba = _row_inv(_row_mul(b, a, precision), precision)
-            pool.append(_row_mul(_row_mul(a, b, precision), ba, precision))
-    basis = _howell_basis([[2 * zi for zi in z] + [p] for _, z, p in pool], two_n)
+    # squares, pairwise commutators (both in closed form), and conjugation
+    # by the x block.
+    pool = [[2 * zi for zi in z] + [p] for _, z, p in work] + [_square_vec(s) for s in sx]
+    commutators = (_commutator_vec(a, b) for i, a in enumerate(sx) for b in sx[i + 1:])
+    pool += [vec for vec in commutators if vec is not None]
+    basis = _howell_basis(pool, two_n)
     while True:
         grown = []
         for x, _, _ in sx:
@@ -198,17 +216,18 @@ def merge_canonical_blocks(n: int, precision: int,
                            blocks: Sequence[tuple[XpGroup, Sequence[int]]]) -> XpGroup:
     """Canonical form of a product of canonical groups on disjoint legs.
 
-    Each block is a canonical group placed on the listed legs of ``n``, in
-    increasing order, so that its own canonical order survives.  No
+    Each block must be a canonical group, placed on the listed legs of
+    ``n`` in increasing order so that its own canonical order survives.  No
     product of rows from different blocks reduces either, so the canonical
     form of the product is the blocks' rows in canonical order: x rows by
     their first x leg, then diagonal rows by the first nonzero entry of
-    (2z mod 2N | p).  A phase-only row would be a pivot of every block, so
-    one raises InvariantError.
+    (2z mod 2N | p).  A phase-only row (a phase times identity: an empty
+    code) would be a pivot of every block, so then the product falls back
+    to ``canonical_form``.
     """
     rows = [embed(op, n, legs) for group, legs in blocks for op in group.generators]
     if any(op.is_diagonal and not any(op.z) for op in rows):
-        raise InvariantError("a phase-only row reached the block merge")
+        return canonical_form(XpGroup(precision, n, tuple(rows)))
     x_rows = sorted((op for op in rows if not op.is_diagonal), key=lambda op: op.x.index(1))
     z_rows = sorted((op for op in rows if op.is_diagonal),
                     key=lambda op: next(i for i, zi in enumerate(op.z) if zi))

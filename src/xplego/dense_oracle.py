@@ -23,6 +23,7 @@ from .code_structure import (
     SizeLimitError,
     XpGroup,
     _exponent_table,
+    _support_bits,
     canonical_form,
     lid_from_phase_table,
     phase_identity,
@@ -150,18 +151,32 @@ def stabilized_by(ops, state: np.ndarray, tol: float = 1e-9) -> bool:
     """True when every op fixes the state: ||op s - s|| <= tol * ||s||.
 
     The state is divided by its largest magnitude first, once for all ops,
-    so that the norms of huge finite amplitudes do not overflow.
+    so that the norms of huge finite amplitudes do not overflow.  An XP
+    operator is read on the nonzero support S alone, which the ops share:
+    op s - s is w^phase(e) s[e] - s[e ^ x] at e in S, where s[e ^ x] is 0
+    when e ^ x leaves S, plus -s[e] on each such e ^ x.  A matrix op is
+    applied to the whole state.
     """
     scale = np.max(np.abs(state), initial=0.0)
     if 0 < scale < np.inf:
         state = state / scale
     bound = tol * np.linalg.norm(state)
+    support = np.flatnonzero(state)
+    amps = state.reshape(-1)[support]
+    bits = _support_bits(support, state.shape[0].bit_length() - 1)
     for op in ops:
         if isinstance(op, XpOperator):
-            moved = apply_operator(op, state)
+            if state.shape != (2 ** op.n,):
+                raise ValueError("state dimension does not match operator")
+            expo = (op.phase + 2 * np.asarray(op.z, dtype=np.int64) @ bits) % (2 * op.precision)
+            partner = support ^ op.x_mask
+            at = np.searchsorted(support, partner).clip(max=support.size - 1)
+            found = support[at] == partner
+            moved = omega_table(op.precision)[expo] * amps - np.where(found, amps[at], 0)
+            gap = np.linalg.norm(np.concatenate([moved, amps[~found]]))
         else:
-            moved = np.asarray(op) @ state
-        if not np.linalg.norm(moved - state) <= bound:
+            gap = np.linalg.norm(np.asarray(op) @ state - state)
+        if not gap <= bound:
             return False
     return True
 

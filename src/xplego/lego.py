@@ -131,13 +131,13 @@ def state_lego(group: XpGroup) -> Lego:
 
 
 def tensor_product(a: Lego, b: Lego) -> Lego:
-    """Disjoint union of legs; generators pad with identity on the other side."""
+    """Disjoint union of legs.  The group is the canonical product, merged
+    from the factors' canonical forms by ``merge_canonical_blocks``."""
     if a.precision != b.precision:
         raise ValueError("tensor product needs equal precision")
     n = a.n + b.n
-    gens = [embed(op, n, list(range(a.n))) for op in a.group.generators]
-    gens += [embed(op, n, list(range(a.n, n))) for op in b.group.generators]
-    group = XpGroup(a.precision, n, tuple(gens))
+    group = merge_canonical_blocks(n, a.precision, [
+        (canonical_form(a.group), range(a.n)), (canonical_form(b.group), range(a.n, n))])
     dense = None
     warnings = a.warnings + b.warnings
     if a.dense is not None and b.dense is not None:
@@ -242,26 +242,35 @@ def _vanishing_subgroup(g: XpGroup, column: Sequence[int]) -> list[XpOperator]:
 def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup | None:
     """Operator matching on the first two legs of a group.
 
-    Returns the post-trace group (columns 0 and 1 removed, canonical), or
-    None when the traced state vanishes: the support restriction leaves no
-    string, the collision rebuild finds the table empty, or matching keeps
-    a phase times identity.  Matching keeps every element of the completed
-    group with x[0] == x[1] and z[0] + z[1] == 0 (z[0] == z[1] with an X
-    inserted), through ``_vanishing_subgroup``.  ``rebuild`` is False when
-    the group is one factor of a code whose other factors hold several
-    codewords: the whole code then has several, so the one-codeword
-    collision rebuild does not apply.  The restricted group and its
-    completion share one codeword table, so the completion's table is the
-    one the collision check reads.
+    The rows must include generators of the diagonal subgroup, as every
+    restriction of a canonical group to a union of its leg blocks does, in
+    any leg order.  Returns the post-trace group (columns 0 and 1 removed,
+    canonical), or None when the traced state vanishes: the support
+    restriction leaves no string, the collision rebuild finds the table
+    empty, or matching keeps a phase times identity.  Matching keeps every
+    element of the completed group with x[0] == x[1] and z[0] + z[1] == 0
+    (z[0] == z[1] with an X inserted), through ``_vanishing_subgroup``.
+    ``rebuild`` is False when the group is one factor of a code whose other
+    factors hold several codewords: the whole code then has several, so the
+    one-codeword collision rebuild does not apply.  The restricted group and
+    its completion share one codeword table, so the completion's table is
+    the one the collision check reads.
     """
-    precision = group.precision
-    g = canonical_form(group)
+    precision, n = group.precision, group.n
 
-    # Consolidate X support on the traced legs.  In canonical form at most
-    # one row has X on leg 0 alone and at most one on leg 1 alone: their
-    # product has X on both, and a lone one can never match.
-    rows = [r for r in g.generators if r.x[0] == r.x[1]]
-    lone = [r for r in g.generators if r.x[0] != r.x[1]]
+    # Sweep X on the traced legs into one pivot row per leg.  A pivot with X
+    # on one traced leg alone never matches, but the product of two does;
+    # dropping such pivots loses no other matched element, as their squares
+    # and commutators are diagonal, so products of the diagonal rows.
+    rows, pivots = list(group.generators), []
+    for leg in (0, 1):
+        pivot = next((r for r in rows if r.x[leg]), None)
+        if pivot is not None:
+            rows.remove(pivot)
+            rows = [multiply(r, pivot) if r.x[leg] else r for r in rows]
+            pivots = [multiply(r, pivot) if r.x[leg] else r for r in pivots] + [pivot]
+    rows += [r for r in pivots if r.x[0] == r.x[1]]
+    lone = [r for r in pivots if r.x[0] != r.x[1]]
     if len(lone) == 2:
         rows.append(multiply(*lone))
     # Restrict the support to the kept Bell sector (e[0] == e[1], or
@@ -269,9 +278,9 @@ def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup
     # identity group: the restricted object can have strictly finer
     # symmetries than the presentation generates.
     sign = 1 if mode == "plain" else -1
-    rows.append(XpOperator(precision, (0,) * g.n, (1, -sign) + (0,) * (g.n - 2), sign - 1))
+    rows.append(XpOperator(precision, (0,) * n, (1, -sign) + (0,) * (n - 2), sign - 1))
     try:
-        g, table = _completion(XpGroup(precision, g.n, tuple(rows)))
+        g, table = _completion(XpGroup(precision, n, tuple(rows)))
     except EmptyCodeError:
         return None
 
@@ -316,8 +325,12 @@ def _trace_blocks(group: XpGroup, j: int, k: int, mode: str,
     the empty group on every remaining leg.  A generator with empty support
     (a phase) lies inside every block.
 
+    The group is canonicalized first (free when flagged), so the front
+    meets the precondition of ``_trace_front_two``.
+
     Returns the traced group and its complete spectators, renumbered.
     """
+    group = canonical_form(group)
     n, precision = group.n, group.precision
     empty = XpGroup(precision, n - 2, ())
     blocks = _leg_blocks(group)

@@ -1,4 +1,5 @@
-"""Dense backend tests: rendering, contraction, and the symmetry certificate."""
+"""Dense backend tests: rendering, contraction, the stabilization check on a
+state's support, and the symmetry certificate."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from xplego.dense_oracle import (
     omega_table,
     projector,
     render_operator,
+    stabilized_by,
     stabilizes,
     state_from_pairs,
     xp_state_from_dense,
@@ -197,6 +199,71 @@ def test_huge_finite_amplitudes_answer_without_overflow():
         assert group == xp_state_from_dense(np.array([1, 1j]), 4)
         assert all(stabilizes(op, vec) for op in group.generators)
         assert lego_from_group(group, vec).dense is vec
+
+
+def dense_stabilized_by(ops, state: np.ndarray, tol: float = 1e-9) -> bool:
+    """||op s - s|| <= tol ||s|| for every op, acting on the whole dense state
+    after the same division by the largest magnitude: the reference for the
+    support read of ``stabilized_by``."""
+    scale = np.max(np.abs(state), initial=0.0)
+    if 0 < scale < np.inf:
+        state = state / scale
+    bound = tol * np.linalg.norm(state)
+    moved = [apply_operator(op, state) if isinstance(op, XpOperator) else op @ state
+             for op in ops]
+    return all(np.linalg.norm(m - state) <= bound for m in moved)
+
+
+def support_read_cases():
+    """(ops, state) pairs: random XP states with their groups and random
+    operators, bare and with noise off the support; sparse random states
+    whose support an x moves partly off itself; the zero state; huge finite
+    amplitudes; a NaN entry; render_operator matrices among the ops."""
+    rng = random.Random(21)
+    cases = []
+    for _ in range(40):
+        n, precision = rng.randint(1, 6), rng.choice((2, 4, 8, 16))
+        vec = random_xp_state(rng, n, precision)
+        group = xp_state_from_dense(vec, precision)
+        ops = list(group.generators) + [random_op(rng, n, precision) for _ in range(3)]
+        noisy = vec.copy()
+        for e in np.flatnonzero(np.abs(vec) < 1e-12):
+            if rng.random() < 0.5:
+                noisy[e] = rng.choice((1e-14, 1e-11, 1e-6)) * np.exp(6j * rng.random())
+        sparse = np.zeros(2 ** n, dtype=complex)
+        sparse[rng.sample(range(2 ** n), rng.randint(1, 2 ** n))] = 1.0
+        cases += [(ops, vec), (ops, noisy), (ops, sparse), (ops, 1e308 * vec),
+                  (ops + [render_operator(ops[0])], noisy)]
+    # S = {0, 1, 2}: X on qubit 1 swaps 0 and 1 and moves 2 off S.
+    partial = np.array([1, 1, 1, 0], dtype=complex)
+    cases += [([XpOperator(2, (0, 1), (0, 0), 0)], partial),
+              ([XpOperator(2, (1, 0), (0, 0), 0)], np.array([1, 1, 0, 0], dtype=complex))]
+    one = XpOperator(4, (1, 0), (1, 0), 0)
+    cases += [([one], np.zeros(4, dtype=complex)),
+              ([one, render_operator(one)], np.zeros(4, dtype=complex)),
+              ([XpOperator.identity(2, 4)], np.array([1, np.nan, 0, 0], dtype=complex)),
+              ([render_operator(one)], np.array([1, np.nan, 0, 0], dtype=complex)),
+              ([XpOperator.identity(1, 4)], np.array([1e308, -1e308j]))]
+    return cases
+
+
+def test_the_support_read_agrees_with_the_dense_check():
+    decisions = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ops, state in support_read_cases():
+            for op in ops:
+                decisions.append(stabilized_by([op], state))
+                assert decisions[-1] == dense_stabilized_by([op], state)
+            assert stabilized_by(ops, state) == dense_stabilized_by(ops, state)
+    assert 0.2 < np.mean(decisions) < 0.8
+
+
+def test_the_support_read_needs_a_state_vector_of_the_operator_size():
+    op = XpOperator(4, (1,), (1,), 0)
+    for bad in (np.ones(4, dtype=complex), np.eye(2, dtype=complex)):
+        with pytest.raises(ValueError, match="dimension"):
+            stabilized_by([op], bad)
 
 
 def test_apply_operator_matches_matrix():

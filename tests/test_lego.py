@@ -188,6 +188,29 @@ def test_an_annihilated_block_or_spectator_empties_the_whole_trace(rows):
     assert traced.warnings == ("trivial-symbolic-group",)
 
 
+def test_a_raw_presentation_is_traced_from_its_canonical_form():
+    # X P on leg 1 squares to Z on leg 2, which the raw presentation does not
+    # list.  The two-pivot sweep drops the lone row, so without the canonical
+    # form that the trace starts from, leg 2 would keep no symmetry.
+    group = XpGroup(4, 3, (XpOperator(4, (0, 1, 0), (0, 0, 1), 0),))
+    traced = self_trace(lego_from_group(group), 0, 1)
+    assert traced.group.generators == (diag(4, (1,)),)
+    assert traced.group == whole_group_trace(group, 0, 1)
+    assert traced.warnings == ()
+
+
+def test_a_bond_onto_an_empty_code_leaves_the_trivial_group():
+    # -I on two legs holds a phase times identity: the tensor product falls
+    # back from the block merge to the canonical form, and the traced code
+    # stays empty.
+    minus = {"n": 2, "precision": 8, "rows": [{"x": [0, 0], "z": [0, 0], "p": 8}]}
+    network = {"legos": [{"name": "722"}, {"matrix": minus}],
+               "bonds": [[0, 0, 1, 0], [0, 1, 1, 1]]}
+    result = run_network(network)
+    assert (result.n, result.group.generators) == (5, ())
+    assert "trivial-symbolic-group" in result.warnings
+
+
 def count_spectator_completions(monkeypatch, tables: list[int] | None = None) -> list[int]:
     """Patch lego so that every completion made outside operator matching
     appends the size of its group to the returned list; with ``tables``,

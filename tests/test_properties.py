@@ -3,13 +3,16 @@ groups.
 
 The group law, inverses and powers are checked against dense rendering,
 the GF(2) span routine against the per-value basis, the Howell form against
-unimodular remixing and a brute-force span, and the canonical form against
-the same algorithm on ``XpOperator`` products, also at N in {3, 6}.  Each
+unimodular remixing and a brute-force span, the closed-form squares and
+commutators of the canonical form's diagonal pool against row products, and
+the canonical form against the same algorithm on ``XpOperator`` products,
+also at N in {3, 6}.  Each
 vectorized stage is compared with the per-string loop it replaced, kept
 here as the reference, at precisions N in {2, 4, 8, 16}; the logical
 identity group completion is checked against its defining properties, the
 symbolic trace against the full symmetry group of the dense contraction
-and, on random products, against matching on the whole group, operator
+and, on random products (whose tensor product must be the canonical form of
+the plain product), against matching on the whole group, operator
 matching and code shortening against the brute-force subgroup of every
 group element that meets their condition, and the exact enumerators and
 biased distances against the dense oracle, also at N in {3, 5, 6}.  On
@@ -43,6 +46,8 @@ from tests_support import (
 from xplego.code_structure import (
     EmptyCodeError,
     XpGroup,
+    _commutator_vec,
+    _square_vec,
     _span_basis,
     _xor_basis,
     canonical_form,
@@ -55,7 +60,6 @@ from xplego.code_structure import (
     merge_canonical_blocks,
     orbit_decomposition,
     permute_legs,
-    phase_identity,
     solve_diagonal_constraints,
     z_support,
 )
@@ -70,7 +74,8 @@ from xplego.lego import (
     trace_with_insertion,
 )
 from xplego.ring_linalg import ModMatrix, howell_form
-from xplego.xp_algebra import XpOperator, conjugate, embed, inverse, multiply, power
+from xplego.xp_algebra import (XpOperator, _row_inv, _row_mul, conjugate, embed, inverse,
+                               multiply, power)
 
 PRECISIONS = (2, 4, 8, 16)
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
@@ -126,6 +131,32 @@ def test_span_basis_equals_the_per_value_xor_basis(values):
 @given(xp_groups(max_n=6, max_x=4, precisions=(2, 3, 4, 6, 8, 16)))
 def test_canonical_form_equals_the_operator_product_reference(group):
     # Odd and non-power-of-two N reach the gcd branches of howell_form.
+    assert canonical_form(group) == reference_canonical_form(group)
+
+
+@PROPERTY_SETTINGS
+@given(xp_operator_pairs(max_n=6))
+def test_closed_form_squares_and_commutators_equal_the_row_products(pair):
+    a, b = ((op.x, op.z, op.phase) for op in pair)
+    precision = pair[0].precision
+    two_n = 2 * precision
+
+    def diagonal_vec(row):
+        x, z, p = row
+        assert not any(x)
+        return [2 * zi % two_n for zi in z] + [p]
+
+    assert [v % two_n for v in _square_vec(a)] == diagonal_vec(_row_mul(a, a, precision))
+    ba_inv = _row_inv(_row_mul(b, a, precision), precision)
+    want = diagonal_vec(_row_mul(_row_mul(a, b, precision), ba_inv, precision))
+    # None stands for d = 0; a nonzero d can still give the identity mod 2N.
+    assert [v % two_n for v in _commutator_vec(a, b) or [0] * len(want)] == want
+
+
+# Mostly x rows, so that the pool holds many squares and commutators.
+@PROPERTY_SETTINGS
+@given(xp_groups(max_n=6, max_x=6, max_diag=1))
+def test_the_closed_form_pool_gives_the_product_pool_canonical_form(group):
     assert canonical_form(group) == reference_canonical_form(group)
 
 
@@ -414,13 +445,14 @@ def traced_products(draw, max_factors=4):
     bond insertion of None or X.  A factor is one random XP state (one
     codeword), a subgroup of an XP state's symmetry group (often several
     codewords), a random XP code or group (the group may stabilize nothing;
-    the legs of either may fall into several blocks) or a free leg that no
-    generator touches."""
+    the legs of either may fall into several blocks), a free leg that no
+    generator touches or -I on one leg (an empty code).  Returns the lego,
+    the legs, the insertion and the factors."""
     precision = draw(st.sampled_from(PRECISIONS))
     rng = draw(st.randoms(use_true_random=False))
     factors = []
     for _ in range(draw(st.integers(1, max_factors))):
-        kind = draw(st.sampled_from(("state", "code", "random code", "group", "free")))
+        kind = draw(st.sampled_from(("state", "code", "random code", "group", "free", "-I")))
         if kind == "state":
             n = draw(st.integers(1, 4))
             group = xp_state_from_dense(random_xp_state_vec(rng, n, precision), precision)
@@ -431,21 +463,32 @@ def traced_products(draw, max_factors=4):
             group = draw(xp_codes(max_n=3, precisions=(precision,)))
         elif kind == "group":
             group = draw(xp_groups(max_n=3, max_x=2, max_diag=2, precisions=(precision,)))
-        else:
+        elif kind == "free":
             group = XpGroup(precision, 1, ())
+        else:
+            group = XpGroup(precision, 1, (XpOperator(precision, (0,), (0,), precision),))
         factors.append(lego_from_group(group))
     lego = factors[0]
     for factor in factors[1:]:
         lego = tensor_product(lego, factor)
     assume(lego.n >= 2)
     legs = draw(st.lists(st.integers(0, lego.n - 1), min_size=2, max_size=2, unique=True))
-    return lego, legs, draw(st.sampled_from((None, "X")))
+    return lego, legs, draw(st.sampled_from((None, "X"))), factors
 
 
 @settings(max_examples=400, deadline=None)
 @given(traced_products())
 def test_block_trace_equals_the_whole_group_trace(case):
-    lego, (j, k), insertion = case
+    lego, (j, k), insertion, factors = case
+    # A tensor product is the canonical form of the plain embedded product,
+    # merged from its factors' canonical forms or, past a phase-only row,
+    # computed anew; either way a trace starts from a canonical group.
+    if len(factors) > 1:
+        offsets = np.cumsum([0] + [f.n for f in factors]).tolist()
+        plain = product_group(lego.n, lego.precision, [
+            (f.group, range(start, start + f.n)) for f, start in zip(factors, offsets)])
+        assert lego.group.canonical
+        assert lego.group.generators == canonical_form(plain).generators
     want = whole_group_trace(lego.group, j, k, "plain" if insertion is None else "insert_x")
     got = trace_with_insertion(lego, j, k, insertion).group
     assert (got.n, got.generators) == (want.n, want.generators)
@@ -540,7 +583,7 @@ def test_matching_keeps_every_matched_element_of_the_front(g, mode):
         want = brute_force_trace_front(g, mode, limit=2048)
     except ValueError:
         assume(False)
-    got = _trace_front_two(g, mode, rebuild=False)
+    got = _trace_front_two(canonical_form(g), mode, rebuild=False)
     assert (got is None) == (want is None)
     if got is not None:
         assert got.generators == want.generators
@@ -632,7 +675,6 @@ def product_group(n, precision, placed):
 def test_the_pivot_merge_of_canonical_blocks_is_the_canonical_product(case):
     n, precision, placed = case
     blocks = [(canonical_form(g), legs) for g, legs in placed]
-    assume(all(phase_identity(g) is None for g, _ in blocks))
     merged = merge_canonical_blocks(n, precision, blocks)
     assert merged.canonical
     assert merged.generators == canonical_form(product_group(n, precision, placed)).generators

@@ -103,7 +103,7 @@ def whole_group_trace(group: XpGroup, j: int, k: int, mode: str = "plain") -> Xp
     """Operator matching on the whole group, with no split into blocks: the
     reference that a trace on the bond's block of legs must equal."""
     keep = [i for i in range(group.n) if i not in (j, k)]
-    traced = _trace_front_two(permute_legs(group, [j, k] + keep), mode)
+    traced = _trace_front_two(permute_legs(canonical_form(group), [j, k] + keep), mode)
     return XpGroup(group.precision, group.n - 2, ()) if traced is None else traced
 
 
@@ -214,7 +214,9 @@ def _reduce_diag_part(op: XpOperator, basis: Sequence[XpOperator]) -> XpOperator
 
 def reference_canonical_form(g: XpGroup) -> XpGroup:
     """Canonical form with ``XpOperator`` products throughout: the x block
-    swept by ``multiply``, the diagonal block closed by ``conjugate`` and a
+    swept by ``multiply``, the pool of squares and commutators built as
+    products (``power``, ``multiply``, ``inverse``) where ``canonical_form``
+    uses closed forms, the diagonal block closed by ``conjugate`` and a
     Howell form per round until one round leaves it unchanged.  The
     reference that ``canonical_form`` must equal."""
     n, precision = g.n, g.precision
