@@ -502,6 +502,8 @@ def monte_carlo(code: XpGroup, channel: Channel, shots: int, seed: int,
         raise ValueError("shots must be positive")
     if mode not in ("exact", "twirl"):
         raise ValueError(f"unknown sampling mode {mode!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     code = canonical_form(code)
     setup = decoder_setup(code)
     if setup.classes is None:

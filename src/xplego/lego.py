@@ -15,9 +15,22 @@ cancellation cannot hide symmetries of the result.  Tracing with an X
 inserted on the bond flips the diagonal condition to z[j] == z[k] and adds
 2 z[j] to the surviving phase.  The generators split the legs into blocks
 (connected components of their supports); a trace matches on the blocks
-holding its two legs and only completes the others, and the result
-records the blocks it completed so that later traces skip them.  The cost
-of a trace follows the traced block rather than the whole network.
+holding its two legs and only completes the others.  The cost of a trace
+follows the traced block rather than the whole network.
+
+Each lego carries a record of the work its lineage has done, keyed by a
+block's own rows (precision, leg count and generators) rather than its legs:
+a spectator block maps to its completed group and codeword count, a
+completed block to itself, and a bond front (the restricted group on the
+blocks a bond touches, bond legs first, with the trace mode and rebuild
+flag) to its matched group, or None when it vanished.  Completion and front
+matching are pure in these keys, so a block or front met again, on another
+copy of the same lego or at other legs, is read from the record instead of
+being recomputed.  A new lego starts with an empty record, a trace extends
+a copy of it and a tensor product takes the union, so the record never
+leaves one network.  The gain needs blocks or fronts repeated within one
+network: chains of copies of one lego have them, while the shipped
+networks repeat none.
 
 Re-designating a physical leg as logical shortens the code in place: the
 group keeps every element with no X and z == 0 on the leg, then the leg's
@@ -80,18 +93,15 @@ class NotIsometryError(ValueError):
 class Lego:
     """Check matrix plus leg metadata and an optional dense shadow.
 
-    ``_complete`` maps leg blocks (sorted leg tuples) whose generators are
-    already their full logical identity group, in canonical form, to their
-    codeword counts.  A trace fills it with the blocks it completed and skips
-    completing them again while they stay blocks of their own.
+    ``_record`` holds the block completions and front matchings of the
+    lego's lineage, keyed by rows (see the module docstring).
     """
 
     group: XpGroup
     designation: tuple[str, ...]
     dense: np.ndarray | None = None
     warnings: tuple[str, ...] = ()
-    _complete: dict[tuple[int, ...], int] = field(default_factory=dict, compare=False,
-                                                  repr=False)
+    _record: dict[tuple, object] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.designation) != self.group.n:
@@ -145,10 +155,8 @@ def tensor_product(a: Lego, b: Lego) -> Lego:
             dense = np.kron(a.dense, b.dense)
         else:
             warnings += ("dense-shadow-dropped",)
-    complete = dict(a._complete)
-    complete.update({tuple(a.n + i for i in legs): count
-                     for legs, count in b._complete.items()})
-    return Lego(group, a.designation + b.designation, dense, warnings, complete)
+    return Lego(group, a.designation + b.designation, dense, warnings,
+                {**a._record, **b._record})
 
 
 def _traced_table_if_collisions(table: CodewordTable):
@@ -310,56 +318,65 @@ def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup
     return None if phase_identity(traced) is not None else traced
 
 
+def _rows_key(group: XpGroup) -> tuple:
+    """Record key of a group: its precision, leg count and generator rows."""
+    return group.precision, group.n, group.generators
+
+
 def _trace_blocks(group: XpGroup, j: int, k: int, mode: str,
-                  complete: dict[tuple[int, ...], int],
-                  ) -> tuple[XpGroup, dict[tuple[int, ...], int]]:
+                  record: dict[tuple, object]) -> tuple[XpGroup, dict[tuple, object]]:
     """Trace legs j and k on the block of legs that the bond touches.
 
     The presented generators split the legs into blocks, and the group is
     the product of the blocks' groups, so matching runs on the union of the
     blocks holding j and k.  Every other block (a spectator) is brought to
     what a trace of the whole group makes of it: its full logical identity
-    group, which a spectator listed in ``complete`` already is.  The
-    collision rebuild needs the whole code to hold one codeword, so it runs
-    only when every spectator does; an annihilated block or spectator leaves
-    the empty group on every remaining leg.  A generator with empty support
-    (a phase) lies inside every block.
+    group.  The collision rebuild needs the whole code to hold one codeword,
+    so it runs only when every spectator does; an annihilated block or
+    spectator leaves the empty group on every remaining leg.  A generator
+    with empty support (a phase) lies inside every block.
 
     The group is canonicalized first (free when flagged), so the front
-    meets the precondition of ``_trace_front_two``.
+    meets the precondition of ``_trace_front_two``.  Completions and the
+    front matching are read from ``record`` when it holds them.
 
-    Returns the traced group and its complete spectators, renumbered.
+    Returns the traced group and a copy of ``record`` extended with the
+    completions and the matching this trace made.
     """
     group = canonical_form(group)
     n, precision = group.n, group.precision
     empty = XpGroup(precision, n - 2, ())
+    record = dict(record)
     blocks = _leg_blocks(group)
     front = [j, k] + sorted(leg for b in blocks if j in b or k in b
                             for leg in b if leg not in (j, k))
     spectators = [b for b in blocks if j not in b and k not in b]
     position = {leg: i for i, leg in enumerate(i for i in range(n) if i not in (j, k))}
     parts: list[tuple[XpGroup, list[int]]] = []
-    done: dict[tuple[int, ...], int] = {}
+    one_codeword = True
     for legs in spectators:
         block = _restrict_group(group, legs)
-        count = complete.get(tuple(legs))
-        if count is None:
+        key = _rows_key(block)
+        if key not in record:
             try:
-                block, table = _completion(block)
+                done, table = _completion(block)
             except EmptyCodeError:
-                return empty, {}
-            count = len(table.entries)
-        moved = [position[i] for i in legs]
-        parts.append((block, moved))
-        done[tuple(moved)] = count
-    one_codeword = all(count == 1 for count in done.values())
-    traced = _trace_front_two(_restrict_group(group, front), mode, rebuild=one_codeword)
+                return empty, record
+            record[key] = record[_rows_key(done)] = (done, len(table.entries))
+        block, count = record[key]
+        parts.append((block, [position[i] for i in legs]))
+        one_codeword = one_codeword and count == 1
+    block = _restrict_group(group, front)
+    key = _rows_key(block) + (mode, one_codeword)
+    if key not in record:
+        record[key] = _trace_front_two(block, mode, rebuild=one_codeword)
+    traced = record[key]
     if traced is None:
-        return empty, {}
+        return empty, record
     if not spectators:
-        return traced, {}
+        return traced, record
     parts.append((traced, [position[i] for i in front[2:]]))
-    return merge_canonical_blocks(n - 2, precision, parts), done
+    return merge_canonical_blocks(n - 2, precision, parts), record
 
 
 def _insertion_mode(insertion) -> tuple[str, np.ndarray | None]:
@@ -407,10 +424,10 @@ def _trace(lego: Lego, j: int, k: int, mode: str, kernel: np.ndarray | None) -> 
     if mode == "dense-only":
         if lego.dense is None:
             raise LegError("general insertions need a dense shadow")
-        traced, complete = XpGroup(lego.precision, lego.n - 2, ()), {}
+        traced, record = XpGroup(lego.precision, lego.n - 2, ()), lego._record
         warnings.append("dense-only")
     else:
-        traced, complete = _trace_blocks(lego.group, j, k, mode, lego._complete)
+        traced, record = _trace_blocks(lego.group, j, k, mode, lego._record)
 
     dense = None
     if lego.dense is not None:
@@ -424,7 +441,7 @@ def _trace(lego: Lego, j: int, k: int, mode: str, kernel: np.ndarray | None) -> 
     if not traced.generators and traced.n > 0 and mode != "dense-only":
         warnings.append("trivial-symbolic-group")
     designation = tuple(lego.designation[i] for i in keep)
-    return Lego(traced, designation, dense, tuple(dict.fromkeys(warnings)), complete)
+    return Lego(traced, designation, dense, tuple(dict.fromkeys(warnings)), record)
 
 
 def self_trace(lego: Lego, j: int, k: int) -> Lego:

@@ -211,10 +211,13 @@ def test_a_bond_onto_an_empty_code_leaves_the_trivial_group():
     assert "trivial-symbolic-group" in result.warnings
 
 
-def count_spectator_completions(monkeypatch, tables: list[int] | None = None) -> list[int]:
+def count_spectator_completions(monkeypatch, tables: list[int] | None = None,
+                                fronts: list[int] | None = None) -> list[int]:
     """Patch lego so that every completion made outside operator matching
     appends the size of its group to the returned list; with ``tables``,
-    every codeword table built outside matching appends its size there."""
+    every codeword table built outside matching appends its size there, and
+    with ``fronts``, every front that operator matching runs on appends its
+    size there."""
     sizes: list[int] = []
     matching: list[bool] = []
     if tables is not None:
@@ -231,10 +234,12 @@ def count_spectator_completions(monkeypatch, tables: list[int] | None = None) ->
             sizes.append(group.n)
         return _completion(group)
 
-    def matching_front(*args, **kwargs):
+    def matching_front(group, *args, **kwargs):
+        if fronts is not None:
+            fronts.append(group.n)
         matching.append(True)
         try:
-            return _trace_front_two(*args, **kwargs)
+            return _trace_front_two(group, *args, **kwargs)
         finally:
             matching.pop()
 
@@ -245,52 +250,83 @@ def count_spectator_completions(monkeypatch, tables: list[int] | None = None) ->
 
 def test_a_chain_completes_each_spectator_block_once(monkeypatch):
     # Each 722 copy splits into blocks on legs 0-2 and 3-6.  The bond (2, 4)
-    # completes the four blocks it does not touch; the bond (3, 5) touches
-    # copy 1's traced block and copy 2's legs 3-6, and its three spectators
-    # are still recorded.  Without the record it completes them again (7).
+    # leaves four spectators, two copies of each block, and completes one of
+    # each; the bond (3, 5) touches copy 1's traced block and copy 2's legs
+    # 3-6, and its three spectators are in the record.  Without the record
+    # it completes seven blocks.
     # Each completion hands its codeword table on for the count; the one
     # 7-qubit table is the named 722 lego's, built once for its shadow.
     tables: list[int] = []
     sizes = count_spectator_completions(monkeypatch, tables)
     network = {"legos": [{"name": "722"}] * 3, "bonds": [[0, 2, 1, 4], [1, 3, 2, 5]]}
     run_network(network)
-    assert sorted(sizes) == [3, 3, 4, 4]
-    assert sorted(tables) == [3, 3, 4, 4, 7]
+    assert sorted(sizes) == [3, 4]
+    assert sorted(tables) == [3, 4, 7]
 
 
 def test_a_recorded_block_that_a_later_bond_touches_is_completed_again(monkeypatch):
     copy = entry_lego("722")
     three = tensor_product(tensor_product(copy, copy), copy)
-    assert three._complete == {}
+    assert three._record == {}
     # Copy 0 leg 2 to copy 1 leg 4 leaves legs 0-1, 2-5 (copy 0), 6-8 (copy 1
-    # legs 0-2), 9-11 (copy 1 legs 3, 5, 6) and 12-18 (copy 2).
+    # legs 0-2), 9-11 (copy 1 legs 3, 5, 6) and 12-18 (copy 2).  Copy 2
+    # repeats the two spectator blocks of copies 0 and 1, so each of the two
+    # kinds of block is completed once.
+    fronts: list[int] = []
+    sizes = count_spectator_completions(monkeypatch, fronts=fronts)
     first = self_trace(three, 2, 11)
+    assert sorted(sizes) == [3, 4] and fronts == [7]
     assert first.group == whole_group_trace(three.group, 2, 11)
-    assert first._complete == {(2, 3, 4, 5): 4, (6, 7, 8): 1,
-                               (12, 13, 14): 1, (15, 16, 17, 18): 4}
     # Copy 1 leg 3 to copy 2 leg 5 touches the recorded block 15-18: it joins
-    # the matching front, and only the three untouched blocks stay recorded.
-    sizes = count_spectator_completions(monkeypatch)
+    # a new matching front, which completes it again, and the three
+    # untouched spectators are read from the record.
+    sizes.clear()
     second = self_trace(first, 9, 17)
-    assert sizes == []
+    assert sizes == [] and fronts == [7, 9]
     assert second.group == whole_group_trace(first.group, 9, 17)
-    assert second._complete == {(2, 3, 4, 5): 4, (6, 7, 8): 1, (11, 12, 13): 1}
+    assert first._record.items() < second._record.items()
 
 
-def test_tensor_product_shifts_the_record_of_its_second_factor(monkeypatch):
+def test_tensor_product_takes_the_union_of_the_records(monkeypatch):
     copy = entry_lego("722")
     pair = self_trace(tensor_product(copy, copy), 2, 11)
-    assert pair._complete == {(2, 3, 4, 5): 4, (6, 7, 8): 1}
     both = tensor_product(pair, pair)
-    assert both._complete == {(2, 3, 4, 5): 4, (6, 7, 8): 1,
-                              (14, 15, 16, 17): 4, (18, 19, 20): 1}
+    assert both._record == pair._record
+    other = self_trace(tensor_product(copy, copy), 3, 12)
+    assert tensor_product(pair, other)._record == {**pair._record, **other._record}
     # A bond on the first pair's traced block completes one spectator: the
-    # second pair's traced block on legs 12, 13 and 21-23, which no trace of
-    # that pair completed.
-    sizes = count_spectator_completions(monkeypatch)
+    # second pair's traced block on legs 12, 13 and 21-23, which the record
+    # holds as a matched front, not as a completed block.
+    fronts: list[int] = []
+    sizes = count_spectator_completions(monkeypatch, fronts=fronts)
     traced = self_trace(both, 0, 9)
-    assert sizes == [5]
+    assert sizes == [5] and fronts == [5]
+    # The same bond on the second pair meets the same front, read from the
+    # record; of its spectators only the first pair's block that the last
+    # trace left on legs 0, 8 and 9 is new.
+    again = self_trace(traced, 10, 19)
+    assert sizes == [5, 3] and fronts == [5]
     assert traced.group == whole_group_trace(both.group, 0, 9)
+    assert again.group == whole_group_trace(traced.group, 10, 19)
+
+
+def test_the_record_keeps_fronts_matched_with_and_without_the_rebuild_apart():
+    # One state at N = 4 whose trace on legs 0 and 1 with an X inserted
+    # collides: the rebuild gives P on the leg left, matching alone P^2.
+    # Beside <Z x Z>, which holds two codewords, the first copy's trace
+    # cannot rebuild; once that pair is traced away, the second copy's
+    # trace can, on the same front rows.
+    state = digit_rows(4, [("100", "300", 1), ("010", "032", 1), ("001", "022", 6)])
+    pair = lego_from_group(XpGroup(4, 2, (diag(4, (2, 2)),)))
+    start = tensor_product(tensor_product(lego_from_group(state), lego_from_group(state)), pair)
+    first = trace_with_insertion(start, 0, 1, "X")
+    assert first.group == whole_group_trace(start.group, 0, 1, "insert_x")
+    assert diag(4, (2, 0, 0, 0, 0, 0)) in first.group.generators
+    second = self_trace(first, 4, 5)
+    third = trace_with_insertion(second, 1, 2, "X")
+    assert third.group == whole_group_trace(second.group, 1, 2, "insert_x")
+    # The first copy's leg is a completed spectator by now, so it holds P too.
+    assert third.group.generators == (diag(4, (1, 0)), diag(4, (0, 1)))
 
 
 def test_identity_insertion_equals_plain_trace():

@@ -305,3 +305,11 @@ def test_the_drift_check_reads_each_rows_own_sector():
     sectors[tuple(s_z[1].tolist())] = (~mask, coef)
     with pytest.raises(NondeterministicMeasurementError, match="not supported on its sector"):
         measure(sectors)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused_before_any_draw(
+        seed, monkeypatch):
+    monkeypatch.setattr(decoder, "decoder_setup", lambda code: pytest.fail("set up"))
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        monte_carlo(CODE, depolarizing(0.01), shots=1, seed=seed)

@@ -66,6 +66,7 @@ from xplego.code_structure import (
 from xplego.dense_oracle import projector, render_operator, xp_state_from_dense
 from xplego.enumerator import biased_distance, dense_enumerators, enumerators
 from xplego.lego import (
+    Lego,
     NotIsometryError,
     _trace_front_two,
     lego_from_group,
@@ -73,6 +74,7 @@ from xplego.lego import (
     tensor_product,
     trace_with_insertion,
 )
+from xplego.registry import lookup
 from xplego.ring_linalg import ModMatrix, howell_form
 from xplego.xp_algebra import (XpOperator, _row_inv, _row_mul, conjugate, embed, inverse,
                                multiply, power)
@@ -687,3 +689,55 @@ def test_per_block_counting_equals_the_whole_group_count(case):
     for logical_dims in (None, 0):
         want = whole_group_counting_check(group, logical_dims)
         assert counting_check(group, logical_dims) == want
+
+
+# Small registry legos for chains.  422 (N = 2) is lifted to N = 8, where
+# Z = P^4 and i = w^4, so that every copy has the same precision.
+CHAIN_LEGOS = ("722", "722-traced", "lego6-steane", "422")
+
+
+def chain_copy(name: str, precision: int = 8) -> Lego:
+    g = lookup(name).group
+    scale = precision // g.precision
+    ops = tuple(XpOperator(precision, op.x, tuple(scale * z for z in op.z), scale * op.phase)
+                for op in g.generators)
+    return lego_from_group(canonical_form(XpGroup(precision, g.n, ops)))
+
+
+@st.composite
+def lego_chains(draw, max_legs=24):
+    """2 to 5 copies of the chain legos, 24 legs at most, and one bond
+    between each pair of consecutive copies: (leg on copy i, leg on copy
+    i + 1, insertion), on random legs that no other bond uses."""
+    names = draw(st.lists(st.sampled_from(CHAIN_LEGOS), min_size=2, max_size=5))
+    sizes = [lookup(name).group.n for name in names]
+    assume(sum(sizes) <= max_legs)
+    bonds, used = [], None
+    for left, right in zip(sizes, sizes[1:]):
+        leg = draw(st.sampled_from([i for i in range(left) if i != used]))
+        used = draw(st.integers(0, right - 1))
+        bonds.append((leg, used, draw(st.sampled_from(("I", "X")))))
+    return names, bonds
+
+
+# Repeated copies and bonds meet the same blocks and fronts again.
+@example((["722"] * 4, [(2, 4, "I")] * 3))
+@example((["722", "422", "722", "422"], [(1, 0, "X"), (3, 5, "I"), (2, 1, "X")]))
+@example((["722"] * 3, [(2, 4, "I"), (2, 4, "X")]))
+@settings(max_examples=60, deadline=None)
+@given(lego_chains())
+def test_a_chain_traces_alike_with_and_without_its_record(case):
+    names, bonds = case
+    copies = [chain_copy(name) for name in names]
+    offsets = np.cumsum([0] + [c.n for c in copies]).tolist()
+    kept = copies[0]
+    for copy in copies[1:]:
+        kept = tensor_product(kept, copy)
+    alive = list(range(kept.n))
+    for i, (left, right, insertion) in enumerate(bonds):
+        a, b = offsets[i] + left, offsets[i + 1] + right
+        j, k = alive.index(a), alive.index(b)
+        emptied = trace_with_insertion(Lego(kept.group, kept.designation), j, k, insertion)
+        kept = trace_with_insertion(kept, j, k, insertion)
+        assert (kept.group, kept.warnings) == (emptied.group, emptied.warnings)
+        alive = [leg for leg in alive if leg not in (a, b)]

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from tests_support import digit_rows
 
+import xplego
 from xplego.cli import main
 from xplego.code_structure import (
     InvariantError,
@@ -187,6 +193,24 @@ def test_cli_decode_report():
     assert 0.0 <= doc["rate"] <= 1.0
 
 
+def test_cli_decode_refuses_a_negative_seed():
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc, out = run_cli("decode", "--code", "steane-xp",
+                          "--channel", "depolarizing:0.02", "--seed", "-1")
+    assert rc == 1 and out == ""
+    assert err.getvalue() == "error: seed must be a non-negative integer, got -1\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    package = Path(xplego.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    done = subprocess.run([sys.executable, "-m", "xplego", "show", "722"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == run_cli("show", "722")[1]
+
+
 def test_cli_verify_single_code():
     rc, out = run_cli("verify", "422")
     assert rc == 0
@@ -309,6 +333,29 @@ def test_cli_trace_of_five_722_copies_reports_counting(tmp_path):
     assert doc["matrix"]["n"] == 27
     assert doc["counting_check"] is True
     assert doc["state_counting_check"] is False
+
+
+# SHA-256 prefixes of the trace reports of 722 chains of 2 to 8 copies, from
+# traces that completed every spectator block and matched every front anew:
+# bonds all (2, 4), and bonds cycling through (2, 4), (3, 5) and (1, 6).
+CHAIN_722_REPORT_DIGESTS = {
+    ("repeated", 2): "905705ada4165972", ("mixed", 2): "905705ada4165972",
+    ("repeated", 3): "09b5f4531e7e14bf", ("mixed", 3): "d9438cac0589d3b7",
+    ("repeated", 4): "32b249a597cf2018", ("mixed", 4): "8fb437801a540470",
+    ("repeated", 5): "ea03bef2fc3296a6", ("mixed", 5): "8af02ed41f0a4853",
+    ("repeated", 6): "aa9cfc4d6613feec", ("mixed", 6): "ae4c0b9525090f8c",
+    ("repeated", 7): "86cc79b6420e9b64", ("mixed", 7): "0cb4736f43fac2d3",
+    ("repeated", 8): "368c2b7681027cf5", ("mixed", 8): "0ed15a1e65476e60",
+}
+
+
+@pytest.mark.parametrize("kind,copies", sorted(CHAIN_722_REPORT_DIGESTS))
+def test_cli_trace_reports_of_722_chains_are_pinned(tmp_path, kind, copies):
+    cycle = [(2, 4)] if kind == "repeated" else [(2, 4), (3, 5), (1, 6)]
+    bonds = [cycle[i % len(cycle)] for i in range(copies - 1)]
+    rc, out = run_cli("trace", str(chain_network(tmp_path, bonds)))
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == CHAIN_722_REPORT_DIGESTS[kind, copies]
 
 
 def test_cli_trace_report_reads_each_leg_block_once(tmp_path, monkeypatch):
