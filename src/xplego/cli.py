@@ -111,8 +111,8 @@ def _cmd_trace(args) -> int:
             for e in range(result.dense.shape[0]):
                 amp = result.dense[e]
                 if abs(amp) > args.tolerance:
-                    shadow.append([format(e, f"0{result.n}b"),
-                                   float(amp.real), float(amp.imag)])
+                    label = format(e, f"0{result.n}b") if result.n else ""
+                    shadow.append([label, float(amp.real), float(amp.imag)])
             report["shadow"] = shadow
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0

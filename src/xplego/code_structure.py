@@ -14,7 +14,7 @@ regular codes, and the generator-counting certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -234,27 +234,32 @@ def merge_canonical_blocks(n: int, precision: int,
     return XpGroup(precision, n, tuple(x_rows + z_rows), canonical=True)
 
 
-def _leg_blocks(group: XpGroup) -> list[list[int]]:
-    """Connected components of the generator supports, as sorted leg lists.
+def _leg_blocks(group: XpGroup) -> list[tuple[list[int], XpGroup]]:
+    """Connected components of the generator supports, ordered by first leg:
+    each block's sorted legs and the generators supported inside them,
+    restricted to those legs.
 
     A leg is in a generator's support when its x or z entry is nonzero; a
-    leg that no generator touches is a block of its own.
+    leg that no generator touches is a block of its own, and a generator
+    with empty support (a phase) lies inside every block.  The rows of a
+    canonical group inside one block are that block's canonical form, so
+    each block is flagged canonical when the group is.
     """
-    blocks = [{leg} for leg in range(group.n)]
+    label = list(range(group.n))  # the least leg of each leg's block so far
+    firsts = []  # a leg of each generator's support, None when it is empty
     for op in group.generators:
-        support = {i for i, (x, z) in enumerate(zip(op.x, op.z)) if x or z}
-        if support:
-            blocks = ([b for b in blocks if not b & support]
-                      + [set().union(*(b for b in blocks if b & support))])
-    return [sorted(b) for b in blocks]
-
-
-def _restrict_group(group: XpGroup, legs: Sequence[int]) -> XpGroup:
-    """The generators supported inside ``legs``, on those legs in that order."""
-    inside = set(legs)
-    gens = tuple(restrict(op, legs) for op in group.generators
-                 if all(i in inside or not (op.x[i] or op.z[i]) for i in range(group.n)))
-    return XpGroup(group.precision, len(legs), gens)
+        joined = {label[i] for i, (x, z) in enumerate(zip(op.x, op.z)) if x or z}
+        if len(joined) > 1:
+            label = [min(joined) if lab in joined else lab for lab in label]
+        firsts.append(min(joined, default=None))
+    blocks: dict[int, tuple[list[int], list[XpOperator]]] = {}
+    for leg, lab in enumerate(label):
+        blocks.setdefault(lab, ([], []))[0].append(leg)
+    for op, first in zip(group.generators, firsts):
+        for legs, rows in blocks.values() if first is None else [blocks[label[first]]]:
+            rows.append(restrict(op, legs))
+    return [(legs, XpGroup(group.precision, len(legs), tuple(rows), group.canonical))
+            for legs, rows in blocks.values()]
 
 
 def phase_identity(g: XpGroup) -> XpOperator | None:
@@ -461,25 +466,13 @@ def _constraint_matrix(n: int, precision: int, strings: Sequence[int],
 
 def _solve_constraints(mat: ModMatrix, n: int, targets: Sequence[int],
                        ) -> tuple[XpOperator, tuple[int, ...]] | None:
-    """Solve a ``_constraint_matrix`` system for per-string ``targets``."""
+    """Solve a ``_constraint_matrix`` system for per-string ``targets``: the
+    diagonal operator and the gammas (zero on orbit 0), or None."""
     sol = solve_linear_mod(mat, list(targets) + [0] * n)
     if sol is None:
         return None
     op = XpOperator(mat.modulus // 2, (0,) * n, tuple(u // 2 for u in sol[:n]), sol[n])
     return op, (0,) + tuple(sol[n + 1:])
-
-
-def solve_diagonal_constraints(n: int, precision: int, strings: Sequence[int],
-                               targets: Sequence[int],
-                               orbit_ids: Sequence[int] | None = None,
-                               ) -> tuple[XpOperator, tuple[int, ...]] | None:
-    """A diagonal operator acting on ``strings[c]`` with exponent ``targets[c]``.
-
-    With ``orbit_ids`` the exponent on each string may exceed its target by
-    a constant gamma per orbit, zero on orbit 0.  Returns the operator and
-    the gammas, or None when the system (mod 2N) has no solution.
-    """
-    return _solve_constraints(_constraint_matrix(n, precision, strings, orbit_ids), n, targets)
 
 
 @dataclass(frozen=True)
@@ -566,15 +559,6 @@ def diagonal_logical_operators(g: XpGroup) -> list[XpOperator]:
     """Diagonal logicals, one per logical direction, acting as -1 on the
     codewords whose representative carries that direction."""
     return logical_basis(g).z_logicals()
-
-
-def diagonal_span_kernel(n: int, precision: int, support: Sequence[int]) -> list[XpOperator]:
-    """All diagonal operators acting with phase one on every support string.
-
-    Returns a Howell basis of the solution module of p + 2 z . bits(e) == 0
-    (mod 2N) over the given strings.
-    """
-    return list(_lid(dict.fromkeys(support, 0), (), n, precision).generators)
 
 
 def _lid(phases: dict[int, int], dirs: Sequence[int], n: int, precision: int,
@@ -676,11 +660,9 @@ def counted_logicals(g: XpGroup) -> int | None:
     if phase_identity(g) is not None:
         return None
     k = 0
-    for legs in _leg_blocks(g):
-        # The rows of a canonical group inside one block are that block's
-        # canonical form.
+    for _, block in _leg_blocks(g):
         try:
-            od = orbit_decomposition(replace(_restrict_group(g, legs), canonical=True))
+            od = orbit_decomposition(block)
         except EmptyCodeError:
             return None
         k += len(od.logical_x_dirs)

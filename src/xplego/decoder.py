@@ -41,6 +41,9 @@ from .enumerator import PAULI_LIST, CosetTrace
 from .xp_algebra import XpOperator, conjugate, inverse, multiply
 
 TOL = 1e-9
+# A syndrome outcome is definite when the other branch holds at most this
+# share of the weight; a row may leave this share outside its sector.
+MEASURE_TOL = 1e-7
 # Amplitudes per Monte Carlo block: shots run max(1, MC_AMPLITUDES >> n) at a
 # time as (B, 2^n) arrays, so 128 shots at n = 7 and 4 at n = 12.  Each block
 # costs a fixed number of numpy passes, so its per-shot overhead falls as it
@@ -260,8 +263,8 @@ def _groups(bits: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
     return {key: np.array(rows) for key, rows in groups.items()}
 
 
-def _collapse(states: np.ndarray, moved: np.ndarray, rngs: Sequence,
-              tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _collapse(states: np.ndarray, moved: np.ndarray,
+              rngs: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """Resolve the two-outcome measurement (1 +- C)/2 on every row.
 
     ``moved`` holds C applied to each row; it is overwritten.  A definite
@@ -277,10 +280,10 @@ def _collapse(states: np.ndarray, moved: np.ndarray, rngs: Sequence,
     # into their weights and into the final rescaling.
     wp, wm = _sqnorms(plus) / 4.0, _sqnorms(minus) / 4.0
     total = wp + wm
-    if np.any(total <= tol * scale ** 2):
+    if np.any(total <= MEASURE_TOL * scale ** 2):
         raise NondeterministicMeasurementError("state annihilated by the sector projector")
-    zero_definite = wm / total <= tol
-    bits = ~zero_definite & (wp / total <= tol)
+    zero_definite = wm / total <= MEASURE_TOL
+    bits = ~zero_definite & (wp / total <= MEASURE_TOL)
     for row in np.flatnonzero(~zero_definite & ~bits):
         if rngs[row] is None:
             raise NondeterministicMeasurementError(
@@ -318,7 +321,7 @@ class _Sectors(dict):
 
 
 def _measure_block(setup: DecoderSetup, states: np.ndarray, rngs: Sequence,
-                   tol: float, actions: _Actions, sectors: _Sectors,
+                   actions: _Actions, sectors: _Sectors,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both syndrome rounds on a (B, 2^n) block, one generator per row.
 
@@ -333,25 +336,24 @@ def _measure_block(setup: DecoderSetup, states: np.ndarray, rngs: Sequence,
     s_z = np.zeros((len(states), len(setup.r_z)), dtype=np.int64)
     for c, op in enumerate(setup.r_z):
         # A diagonal check acts by its phases alone.
-        s_z[:, c], states = _collapse(states, states * actions[op][0], rngs, tol)
+        s_z[:, c], states = _collapse(states, states * actions[op][0], rngs)
     codes = s_z @ (1 << np.arange(s_z.shape[1]))
     _, first, row_sector = np.unique(codes, return_index=True, return_inverse=True)
     tables = [sectors[tuple(s_z[row].tolist())] for row in first]
     masks = np.array([mask for mask, _ in tables])[row_sector]
     coefs = np.array([coef for _, coef in tables])
     drift = np.sqrt(_sqnorms(np.where(masks, 0, states)))
-    if np.any(drift > tol * np.maximum(np.sqrt(_sqnorms(states)), 1e-30)):
+    if np.any(drift > MEASURE_TOL * np.maximum(np.sqrt(_sqnorms(states)), 1e-30)):
         raise NondeterministicMeasurementError("state is not supported on its sector")
     s_x = np.zeros((len(states), len(setup.x_checks)), dtype=np.int64)
     for c, targets in enumerate(sectors.targets):
         moved = states[:, targets]
         moved *= coefs[row_sector, c]
-        s_x[:, c], states = _collapse(states, moved, rngs, tol)
+        s_x[:, c], states = _collapse(states, moved, rngs)
     return s_z, s_x, states
 
 
-def measure_syndrome(state: np.ndarray, code: XpGroup, rng=None,
-                     tol: float = 1e-7) -> tuple[Syndrome, np.ndarray]:
+def measure_syndrome(state: np.ndarray, code: XpGroup, rng=None) -> tuple[Syndrome, np.ndarray]:
     """Two-round syndrome measurement; returns the collapsed state too.
 
     Round one measures the diagonal Pauli checks.  Round two measures the
@@ -361,8 +363,7 @@ def measure_syndrome(state: np.ndarray, code: XpGroup, rng=None,
     """
     setup = decoder_setup(canonical_form(code))
     block = np.asarray(state, dtype=complex)[None, :]
-    s_z, s_x, out = _measure_block(setup, block, [rng], tol, _Actions(),
-                                   _Sectors(setup))
+    s_z, s_x, out = _measure_block(setup, block, [rng], _Actions(), _Sectors(setup))
     return Syndrome(tuple(s_z[0].tolist()), tuple(s_x[0].tolist())), out[0]
 
 
@@ -535,7 +536,7 @@ def monte_carlo(code: XpGroup, channel: Channel, shots: int, seed: int,
         # with the prepared state is read through the codeword basis.
         del prepared
 
-        s_z, s_x, states = _measure_block(setup, states, rngs, 1e-7, actions, sectors)
+        s_z, s_x, states = _measure_block(setup, states, rngs, actions, sectors)
         groups = _groups(np.concatenate([s_z, s_x], axis=1))
         for key, rows in groups.items():
             if key not in corrections:

@@ -1,22 +1,24 @@
 """Quantum lego operations on check matrices.
 
 A lego is a generator list over an ordered set of legs plus an optional
-dense amplitude shadow.  Legos combine by tensor product and fuse by
-self-trace, which glues two legs through an unnormalized Bell kernel.  The
-symbolic side of a trace keeps every element of the group that matches on
-the traced legs,
+dense amplitude shadow.  Legos combine by tensor product, which merges any
+number of factors at once, and fuse by self-trace, which glues two legs
+through an unnormalized Bell kernel.  The symbolic side of a trace keeps
+every element of the group that matches on the traced legs,
 
     x[j] == x[k]  and  z[j] + z[k] == 0 (mod N).
 
 Before matching, the group is restricted to the Bell sector the trace keeps
-and completed to its full logical identity group, and support strings that
-collide on the traced legs are combined exactly so that amplitude
+and completed to its full logical identity group.  In a one-codeword state
+whose support strings collide in pairs on the traced legs, the pairs are
+combined exactly into the traced phase table, so that amplitude
 cancellation cannot hide symmetries of the result.  Tracing with an X
 inserted on the bond flips the diagonal condition to z[j] == z[k] and adds
 2 z[j] to the surviving phase.  The generators split the legs into blocks
-(connected components of their supports); a trace matches on the blocks
-holding its two legs and only completes the others.  The cost of a trace
-follows the traced block rather than the whole network.
+(connected components of their supports, each with its own rows); a trace
+matches on the rows of the blocks holding its two legs and only completes
+the others.  The cost of a trace follows the traced block rather than the
+whole network.
 
 Each lego carries a record of the work its lineage has done, keyed by a
 block's own rows (precision, leg count and generators) rather than its legs:
@@ -56,7 +58,6 @@ from .code_structure import (
     XpGroup,
     _completion,
     _leg_blocks,
-    _restrict_group,
     canonical_form,
     codewords,
     lid_from_phase_table,
@@ -140,34 +141,33 @@ def state_lego(group: XpGroup) -> Lego:
     return lego_from_group(group, dense)
 
 
-def tensor_product(a: Lego, b: Lego) -> Lego:
-    """Disjoint union of legs.  The group is the canonical product, merged
-    from the factors' canonical forms by ``merge_canonical_blocks``."""
-    if a.precision != b.precision:
+def tensor_product(*legos: Lego) -> Lego:
+    """Disjoint union of the legos' legs, in order: one merge of the factors'
+    canonical forms.  The shadow is the Kronecker product until a factor has
+    none, or takes it past ``DENSE_SHADOW_MAX_QUBITS`` legs (with a warning)."""
+    if len({lego.precision for lego in legos}) != 1:
         raise ValueError("tensor product needs equal precision")
-    n = a.n + b.n
-    group = merge_canonical_blocks(n, a.precision, [
-        (canonical_form(a.group), range(a.n)), (canonical_form(b.group), range(a.n, n))])
-    dense = None
-    warnings = a.warnings + b.warnings
-    if a.dense is not None and b.dense is not None:
-        if n <= DENSE_SHADOW_MAX_QUBITS:
-            dense = np.kron(a.dense, b.dense)
-        else:
-            warnings += ("dense-shadow-dropped",)
-    return Lego(group, a.designation + b.designation, dense, warnings,
-                {**a._record, **b._record})
+    offsets = np.cumsum([0] + [lego.n for lego in legos]).tolist()
+    group = merge_canonical_blocks(offsets[-1], legos[0].precision, [
+        (canonical_form(lego.group), range(start, start + lego.n))
+        for lego, start in zip(legos, offsets)])
+    dense, warnings = legos[0].dense, legos[0].warnings
+    for lego, n in zip(legos[1:], offsets[2:]):
+        wide = dense is not None and lego.dense is not None and n > DENSE_SHADOW_MAX_QUBITS
+        warnings += lego.warnings + ("dense-shadow-dropped",) * wide
+        dense = None if dense is None or lego.dense is None or wide else np.kron(dense, lego.dense)
+    return Lego(group, sum((lego.designation for lego in legos), ()), dense, warnings,
+                {key: v for lego in legos for key, v in lego._record.items()})
 
 
-def _traced_table_if_collisions(table: CodewordTable):
+def _traced_table_if_collisions(table: CodewordTable) -> list[tuple[int, int]] | None:
     """Traced phase table of a one-codeword table whose strings collide on
-    the first two legs.
+    the first two legs, empty when every colliding pair cancels.
 
-    Returns None when matching needs no help (multiple codewords, or no two
-    support strings differ exactly on the traced legs).  Otherwise returns
-    ("empty", None) when everything cancels, ("table", pairs) with the
-    combined phase table when the traced amplitudes stay uniform, or
-    ("mixed", None) when they cannot belong to an XP state.
+    Returns None when no rebuild applies: several codewords, no two support
+    strings differ exactly on the traced legs, or surviving pairs of unequal
+    amplitude, which no XP state has.  One codeword is one orbit of the x
+    span, so once two strings collide every string has its partner.
     """
     if len(table.entries) != 1:
         return None
@@ -179,27 +179,20 @@ def _traced_table_if_collisions(table: CodewordTable):
         buckets.setdefault(e & mask_rest, []).append(ph)
     if all(len(v) == 1 for v in buckets.values()):
         return None
+    if any(len(v) != 2 for v in buckets.values()):
+        raise InvariantError("a colliding table has a string without its partner")
     pairs: list[tuple[int, int]] = []
-    classes: set = set()
-    for e, phs in sorted(buckets.items()):
-        if len(phs) == 1:
-            classes.add("single")
-            pairs.append((e, phs[0]))
-        else:
-            a, b = phs
-            d = (b - a) % two_n
-            if d == precision:
-                continue  # the pair cancels
-            dcls = min(d, two_n - d)
-            classes.add(("pair", dcls))
-            # Amplitude w^a (1 + w^d); dividing out the common pair factor
-            # leaves exponent a, or a - dcls for the mirrored class.
-            pairs.append((e, a if d == dcls else (a - dcls) % two_n))
-    if not pairs:
-        return ("empty", None)
-    if len(classes) > 1:
-        return ("mixed", None)
-    return ("table", pairs)
+    classes: set[int] = set()
+    for e, (a, b) in sorted(buckets.items()):
+        d = (b - a) % two_n
+        if d == precision:
+            continue  # the pair cancels
+        dcls = min(d, two_n - d)
+        classes.add(dcls)
+        # Amplitude w^a (1 + w^d); dividing out the common pair factor
+        # leaves exponent a, or a - dcls for the mirrored class.
+        pairs.append((e, a if d == dcls else (a - dcls) % two_n))
+    return pairs if len(classes) <= 1 else None
 
 
 def _vanishing_subgroup(g: XpGroup, column: Sequence[int]) -> list[XpOperator]:
@@ -250,12 +243,12 @@ def _vanishing_subgroup(g: XpGroup, column: Sequence[int]) -> list[XpOperator]:
 def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup | None:
     """Operator matching on the first two legs of a group.
 
-    The rows must include generators of the diagonal subgroup, as every
-    restriction of a canonical group to a union of its leg blocks does, in
-    any leg order.  Returns the post-trace group (columns 0 and 1 removed,
-    canonical), or None when the traced state vanishes: the support
-    restriction leaves no string, the collision rebuild finds the table
-    empty, or matching keeps a phase times identity.  Matching keeps every
+    The rows must include generators of the diagonal subgroup, as the rows
+    of the leg blocks of a canonical group that the bond touches do, placed
+    on the front legs in any order.  Returns the post-trace group (columns
+    0 and 1 removed, canonical), or None when the traced state vanishes: the
+    support restriction leaves no string, every colliding pair cancels, or
+    matching keeps a phase times identity.  Matching keeps every
     element of the completed group with x[0] == x[1] and z[0] + z[1] == 0
     (z[0] == z[1] with an X inserted), through ``_vanishing_subgroup``.
     ``rebuild`` is False when the group is one factor of a code whose other
@@ -297,15 +290,13 @@ def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup
     # amplitudes then add and can cancel, which is invisible to operator
     # matching; in that situation a one-codeword result is rebuilt exactly
     # from its combined phase table.
-    collided = _traced_table_if_collisions(table) if rebuild else None
-    if collided is not None:
-        status, pairs = collided
-        if status == "empty":
+    pairs = _traced_table_if_collisions(table) if rebuild else None
+    if pairs is not None:
+        if not pairs:
             return None
-        if status == "table":
-            lid = lid_from_phase_table(pairs, g.n - 2, precision)
-            if lid is not None:
-                return lid
+        lid = lid_from_phase_table(pairs, g.n - 2, precision)
+        if lid is not None:
+            return lid
 
     matched = _vanishing_subgroup(g, (1, sign) + (0,) * (g.n - 2))
     if any(op.x[0] != op.x[1] for op in matched):
@@ -347,15 +338,14 @@ def _trace_blocks(group: XpGroup, j: int, k: int, mode: str,
     n, precision = group.n, group.precision
     empty = XpGroup(precision, n - 2, ())
     record = dict(record)
-    blocks = _leg_blocks(group)
-    front = [j, k] + sorted(leg for b in blocks if j in b or k in b
-                            for leg in b if leg not in (j, k))
-    spectators = [b for b in blocks if j not in b and k not in b]
+    touched, spectators = [], []
+    for legs, block in _leg_blocks(group):
+        (touched if j in legs or k in legs else spectators).append((legs, block))
+    front = [j, k] + sorted(leg for legs, _ in touched for leg in legs if leg not in (j, k))
     position = {leg: i for i, leg in enumerate(i for i in range(n) if i not in (j, k))}
     parts: list[tuple[XpGroup, list[int]]] = []
     one_codeword = True
-    for legs in spectators:
-        block = _restrict_group(group, legs)
+    for legs, block in spectators:
         key = _rows_key(block)
         if key not in record:
             try:
@@ -366,7 +356,10 @@ def _trace_blocks(group: XpGroup, j: int, k: int, mode: str,
         block, count = record[key]
         parts.append((block, [position[i] for i in legs]))
         one_codeword = one_codeword and count == 1
-    block = _restrict_group(group, front)
+    on_front = {leg: i for i, leg in enumerate(front)}
+    block = XpGroup(precision, len(front), tuple(
+        embed(op, len(front), [on_front[i] for i in legs])
+        for legs, touched_block in touched for op in touched_block.generators))
     key = _rows_key(block) + (mode, one_codeword)
     if key not in record:
         record[key] = _trace_front_two(block, mode, rebuild=one_codeword)
@@ -630,9 +623,7 @@ def run_network(doc: dict) -> Lego:
             except MalformedMatrixError as exc:
                 raise LegError(f"lego {i}: {exc}") from exc
             legos.append(lego_from_group(canonical_form(group), designation=designation))
-    combined = legos[0]
-    for item in legos[1:]:
-        combined = tensor_product(combined, item)
+    combined = tensor_product(*legos)
 
     offsets = np.cumsum([0] + [l.n for l in legos]).tolist()
     alive = list(range(combined.n))

@@ -239,11 +239,6 @@ def lookup(name: str) -> CodeRegistryEntry:
     return reg[name]
 
 
-def dense_registry_names(max_qubits: int = 10) -> list[str]:
-    """Entries small enough for the dense oracle suites."""
-    return [name for name, e in registry().items() if e.group.n <= max_qubits]
-
-
 # ---------------------------------------------------------------------------
 # JSON check-matrix schema: integers only, trivially diffable.
 

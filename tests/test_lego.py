@@ -665,3 +665,36 @@ def test_tensor_product_drops_a_wide_dense_shadow():
     assert joined.n == 30 and joined.dense is None
     assert joined.warnings == ("dense-shadow-dropped",)
     assert lego.DENSE_SHADOW_MAX_QUBITS == 16
+
+
+def test_a_variadic_tensor_product_equals_the_binary_fold():
+    # With every factor shadowed the shadow goes, with one warning, at the
+    # third copy (18 legs); a factor with no shadow drops it silently.
+    block = state_lego(lookup("lego6-steane").group)
+    bare = lego_from_group(block.group)
+    for factors in ([block], [block, block], [block] * 5, [block, bare, block], [block, block, bare]):
+        fold = factors[0]
+        for factor in factors[1:]:
+            fold = tensor_product(fold, factor)
+        joined = tensor_product(*factors)
+        assert (joined.group, joined.designation) == (fold.group, fold.designation)
+        assert joined.warnings == fold.warnings == (("dense-shadow-dropped",) if len(factors) == 5 else ())
+        assert (joined.dense is None) == (fold.dense is None)
+        assert fold.dense is None or np.array_equal(joined.dense, fold.dense)
+
+
+def test_a_network_order_permutes_a_kept_dense_shadow():
+    # A Bell pair bonded to a GHZ state, beside |0>: the order moves the |0>
+    # leg first, so the shadow is the contraction transposed to that order.
+    doc = {"legos": [{"name": "bell"}, {"name": "ghz"}, {"name": "zero"}],
+           "bonds": [[0, 1, 1, 0]]}
+    order = [3, 0, 2, 1]
+    result = run_network({**doc, "order": order})
+    states = [state_lego(lookup(name).group).dense for name in ("bell", "ghz", "zero")]
+    want, _ = contract(states, [(1, 2)])
+    assert result.dense is not None
+    assert np.array_equal(result.dense, np.transpose(want.reshape((2,) * 4), order).reshape(-1))
+    assert result.dense[0b0000] != 0 and result.dense[0b0111] != 0
+    unordered = run_network(doc)
+    assert result.group == canonical_form(permute_legs(unordered.group, order))
+    assert all(stabilizes(op, result.dense) for op in result.group.generators)

@@ -295,8 +295,8 @@ def test_the_drift_check_reads_each_rows_own_sector():
     block = np.array([codeword, flipped])
 
     def measure(sectors):
-        return decoder._measure_block(setup, block.copy(), [None, None], 1e-7,
-                                      decoder._Actions(), sectors)
+        return decoder._measure_block(setup, block.copy(), [None, None], decoder._Actions(),
+                                      sectors)
 
     s_z, _, _ = measure(decoder._Sectors(setup))
     assert s_z[0].tolist() != s_z[1].tolist()

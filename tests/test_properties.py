@@ -23,6 +23,7 @@ counting certificate against the whole-group one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -47,6 +48,9 @@ from xplego.code_structure import (
     EmptyCodeError,
     XpGroup,
     _commutator_vec,
+    _constraint_matrix,
+    _lid,
+    _solve_constraints,
     _square_vec,
     _span_basis,
     _xor_basis,
@@ -54,17 +58,16 @@ from xplego.code_structure import (
     codewords,
     complete_lid,
     counting_check,
-    diagonal_span_kernel,
     int_to_bits,
     lid_from_phase_table,
     merge_canonical_blocks,
     orbit_decomposition,
     permute_legs,
-    solve_diagonal_constraints,
     z_support,
 )
 from xplego.dense_oracle import projector, render_operator, xp_state_from_dense
 from xplego.enumerator import biased_distance, dense_enumerators, enumerators
+from xplego import lego as lego_module
 from xplego.lego import (
     Lego,
     NotIsometryError,
@@ -310,6 +313,15 @@ def constraint_systems(draw, with_orbits=False):
     return precision, n, strings, targets, orbit_ids
 
 
+def solve_constraints(precision, n, strings, targets, orbit_ids):
+    return _solve_constraints(_constraint_matrix(n, precision, strings, orbit_ids), n, targets)
+
+
+def span_kernel(precision, n, strings):
+    """Howell basis of every diagonal operator fixing each of ``strings``."""
+    return _lid(dict.fromkeys(strings, 0), (), n, precision)
+
+
 def brute_solvable(precision, n, strings, targets, orbit_ids):
     two_n = 2 * precision
     zs = np.array(list(product(range(precision), repeat=n)), dtype=np.int64)
@@ -331,7 +343,7 @@ def brute_solvable(precision, n, strings, targets, orbit_ids):
 @given(constraint_systems())
 def test_diagonal_constraint_solution_matches_brute_force(system):
     precision, n, strings, targets, _ = system
-    solved = solve_diagonal_constraints(n, precision, strings, targets)
+    solved = solve_constraints(precision, n, strings, targets, None)
     assert (solved is not None) == brute_solvable(precision, n, strings, targets, None)
     if solved is not None:
         op, gammas = solved
@@ -343,7 +355,7 @@ def test_diagonal_constraint_solution_matches_brute_force(system):
 @given(constraint_systems(with_orbits=True))
 def test_orbit_constraint_solution_matches_brute_force(system):
     precision, n, strings, targets, orbit_ids = system
-    solved = solve_diagonal_constraints(n, precision, strings, targets, orbit_ids)
+    solved = solve_constraints(precision, n, strings, targets, orbit_ids)
     assert (solved is not None) == brute_solvable(precision, n, strings, targets, orbit_ids)
     if solved is not None:
         op, gammas = solved
@@ -356,7 +368,7 @@ def test_orbit_constraint_solution_matches_brute_force(system):
 @given(constraint_systems())
 def test_diagonal_span_kernel_fixes_every_string(system):
     precision, n, strings, _, _ = system
-    for op in diagonal_span_kernel(n, precision, strings):
+    for op in span_kernel(precision, n, strings).generators:
         assert all(action_phase(op, e) == 0 for e in strings)
 
 
@@ -496,6 +508,33 @@ def test_block_trace_equals_the_whole_group_trace(case):
     assert (got.n, got.generators) == (want.n, want.generators)
 
 
+# |00> - |11> on the traced legs beside Z on a third leg: the two strings
+# collide and cancel.
+CANCELLING_PAIR = (lego_from_group(XpGroup(2, 3, (XpOperator(2, (1, 1, 0), (0, 0, 0), 2),
+                                                  XpOperator(2, (0, 0, 0), (1, 1, 0), 0),
+                                                  XpOperator(2, (0, 0, 0), (0, 0, 1), 0)))),
+                   [0, 1], None)
+
+
+@example(CANCELLING_PAIR)
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(traced_xp_states(), traced_products().map(lambda case: case[:3])))
+def test_one_codeword_strings_collide_all_in_pairs_or_not_at_all(case):
+    # A one-codeword table is one orbit of the x span: once two strings
+    # differ exactly on the traced legs, every string has its partner.
+    lego, (j, k), insertion = case
+    tables = []
+    check = lego_module._traced_table_if_collisions
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lego_module, "_traced_table_if_collisions",
+                      lambda table: tables.append(table) or check(table))
+        trace_with_insertion(Lego(lego.group, lego.designation), j, k, insertion)
+    for table in tables:
+        if len(table.entries) == 1:
+            rest = (1 << (table.n - 2)) - 1
+            assert set(Counter(e & rest for e, _ in table.entries[0]).values()) in ({1}, {2})
+
+
 @st.composite
 def xp_codes(draw, max_n=5, precisions=(2, 4, 8)):
     """Random XP groups, last generators dropped until a code space remains.
@@ -534,8 +573,8 @@ LID_CODES = st.one_of(stabilizing_groups(), xp_codes(precisions=PRECISIONS))
 @settings(max_examples=300, deadline=None)
 @given(LID_CODES)
 def test_logical_identity_groups_are_built_in_canonical_form(g):
-    # complete_lid, lid_from_phase_table and diagonal_span_kernel skip the
-    # canonical_form pass, so each result must already be its own form.
+    # complete_lid, lid_from_phase_table and the bare kernel of _lid skip
+    # the canonical_form pass, so each result must already be its own form.
     def recanonicalized(group):
         return canonical_form(replace(group, canonical=False)).generators
 
@@ -545,9 +584,8 @@ def test_logical_identity_groups_are_built_in_canonical_form(g):
         state = lid_from_phase_table(cw, g.n, g.precision)
         assert state is not None and state.canonical
         assert recanonicalized(state) == state.generators
-    kernel = XpGroup(g.precision, g.n, tuple(
-        diagonal_span_kernel(g.n, g.precision, z_support(g))))
-    assert canonical_form(kernel).generators == kernel.generators
+    kernel = span_kernel(g.precision, g.n, z_support(g))
+    assert kernel.canonical and recanonicalized(kernel) == kernel.generators
 
 
 @settings(max_examples=300, deadline=None)

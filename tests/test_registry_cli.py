@@ -184,6 +184,31 @@ def test_cli_trace_keeps_a_product_of_two_unmatched_rows(tmp_path):
     assert np.trace(projector(traced)).real == pytest.approx(4)
 
 
+GHZ_PAIR = {"legos": [{"name": "ghz"}, {"name": "ghz"}], "bonds": [[0, 0, 1, 0]]}
+
+
+@pytest.mark.parametrize("doc,rows,warnings,shadow", [
+    # Two GHZ states bonded leg to leg give the four-leg GHZ state.
+    (GHZ_PAIR, 4, [], [["0000", 1.0, 0.0], ["1111", 1.0, 0.0]]),
+    # A Z insertion on the bond acts on the dense shadow alone.
+    ({**GHZ_PAIR, "bonds": [[0, 0, 1, 0, [[1, 0], [0, -1]]]]}, 0, ["dense-only"],
+     [["0000", 1.0, 0.0], ["1111", -1.0, 0.0]]),
+    # A Bell pair traced on itself leaves one amplitude on no legs, labelled
+    # by the empty bit string.
+    ({"legos": [{"name": "bell"}], "bonds": [[0, 0, 0, 1]]}, 0, [], [["", 2.0, 0.0]]),
+])
+def test_cli_trace_reports_the_shadow_of_a_state_network(tmp_path, doc, rows, warnings, shadow):
+    path = tmp_path / "states.json"
+    path.write_text(json.dumps(doc))
+    rc, out = run_cli("trace", str(path))
+    assert rc == 0
+    report = json.loads(out)
+    assert report["xp_certified"] is True and "shadow" not in report
+    assert (len(report["matrix"]["rows"]), report["warnings"]) == (rows, warnings)
+    rc, out = run_cli("trace", str(path), "--dense")
+    assert rc == 0 and json.loads(out) == {**report, "shadow": shadow}
+
+
 def test_cli_decode_report():
     rc, out = run_cli("decode", "--code", "steane-xp",
                       "--channel", "depolarizing:0.02", "--shots", "40", "--seed", "1")
@@ -373,7 +398,7 @@ def test_cli_trace_report_reads_each_leg_block_once(tmp_path, monkeypatch):
                         lambda g: calls.append(g.n) or original(g))
     rc, out = run_cli("trace", str(path))
     assert rc == 0 and json.loads(out)["counting_check"] is True
-    assert sorted(calls) == sorted(len(b) for b in _leg_blocks(result.group))
+    assert sorted(calls) == sorted(len(legs) for legs, _ in _leg_blocks(result.group))
 
 
 def test_cli_trace_over_the_support_limit_exits_with_message(tmp_path):
