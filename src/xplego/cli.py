@@ -96,7 +96,7 @@ def _cmd_trace(args) -> int:
     with open(args.network) as fh:
         doc = json.load(fh)
     result = run_network(doc)
-    logicals = counted_logicals(result.group)
+    logicals = counted_logicals(result.group, result.blocks)
     report = {
         "matrix": group_to_json(result.group, result.designation),
         "counting_check": logicals is not None,

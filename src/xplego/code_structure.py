@@ -14,8 +14,8 @@ regular codes, and the generator-counting certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,12 +47,13 @@ Z_SUPPORT_MAX_STRINGS = 1 << 20
 
 @dataclass(frozen=True)
 class XpGroup:
-    """An XP group presented by an ordered generator list."""
+    """An XP group presented by an ordered generator list.  ``canonical``
+    marks a list known to be the canonical form; it is not compared."""
 
     precision: int
     n: int
     generators: tuple[XpOperator, ...]
-    canonical: bool = False
+    canonical: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 2 <= self.precision <= MAX_PRECISION:
@@ -234,16 +235,26 @@ def merge_canonical_blocks(n: int, precision: int,
     return XpGroup(precision, n, tuple(x_rows + z_rows), canonical=True)
 
 
-def _leg_blocks(group: XpGroup) -> list[tuple[list[int], XpGroup]]:
-    """Connected components of the generator supports, ordered by first leg:
-    each block's sorted legs and the generators supported inside them,
-    restricted to those legs.
+class LegBlock(NamedTuple):
+    """The rows of a group on one block of its legs: the sorted legs, the
+    generators supported inside them, restricted to them, and the block's
+    codeword and logical counts where they are known (None where not)."""
+
+    legs: tuple[int, ...]
+    group: XpGroup
+    codewords: int | None = None
+    logicals: int | None = None
+
+
+def _leg_blocks(group: XpGroup) -> tuple[LegBlock, ...]:
+    """Connected components of the generator supports, ordered by first leg.
 
     A leg is in a generator's support when its x or z entry is nonzero; a
     leg that no generator touches is a block of its own, and a generator
-    with empty support (a phase) lies inside every block.  The rows of a
-    canonical group inside one block are that block's canonical form, so
-    each block is flagged canonical when the group is.
+    with empty support (a phase) lies inside every block, or in one block on
+    no legs when the group has no legs.  The rows of a canonical group
+    inside one block are that block's canonical form, so each block is
+    flagged canonical when the group is.
     """
     label = list(range(group.n))  # the least leg of each leg's block so far
     firsts = []  # a leg of each generator's support, None when it is empty
@@ -252,14 +263,15 @@ def _leg_blocks(group: XpGroup) -> list[tuple[list[int], XpGroup]]:
         if len(joined) > 1:
             label = [min(joined) if lab in joined else lab for lab in label]
         firsts.append(min(joined, default=None))
-    blocks: dict[int, tuple[list[int], list[XpOperator]]] = {}
+    blocks: dict[int, tuple[list[int], list[XpOperator]]] = {
+        0: ([], [])} if group.generators and not group.n else {}
     for leg, lab in enumerate(label):
         blocks.setdefault(lab, ([], []))[0].append(leg)
     for op, first in zip(group.generators, firsts):
         for legs, rows in blocks.values() if first is None else [blocks[label[first]]]:
             rows.append(restrict(op, legs))
-    return [(legs, XpGroup(group.precision, len(legs), tuple(rows), group.canonical))
-            for legs, rows in blocks.values()]
+    return tuple(LegBlock(tuple(legs), XpGroup(group.precision, len(legs), tuple(rows),
+                                               group.canonical)) for legs, rows in blocks.values())
 
 
 def phase_identity(g: XpGroup) -> XpOperator | None:
@@ -646,7 +658,7 @@ def lid_from_phase_table(pairs: Sequence[tuple[int, int]], n: int, precision: in
     return group
 
 
-def counted_logicals(g: XpGroup) -> int | None:
+def counted_logicals(g: XpGroup, blocks: Sequence[LegBlock] | None = None) -> int | None:
     """The logical count k when the generator-counting certificate
     |S_X| + k + |S_Z| == n holds, else None.
 
@@ -654,18 +666,22 @@ def counted_logicals(g: XpGroup) -> int | None:
     group at power-of-two precision, used as the fast screen after tracing.
     The group is the product of its leg blocks' groups and the logical
     count is additive over a product, so the orbit structure is read one
-    block at a time and the cost follows the largest block.
+    block at a time and the cost follows the largest block; ``blocks``,
+    when given, are those of ``g``, and the ones with a logical count are
+    not read again.
     """
     g = canonical_form(g)
     if phase_identity(g) is not None:
         return None
     k = 0
-    for _, block in _leg_blocks(g):
-        try:
-            od = orbit_decomposition(block)
-        except EmptyCodeError:
-            return None
-        k += len(od.logical_x_dirs)
+    for block in _leg_blocks(g) if blocks is None else blocks:
+        logicals = block.logicals
+        if logicals is None:
+            try:
+                logicals = len(orbit_decomposition(block.group).logical_x_dirs)
+            except EmptyCodeError:
+                return None
+        k += logicals
     return k if len(g.generators) + k == g.n else None
 
 

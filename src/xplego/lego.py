@@ -1,7 +1,7 @@
 """Quantum lego operations on check matrices.
 
-A lego is a generator list over an ordered set of legs plus an optional
-dense amplitude shadow.  Legos combine by tensor product, which merges any
+A lego is a list of leg blocks over an ordered set of legs plus an optional
+dense amplitude shadow.  Legos combine by tensor product, which joins any
 number of factors at once, and fuse by self-trace, which glues two legs
 through an unnormalized Bell kernel.  The symbolic side of a trace keeps
 every element of the group that matches on the traced legs,
@@ -14,25 +14,30 @@ whose support strings collide in pairs on the traced legs, the pairs are
 combined exactly into the traced phase table, so that amplitude
 cancellation cannot hide symmetries of the result.  Tracing with an X
 inserted on the bond flips the diagonal condition to z[j] == z[k] and adds
-2 z[j] to the surviving phase.  The generators split the legs into blocks
-(connected components of their supports, each with its own rows); a trace
-matches on the rows of the blocks holding its two legs and only completes
-the others.  The cost of a trace follows the traced block rather than the
-whole network.
+2 z[j] to the surviving phase.
+
+The generators split the legs into blocks (connected components of their
+supports, each with its own rows), and the group is their product, so a
+lego holds it as that list of blocks: a flat group is split once, a tensor
+product joins its factors' blocks, and the flat group is merged only when
+read.  A trace matches on the blocks holding its two legs (the front) and
+splits only the traced front; every other block (a spectator) is completed
+once, carrying its codeword and logical counts, and handed through on
+shifted legs.  The cost of a trace follows the blocks it touches, not the
+network, and the counting check reads only blocks no trace completed.
 
 Each lego carries a record of the work its lineage has done, keyed by a
 block's own rows (precision, leg count and generators) rather than its legs:
-a spectator block maps to its completed group and codeword count, a
-completed block to itself, and a bond front (the restricted group on the
-blocks a bond touches, bond legs first, with the trace mode and rebuild
-flag) to its matched group, or None when it vanished.  Completion and front
-matching are pure in these keys, so a block or front met again, on another
-copy of the same lego or at other legs, is read from the record instead of
-being recomputed.  A new lego starts with an empty record, a trace extends
-a copy of it and a tensor product takes the union, so the record never
-leaves one network.  The gain needs blocks or fronts repeated within one
-network: chains of copies of one lego have them, while the shipped
-networks repeat none.
+a spectator block maps to its completed group and counts, and a bond front
+(the restricted group on the blocks a bond touches, bond legs first, with
+the trace mode and rebuild flag) to the blocks of its matched group, or
+None when it vanished.  Completion and front matching are pure in these
+keys, so a block or front met again, on another copy of the same lego or
+at other legs, is read from the record instead of being recomputed.  A new
+lego starts with an empty record, a trace extends a copy of it and a
+tensor product takes the union, so the record never leaves one network.
+The gain needs blocks or fronts repeated within one network: chains of
+copies of one lego have them, while the shipped networks repeat none.
 
 Re-designating a physical leg as logical shortens the code in place: the
 group keeps every element with no X and z == 0 on the leg, then the leg's
@@ -46,6 +51,7 @@ a fresh physical leg paired with its X and Z logical operators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +60,7 @@ from .code_structure import (
     CodewordTable,
     EmptyCodeError,
     InvariantError,
+    LegBlock,
     NonRegularError,
     XpGroup,
     _completion,
@@ -92,23 +99,32 @@ class NotIsometryError(ValueError):
 
 @dataclass(frozen=True)
 class Lego:
-    """Check matrix plus leg metadata and an optional dense shadow.
+    """Leg blocks plus leg metadata and an optional dense shadow.
 
-    ``_record`` holds the block completions and front matchings of the
-    lego's lineage, keyed by rows (see the module docstring).
-    """
+    A flat ``XpGroup`` given for ``blocks`` is canonicalized, split and gives
+    ``precision``; ``group`` is the flat canonical group.  ``_record`` holds
+    the completions and matchings of the lego's lineage (see the module
+    docstring)."""
 
-    group: XpGroup
+    blocks: tuple[LegBlock, ...]
     designation: tuple[str, ...]
     dense: np.ndarray | None = None
     warnings: tuple[str, ...] = ()
     _record: dict[tuple, object] = field(default_factory=dict, compare=False, repr=False)
+    precision: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.designation) != self.group.n:
+        if isinstance(self.blocks, XpGroup):
+            group = canonical_form(self.blocks)
+            object.__setattr__(self, "blocks", _leg_blocks(group))
+            object.__setattr__(self, "precision", group.precision)
+            self.__dict__["group"] = group
+        if len(self.designation) != sum(len(block.legs) for block in self.blocks):
             raise LegError("designation length must equal the leg count")
+        if not set(self.designation) <= {PHYSICAL, LOGICAL}:
+            raise LegError(f"designation entries must be {PHYSICAL!r} or {LOGICAL!r}")
         if self.dense is not None:
-            if self.dense.shape[0] != 2 ** self.group.n:
+            if self.dense.shape[0] != 2 ** self.n:
                 raise LegError("dense shadow dimension does not match leg count")
             with np.errstate(over="ignore"):  # a norm that overflows is still > 1e-12
                 nonzero = np.linalg.norm(self.dense) > 1e-12
@@ -117,11 +133,12 @@ class Lego:
 
     @property
     def n(self) -> int:
-        return self.group.n
+        return len(self.designation)
 
-    @property
-    def precision(self) -> int:
-        return self.group.precision
+    @cached_property
+    def group(self) -> XpGroup:
+        return merge_canonical_blocks(self.n, self.precision,
+                                      [(block.group, block.legs) for block in self.blocks])
 
 
 def lego_from_group(group: XpGroup, dense: np.ndarray | None = None,
@@ -142,22 +159,24 @@ def state_lego(group: XpGroup) -> Lego:
 
 
 def tensor_product(*legos: Lego) -> Lego:
-    """Disjoint union of the legos' legs, in order: one merge of the factors'
-    canonical forms.  The shadow is the Kronecker product until a factor has
-    none, or takes it past ``DENSE_SHADOW_MAX_QUBITS`` legs (with a warning)."""
+    """Disjoint union of the legos' legs, in order: the factors' leg blocks,
+    each moved past the legs before it.  The shadow is the Kronecker product
+    until a factor has none, or takes it past ``DENSE_SHADOW_MAX_QUBITS``
+    legs (with a warning)."""
+    if not legos:
+        raise LegError("a tensor product needs at least one lego")
     if len({lego.precision for lego in legos}) != 1:
         raise ValueError("tensor product needs equal precision")
     offsets = np.cumsum([0] + [lego.n for lego in legos]).tolist()
-    group = merge_canonical_blocks(offsets[-1], legos[0].precision, [
-        (canonical_form(lego.group), range(start, start + lego.n))
-        for lego, start in zip(legos, offsets)])
+    blocks = tuple(block._replace(legs=tuple(start + leg for leg in block.legs))
+                   for lego, start in zip(legos, offsets) for block in lego.blocks)
     dense, warnings = legos[0].dense, legos[0].warnings
     for lego, n in zip(legos[1:], offsets[2:]):
         wide = dense is not None and lego.dense is not None and n > DENSE_SHADOW_MAX_QUBITS
         warnings += lego.warnings + ("dense-shadow-dropped",) * wide
         dense = None if dense is None or lego.dense is None or wide else np.kron(dense, lego.dense)
-    return Lego(group, sum((lego.designation for lego in legos), ()), dense, warnings,
-                {key: v for lego in legos for key, v in lego._record.items()})
+    return Lego(blocks, sum((lego.designation for lego in legos), ()), dense, warnings,
+                {key: v for lego in legos for key, v in lego._record.items()}, legos[0].precision)
 
 
 def _traced_table_if_collisions(table: CodewordTable) -> list[tuple[int, int]] | None:
@@ -314,62 +333,54 @@ def _rows_key(group: XpGroup) -> tuple:
     return group.precision, group.n, group.generators
 
 
-def _trace_blocks(group: XpGroup, j: int, k: int, mode: str,
-                  record: dict[tuple, object]) -> tuple[XpGroup, dict[tuple, object]]:
-    """Trace legs j and k on the block of legs that the bond touches.
+def _trace_blocks(lego: Lego, j: int, k: int, mode: str,
+                  ) -> tuple[tuple[LegBlock, ...], dict[tuple, object]]:
+    """Trace legs j and k of a lego on the leg blocks that hold them.
 
-    The presented generators split the legs into blocks, and the group is
-    the product of the blocks' groups, so matching runs on the union of the
-    blocks holding j and k.  Every other block (a spectator) is brought to
-    what a trace of the whole group makes of it: its full logical identity
-    group.  The collision rebuild needs the whole code to hold one codeword,
-    so it runs only when every spectator does; an annihilated block or
-    spectator leaves the empty group on every remaining leg.  A generator
-    with empty support (a phase) lies inside every block.
+    Matching runs on the front: the blocks holding j and k, bond legs first.
+    Every spectator is brought, once, to what a trace of the whole group
+    makes of it, its full logical identity group.  The collision rebuild
+    needs the whole code to hold one codeword, so it runs only when every
+    spectator does; an annihilated front or spectator leaves the empty group
+    on every remaining leg.  Completions and front matchings are read from
+    the lego's record when it holds them.
 
-    The group is canonicalized first (free when flagged), so the front
-    meets the precondition of ``_trace_front_two``.  Completions and the
-    front matching are read from ``record`` when it holds them.
-
-    Returns the traced group and a copy of ``record`` extended with the
+    Returns the traced blocks and a copy of the record extended with the
     completions and the matching this trace made.
     """
-    group = canonical_form(group)
-    n, precision = group.n, group.precision
-    empty = XpGroup(precision, n - 2, ())
-    record = dict(record)
-    touched, spectators = [], []
-    for legs, block in _leg_blocks(group):
-        (touched if j in legs or k in legs else spectators).append((legs, block))
-    front = [j, k] + sorted(leg for legs, _ in touched for leg in legs if leg not in (j, k))
-    position = {leg: i for i, leg in enumerate(i for i in range(n) if i not in (j, k))}
-    parts: list[tuple[XpGroup, list[int]]] = []
-    one_codeword = True
-    for legs, block in spectators:
-        key = _rows_key(block)
-        if key not in record:
-            try:
-                done, table = _completion(block)
-            except EmptyCodeError:
-                return empty, record
-            record[key] = record[_rows_key(done)] = (done, len(table.entries))
-        block, count = record[key]
-        parts.append((block, [position[i] for i in legs]))
-        one_codeword = one_codeword and count == 1
+    n, precision = lego.n, lego.precision
+    record = dict(lego._record)
+    shift = [leg - (leg > j) - (leg > k) for leg in range(n)]
+    touched, kept = [], []
+    for block in lego.blocks:
+        if j in block.legs or k in block.legs:
+            touched.append(block)
+            continue
+        if block.codewords is None:
+            key = _rows_key(block.group)
+            if key not in record:
+                try:
+                    done, table = _completion(block.group)
+                except EmptyCodeError:
+                    return _leg_blocks(XpGroup(precision, n - 2, ())), record
+                record[key] = done, len(table.entries), len(table.orbits.logical_x_dirs)
+            block = LegBlock(block.legs, *record[key])
+        kept.append(block._replace(legs=tuple(shift[leg] for leg in block.legs)))
+    one_codeword = all(block.codewords == 1 for block in kept)
+    front = [j, k] + sorted(leg for block in touched for leg in block.legs if leg not in (j, k))
     on_front = {leg: i for i, leg in enumerate(front)}
-    block = XpGroup(precision, len(front), tuple(
-        embed(op, len(front), [on_front[i] for i in legs])
-        for legs, touched_block in touched for op in touched_block.generators))
-    key = _rows_key(block) + (mode, one_codeword)
+    rows = XpGroup(precision, len(front), tuple(
+        embed(op, len(front), [on_front[leg] for leg in block.legs])
+        for block in touched for op in block.group.generators))
+    key = _rows_key(rows) + (mode, one_codeword)
     if key not in record:
-        record[key] = _trace_front_two(block, mode, rebuild=one_codeword)
-    traced = record[key]
-    if traced is None:
-        return empty, record
-    if not spectators:
-        return traced, record
-    parts.append((traced, [position[i] for i in front[2:]]))
-    return merge_canonical_blocks(n - 2, precision, parts), record
+        traced = _trace_front_two(rows, mode, rebuild=one_codeword)
+        record[key] = None if traced is None else _leg_blocks(traced)
+    if record[key] is None:
+        return _leg_blocks(XpGroup(precision, n - 2, ())), record
+    kept += [LegBlock(tuple(shift[front[2 + leg]] for leg in block.legs), block.group)
+             for block in record[key]]
+    return tuple(kept), record
 
 
 def _insertion_mode(insertion) -> tuple[str, np.ndarray | None]:
@@ -384,7 +395,7 @@ def _insertion_mode(insertion) -> tuple[str, np.ndarray | None]:
         name = "I" if insertion is None else insertion.upper()
         if name not in ("I", "X"):
             raise LegError(f"unknown named insertion {insertion!r}")
-        insertion = X_MATRIX if name == "X" else np.eye(2)
+        return ("plain", None) if name == "I" else ("insert_x", X_MATRIX)
     try:
         mat = np.asarray(insertion)
     except ValueError:  # a ragged nested list
@@ -417,10 +428,10 @@ def _trace(lego: Lego, j: int, k: int, mode: str, kernel: np.ndarray | None) -> 
     if mode == "dense-only":
         if lego.dense is None:
             raise LegError("general insertions need a dense shadow")
-        traced, record = XpGroup(lego.precision, lego.n - 2, ()), lego._record
+        blocks, record = _leg_blocks(XpGroup(lego.precision, lego.n - 2, ())), lego._record
         warnings.append("dense-only")
     else:
-        traced, record = _trace_blocks(lego.group, j, k, mode, lego._record)
+        blocks, record = _trace_blocks(lego, j, k, mode)
 
     dense = None
     if lego.dense is not None:
@@ -431,10 +442,10 @@ def _trace(lego: Lego, j: int, k: int, mode: str, kernel: np.ndarray | None) -> 
             raise LegError("the dense contraction left a shadow whose norm is not finite")
         if norm < 1e-12:
             warnings.append("empty-trace")
-    if not traced.generators and traced.n > 0 and mode != "dense-only":
+    if not any(block.group.generators for block in blocks) and keep and mode != "dense-only":
         warnings.append("trivial-symbolic-group")
     designation = tuple(lego.designation[i] for i in keep)
-    return Lego(traced, designation, dense, tuple(dict.fromkeys(warnings)), record)
+    return Lego(blocks, designation, dense, tuple(dict.fromkeys(warnings)), record, lego.precision)
 
 
 def self_trace(lego: Lego, j: int, k: int) -> Lego:
@@ -498,9 +509,8 @@ def shorten_to_logical(lego: Lego, leg: int) -> Lego:
     front = canonical_form(permute_legs(lego.group, order))
     kept = _vanishing_subgroup(front, (1,) + (0,) * (lego.n - 1))
     cut = tuple(delete_legs(op, (0,)) for op in kept if not op.x[0])
-    group = canonical_form(XpGroup(lego.precision, lego.n - 1, cut))
     designation = tuple(d for i, d in enumerate(lego.designation) if i != leg)
-    return Lego(group, designation, None, lego.warnings)
+    return Lego(XpGroup(lego.precision, lego.n - 1, cut), designation, None, lego.warnings)
 
 
 def materialize_logical(lego: Lego, logical_index: int = 0) -> Lego:
@@ -545,8 +555,8 @@ def materialize_logical(lego: Lego, logical_index: int = 0) -> Lego:
 
     gens = [embed(op, n + 1, list(range(n))) for op in group.generators]
     gens += [x_pair, z_pair]
-    new_group = canonical_form(XpGroup(precision, n + 1, tuple(gens)))
-    return Lego(new_group, lego.designation + (PHYSICAL,), None, lego.warnings)
+    return Lego(XpGroup(precision, n + 1, tuple(gens)), lego.designation + (PHYSICAL,), None,
+                lego.warnings)
 
 
 def redesignate(lego: Lego, leg: int, role: str) -> Lego:
@@ -622,7 +632,7 @@ def run_network(doc: dict) -> Lego:
                 group, designation = group_from_json(spec["matrix"])
             except MalformedMatrixError as exc:
                 raise LegError(f"lego {i}: {exc}") from exc
-            legos.append(lego_from_group(canonical_form(group), designation=designation))
+            legos.append(lego_from_group(group, designation=designation))
     combined = tensor_product(*legos)
 
     offsets = np.cumsum([0] + [l.n for l in legos]).tolist()
@@ -646,7 +656,7 @@ def run_network(doc: dict) -> Lego:
     if order is not None:
         if sorted(order) != list(range(current.n)):
             raise LegError("order must be a permutation of the surviving legs")
-        group = canonical_form(permute_legs(current.group, order))
+        group = permute_legs(current.group, order)
         designation = tuple(current.designation[i] for i in order)
         dense = None
         if current.dense is not None:

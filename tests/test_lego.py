@@ -287,6 +287,29 @@ def test_a_recorded_block_that_a_later_bond_touches_is_completed_again(monkeypat
     assert first._record.items() < second._record.items()
 
 
+def test_a_trace_hands_every_untouched_block_through(monkeypatch):
+    # After bond (2, 4) of an 8-copy 722 chain every block is complete but
+    # the bond's front.  Bond (3, 4) from copy 1, on that front, to copy 2
+    # leaves every other block as it was, on shifted legs: the same rows,
+    # and no merge of the whole group.
+    copy = entry_lego("722")
+    first = self_trace(tensor_product(*[copy] * 8), 2, 11)
+    j, k = 7 + 3 - 1, 14 + 4 - 2
+    merges = []
+    monkeypatch.setattr(lego, "merge_canonical_blocks", lambda *args: merges.append(args))
+    second = self_trace(first, j, k)
+    assert merges == []
+    untouched = [block for block in first.blocks if j not in block.legs and k not in block.legs]
+    assert len(untouched) == len(first.blocks) - 2
+    assert all(block.codewords is not None for block in untouched)
+    shift = [leg - (leg > j) - (leg > k) for leg in range(first.n)]
+    handed = {(id(block.group), block.legs) for block in second.blocks}
+    assert all((id(block.group), tuple(shift[leg] for leg in block.legs)) in handed
+               for block in untouched)
+    monkeypatch.undo()
+    assert second.group == self_trace(lego.Lego(first.group, first.designation), j, k).group
+
+
 def test_tensor_product_takes_the_union_of_the_records(monkeypatch):
     copy = entry_lego("722")
     pair = self_trace(tensor_product(copy, copy), 2, 11)
@@ -379,6 +402,18 @@ def test_general_insertion_falls_back_to_dense():
     assert "dense-only" in traced.warnings
     assert traced.group.generators == ()
     assert abs(traced.dense[0] - (1 + np.exp(-1j * np.pi / 4))) < 1e-12
+
+
+def test_a_tensor_product_of_no_legos_is_refused():
+    with pytest.raises(LegError, match="at least one lego"):
+        tensor_product()
+
+
+def test_a_designation_other_than_physical_or_logical_is_refused():
+    # As in a check-matrix file, a leg is "P" or "L".
+    ghz = entry_lego("ghz")
+    with pytest.raises(LegError, match="designation entries"):
+        lego.Lego(ghz.group, ("Q", "P", "P"))
 
 
 def test_general_insertion_on_a_logical_leg_is_refused():

@@ -384,9 +384,10 @@ def test_cli_trace_reports_of_722_chains_are_pinned(tmp_path, kind, copies):
 
 
 def test_cli_trace_report_reads_each_leg_block_once(tmp_path, monkeypatch):
-    # Both counting answers come from one orbit pass per leg block.
+    # Both counting answers come from one orbit pass over each leg block
+    # that no trace completed; the other blocks carry their logical counts.
+    # Here the last bond's front is the only block no trace completed.
     from xplego import cli, code_structure
-    from xplego.code_structure import _leg_blocks
     from xplego.lego import run_network
 
     path = chain_network(tmp_path, [(2, 4), (3, 5), (1, 6)])
@@ -395,10 +396,15 @@ def test_cli_trace_report_reads_each_leg_block_once(tmp_path, monkeypatch):
     calls = []
     original = code_structure.orbit_decomposition
     monkeypatch.setattr(code_structure, "orbit_decomposition",
-                        lambda g: calls.append(g.n) or original(g))
+                        lambda g: calls.append(g) or original(g))
     rc, out = run_cli("trace", str(path))
     assert rc == 0 and json.loads(out)["counting_check"] is True
-    assert sorted(calls) == sorted(len(legs) for legs, _ in _leg_blocks(result.group))
+    open_blocks = [block for block in result.blocks if block.logicals is None]
+    assert [block.legs for block in open_blocks] == [(11, 12, 19, 20, 21)]
+    assert [id(g) for g in calls] == [id(block.group) for block in open_blocks]
+    # A carried count is the block's own.
+    assert all(len(original(block.group).logical_x_dirs) == block.logicals
+               for block in result.blocks if block.logicals is not None)
 
 
 def test_cli_trace_over_the_support_limit_exits_with_message(tmp_path):
