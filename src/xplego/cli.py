@@ -252,10 +252,17 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def tolerance(text: str) -> float:
+    """Type of ``--tolerance``: a finite float above 0 (argparse names it in errors)."""
+    if not 0 < (value := float(text)) < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text!r}")
+    return value
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xplego")
-    parser.add_argument("--tolerance", type=float, default=1e-9,
+    parser.add_argument("--tolerance", type=tolerance, default=1e-9,
                         help="numeric tolerance for dense checks")
     sub = parser.add_subparsers(dest="command", required=True)
 

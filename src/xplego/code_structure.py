@@ -15,6 +15,7 @@ regular codes, and the generator-counting certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -406,25 +407,34 @@ def _r_z_from_support(support: Sequence[int], n: int, precision: int) -> list[Xp
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodewordTable:
-    """Symbolic codewords as (basis index, phase exponent) pair lists.
-
-    Entry i is the orbit of representative ``orbits.e_m[i]``.
-    """
+    """Symbolic codewords as read-only int64 arrays: the Z-support ``strings``
+    ascending, each string's phase exponent ``phases`` and codeword index
+    ``owner``; codeword i is the orbit of representative ``orbits.e_m[i]``."""
 
     precision: int
     n: int
-    entries: tuple[tuple[tuple[int, int], ...], ...]
+    strings: np.ndarray
+    phases: np.ndarray
+    owner: np.ndarray
     orbits: OrbitDecomposition
 
-    def phase_map(self) -> dict[int, int]:
-        """Phase exponent per support string, over all codewords."""
-        phases: dict[int, int] = {}
-        for cw in self.entries:
-            for e, ph in cw:
-                phases[e] = ph
-        return phases
+    @cached_property
+    def entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per codeword, its (string, phase) pairs in ascending string order."""
+        at = np.argsort(self.owner, kind="stable").reshape(len(self.orbits.e_m), -1)
+        return tuple(tuple(zip(self.strings[i].tolist(), self.phases[i].tolist())) for i in at)
+
+
+def _phase_steps(strings: np.ndarray, phases: np.ndarray, dirs: Sequence[int]) -> np.ndarray:
+    """phases[e ^ w] - phases[e], a row per direction w in ``dirs`` and a column
+    per string e of the ascending ``strings``; InvariantError when e ^ w is not one."""
+    moved = strings ^ np.array(dirs, dtype=np.int64)[:, None]
+    at = strings.searchsorted(moved)
+    if not (strings.take(at, mode="clip") == moved).all():
+        raise InvariantError("a direction moves a string out of the Z-support")
+    return phases[at] - phases
 
 
 def codewords(g: XpGroup) -> CodewordTable:
@@ -451,9 +461,11 @@ def codewords(g: XpGroup) -> CodewordTable:
     for zi, bits in zip(2 * z.T, _support_bits(reps, g.n)):
         phases += zi[:, None] * bits[None, :]
     phases %= 2 * g.precision
-    entries = tuple(tuple(sorted(zip(es, ps)))
-                    for es, ps in zip(strings.T.tolist(), phases.T.tolist()))
-    return CodewordTable(g.precision, g.n, entries, od)
+    # Flat index i is product i // |e_m| applied to representative i % |e_m|.
+    order = strings.argsort(axis=None)
+    columns = np.array([strings.ravel()[order], phases.ravel()[order], order % reps.size])
+    columns.setflags(write=False)
+    return CodewordTable(g.precision, g.n, *columns, od)
 
 
 def _constraint_matrix(n: int, precision: int, strings: Sequence[int],
@@ -540,20 +552,17 @@ def logical_basis(g: XpGroup) -> LogicalBasis:
         raise InvariantError("orbit representative outside the logical span")
     coords = tuple(zip(*(sol[len(dirs):] for sol in sols)))
 
-    phases = table.phase_map()
-    support = sorted(phases)
-    orbit_of = {e: orbit for orbit, cw in enumerate(table.entries) for e, _ in cw}
-    orbit_ids = [orbit_of[e] for e in support]
-    x_mat = _constraint_matrix(n, precision, support, orbit_ids)
-    z_mat = _constraint_matrix(n, precision, support)
+    x_mat = _constraint_matrix(n, precision, table.strings, table.owner)
+    z_mat = _constraint_matrix(n, precision, table.strings)
     xs, zs = [], []
-    for w, column in zip(od.logical_x_dirs, coords):
-        solved = _solve_constraints(x_mat, n, [phases[e ^ w] - phases[e] for e in support])
+    steps = _phase_steps(table.strings, table.phases, od.logical_x_dirs).tolist()
+    for w, column, targets in zip(od.logical_x_dirs, coords, steps):
+        solved = _solve_constraints(x_mat, n, targets)
         if solved is not None:
             diag, gammas = solved
             solved = XpOperator(precision, int_to_bits(w, n), diag.z, diag.phase), gammas
         xs.append(solved)
-        solved = _solve_constraints(z_mat, n, [precision * column[i] for i in orbit_ids])
+        solved = _solve_constraints(z_mat, n, (precision * np.array(column))[table.owner].tolist())
         zs.append(None if solved is None else solved[0])
     return LogicalBasis(table, tuple(xs), tuple(zs), coords)
 
@@ -573,11 +582,11 @@ def diagonal_logical_operators(g: XpGroup) -> list[XpOperator]:
     return logical_basis(g).z_logicals()
 
 
-def _lid(phases: dict[int, int], dirs: Sequence[int], n: int, precision: int,
-         ) -> XpGroup | None:
-    """Canonical group of the diagonal operators fixing every string of
-    ``phases`` and, per direction w in ``dirs``, the completion of X^w that
-    carries each w^phases[e] |e> to w^phases[e ^ w] |e ^ w>; None when a
+def _lid(strings: np.ndarray, phases: np.ndarray, dirs: Sequence[int], n: int,
+         precision: int) -> XpGroup | None:
+    """Canonical group of the diagonal operators fixing each of the ascending
+    ``strings`` and, per direction w in ``dirs``, the completion of X^w that
+    carries each w^phase(e) |e> to w^phase(e ^ w) |e ^ w>; None when a
     direction has no completion.  One constraint matrix, factored once,
     serves every solve and the kernel.
 
@@ -589,13 +598,12 @@ def _lid(phases: dict[int, int], dirs: Sequence[int], n: int, precision: int,
     directions), so they are the canonical x parts; reducing each solved
     completion against the kernel rows leaves the canonical (2z|p) part.
     """
-    support = sorted(phases)
     two_n = 2 * precision
-    mat = _constraint_matrix(n, precision, support)
+    mat = _constraint_matrix(n, precision, strings)
     basis = _pivoted(kernel_mod(mat).entries)
     gens = []
-    for w in dirs:
-        sol = solve_linear_mod(mat, [phases[e ^ w] - phases[e] for e in support] + [0] * n)
+    for w, steps in zip(dirs, _phase_steps(strings, phases, dirs).tolist()):
+        sol = solve_linear_mod(mat, steps + [0] * n)
         if sol is None:
             return None
         vec = _reduce(list(sol[:n + 1]), basis, two_n)
@@ -616,7 +624,7 @@ def _completion(g: XpGroup) -> tuple[XpGroup, CodewordTable]:
     """
     g = canonical_form(g)
     table = codewords(g)
-    lid = _lid(table.phase_map(), [op.x_mask for op in g.x_block], g.n, g.precision)
+    lid = _lid(table.strings, table.phases, [op.x_mask for op in g.x_block], g.n, g.precision)
     if lid is None:
         raise InvariantError("stabilizer row lost its own completion")
     return lid, table
@@ -647,13 +655,13 @@ def lid_from_phase_table(pairs: Sequence[tuple[int, int]], n: int, precision: in
     if not pairs:
         return None
     phases = {e: ph % (2 * precision) for e, ph in pairs}
-    support = sorted(phases)
+    strings, values = (np.array(v, dtype=np.int64) for v in zip(*sorted(phases.items())))
     # The support is affine exactly when it fills the span of its shifts.
-    dirs = sorted(_span_basis(np.asarray(support) ^ support[0]), reverse=True)
-    if len(support) != 2 ** len(dirs):
+    dirs = sorted(_span_basis(strings ^ strings[0]), reverse=True)
+    if strings.size != 2 ** len(dirs):
         return None
-    group = _lid(phases, dirs, n, precision)
-    if group is None or len(codewords(group).entries) != 1:
+    group = _lid(strings, values, dirs, n, precision)
+    if group is None or len(codewords(group).orbits.e_m) != 1:
         return None
     return group
 

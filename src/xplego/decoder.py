@@ -153,10 +153,10 @@ class DecoderSetup:
         self.n = code.n
         self.precision = code.precision
         self.k = len(basis.coords)
-        self.r_z = _r_z_from_support(list(basis.table.phase_map()), code.n, code.precision)
+        self.r_z = _r_z_from_support(basis.table.strings, code.n, code.precision)
         self.x_checks = list(code.x_block)
         self.projector = projector(code)
-        self.dimension = len(basis.table.entries)
+        self.dimension = len(basis.table.orbits.e_m)
         # Entry (e, c): the Pauli check r_z[c] has eigenvalue w^N = -1 on string e.
         self._z_outcomes = np.array([_phase_exponents(op) == code.precision for op in self.r_z],
                                     dtype=bool).reshape(len(self.r_z), 2 ** code.n).T

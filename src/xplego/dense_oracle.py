@@ -188,8 +188,9 @@ def contract(states: Sequence[np.ndarray], bonds: Sequence[tuple[int, int]],
 
     Legs are numbered globally in tensor order.  Each bond (j, k) sums the
     two indices against the kernel <Phi|(I x U) with |Phi> = |00> + |11>
-    unnormalized; U defaults to the identity.  Returns the contracted
-    vector and the surviving global leg indices in order.
+    unnormalized; ``insertions`` holds one U per bond, None for the
+    identity.  Returns the contracted vector and the surviving global leg
+    indices in order.
     """
     ns = [int(np.log2(s.shape[0])) for s in states]
     vec = reduce(np.kron, states) if len(states) > 1 else np.asarray(states[0], dtype=complex)
@@ -197,6 +198,8 @@ def contract(states: Sequence[np.ndarray], bonds: Sequence[tuple[int, int]],
     tensor = vec.reshape((2,) * total) if total else vec.reshape(())
     if insertions is None:
         insertions = [None] * len(bonds)
+    if len(insertions) != len(bonds):
+        raise ValueError(f"{len(bonds)} bonds need one insertion each, got {len(insertions)}")
     alive = list(range(total))
     for (j, k), ins in zip(bonds, insertions):
         if j == k:

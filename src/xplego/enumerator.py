@@ -28,6 +28,7 @@ from .code_structure import (
     SizeLimitError,
     XpGroup,
     _coset_min,
+    _phase_steps,
     _span_basis,
     _xor_basis,
     canonical_form,
@@ -412,13 +413,9 @@ def _exact_traces(code: XpGroup) -> _Traces:
             f"precision {code.precision} is too large for exact int64 trace sums")
 
     table = codewords(code)
-    phases = table.phase_map()
-    support = np.fromiter(phases, dtype=np.int64, count=len(phases))
-    phase = np.zeros(size, dtype=np.int64)
-    phase[support] = np.fromiter(phases.values(), dtype=np.int64, count=len(phases))
-    shifts = np.zeros(1, dtype=np.int64)
-    for op in code.x_block:
-        shifts = np.concatenate([shifts, shifts ^ op.x_mask])
+    support = table.strings
+    # The x-block span: codeword 0 moved by its representative, its least string.
+    shifts = support[table.owner == 0] ^ table.orbits.e_m[0]
 
     want = support.size * rows[0]  # K 2^r
     lag_sums = np.zeros((n + 1, phi), dtype=object)
@@ -427,7 +424,7 @@ def _exact_traces(code: XpGroup) -> _Traces:
     step = max(1, BATCH_ENTRIES // (size * phi))
     for start in range(0, shifts.size, step):
         a = shifts[start:start + step]
-        expo = (phase[support] - phase[support ^ a[:, None]]) % two_n
+        expo = -_phase_steps(support, table.phases, a) % two_n
         u = np.zeros((a.size, size, phi), dtype=np.int64)
         u[:, support] = rows[expo]
         _walsh_hadamard(u)
@@ -457,7 +454,7 @@ def _exact_traces(code: XpGroup) -> _Traces:
             trivial["Z"] = (u[0] == want).all(axis=-1)
     for cached in (lag_sums, *parts.values(), *trivial.values()):
         cached.setflags(write=False)
-    return _Traces(len(table.entries), support.size, lag_sums, parts, trivial)
+    return _Traces(len(table.orbits.e_m), support.size, lag_sums, parts, trivial)
 
 
 def enumerators(code: XpGroup) -> tuple[EnumeratorPoly, EnumeratorPoly]:

@@ -27,7 +27,7 @@ shifted legs.  The cost of a trace follows the blocks it touches, not the
 network, and the counting check reads only blocks no trace completed.
 
 Each lego carries a record of the work its lineage has done, keyed by a
-block's own rows (precision, leg count and generators) rather than its legs:
+block's own group (precision, leg count and generators) rather than its legs:
 a spectator block maps to its completed group and counts, and a bond front
 (the restricted group on the blocks a bond touches, bond legs first, with
 the trace mode and rebuild flag) to the blocks of its matched group, or
@@ -65,6 +65,7 @@ from .code_structure import (
     XpGroup,
     _completion,
     _leg_blocks,
+    _phase_steps,
     canonical_form,
     codewords,
     lid_from_phase_table,
@@ -110,7 +111,7 @@ class Lego:
     designation: tuple[str, ...]
     dense: np.ndarray | None = None
     warnings: tuple[str, ...] = ()
-    _record: dict[tuple, object] = field(default_factory=dict, compare=False, repr=False)
+    _record: dict[object, object] = field(default_factory=dict, compare=False, repr=False)
     precision: int = 0
 
     def __post_init__(self) -> None:
@@ -153,7 +154,7 @@ def state_lego(group: XpGroup) -> Lego:
     dense = None
     if group.n <= DENSE_SHADOW_MAX_QUBITS:
         table = codewords(group)
-        if len(table.entries) == 1:
+        if len(table.orbits.e_m) == 1:
             dense = state_from_pairs(table.entries[0], group.n, group.precision)
     return lego_from_group(group, dense)
 
@@ -188,30 +189,25 @@ def _traced_table_if_collisions(table: CodewordTable) -> list[tuple[int, int]] |
     amplitude, which no XP state has.  One codeword is one orbit of the x
     span, so once two strings collide every string has its partner.
     """
-    if len(table.entries) != 1:
+    if len(table.orbits.e_m) != 1:
         return None
-    precision = table.precision
-    two_n = 2 * precision
-    mask_rest = (1 << (table.n - 2)) - 1
-    buckets: dict[int, list[int]] = {}
-    for e, ph in table.entries[0]:
-        buckets.setdefault(e & mask_rest, []).append(ph)
-    if all(len(v) == 1 for v in buckets.values()):
+    precision, two_n = table.precision, 2 * table.precision
+    flip = 3 << (table.n - 2)  # both traced legs
+    rest = table.strings & ~flip
+    if len(set(rest.tolist())) == rest.size:
         return None
-    if any(len(v) != 2 for v in buckets.values()):
-        raise InvariantError("a colliding table has a string without its partner")
-    pairs: list[tuple[int, int]] = []
-    classes: set[int] = set()
-    for e, (a, b) in sorted(buckets.items()):
-        d = (b - a) % two_n
-        if d == precision:
-            continue  # the pair cancels
-        dcls = min(d, two_n - d)
-        classes.add(dcls)
-        # Amplitude w^a (1 + w^d); dividing out the common pair factor
-        # leaves exponent a, or a - dcls for the mirrored class.
-        pairs.append((e, a if d == dcls else (a - dcls) % two_n))
-    return pairs if len(classes) <= 1 else None
+    # The traced legs read 00 or 01 on the lower string of each pair: the first half.
+    half = table.strings.size // 2
+    d = _phase_steps(table.strings, table.phases, [flip])[0, :half] % two_n
+    dcls = np.minimum(d, two_n - d)
+    live = d != precision  # a pair with d == N cancels
+    if np.unique(dcls[live]).size > 1:
+        return None
+    # Amplitude w^a (1 + w^d); dividing out the common pair factor
+    # leaves exponent a, or a - dcls for the mirrored class.
+    a = table.phases[:half]
+    phases = np.where(d == dcls, a, (a - dcls) % two_n)
+    return list(zip(rest[:half][live].tolist(), phases[live].tolist()))
 
 
 def _vanishing_subgroup(g: XpGroup, column: Sequence[int]) -> list[XpOperator]:
@@ -328,13 +324,8 @@ def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup
     return None if phase_identity(traced) is not None else traced
 
 
-def _rows_key(group: XpGroup) -> tuple:
-    """Record key of a group: its precision, leg count and generator rows."""
-    return group.precision, group.n, group.generators
-
-
 def _trace_blocks(lego: Lego, j: int, k: int, mode: str,
-                  ) -> tuple[tuple[LegBlock, ...], dict[tuple, object]]:
+                  ) -> tuple[tuple[LegBlock, ...], dict[object, object]]:
     """Trace legs j and k of a lego on the leg blocks that hold them.
 
     Matching runs on the front: the blocks holding j and k, bond legs first.
@@ -357,14 +348,13 @@ def _trace_blocks(lego: Lego, j: int, k: int, mode: str,
             touched.append(block)
             continue
         if block.codewords is None:
-            key = _rows_key(block.group)
-            if key not in record:
+            if block.group not in record:
                 try:
                     done, table = _completion(block.group)
                 except EmptyCodeError:
                     return _leg_blocks(XpGroup(precision, n - 2, ())), record
-                record[key] = done, len(table.entries), len(table.orbits.logical_x_dirs)
-            block = LegBlock(block.legs, *record[key])
+                record[block.group] = done, len(table.orbits.e_m), len(table.orbits.logical_x_dirs)
+            block = LegBlock(block.legs, *record[block.group])
         kept.append(block._replace(legs=tuple(shift[leg] for leg in block.legs)))
     one_codeword = all(block.codewords == 1 for block in kept)
     front = [j, k] + sorted(leg for block in touched for leg in block.legs if leg not in (j, k))
@@ -372,7 +362,7 @@ def _trace_blocks(lego: Lego, j: int, k: int, mode: str,
     rows = XpGroup(precision, len(front), tuple(
         embed(op, len(front), [on_front[leg] for leg in block.legs])
         for block in touched for op in block.group.generators))
-    key = _rows_key(rows) + (mode, one_codeword)
+    key = rows, mode, one_codeword
     if key not in record:
         traced = _trace_front_two(rows, mode, rebuild=one_codeword)
         record[key] = None if traced is None else _leg_blocks(traced)
@@ -482,11 +472,9 @@ def _check_shortening_isometry(lego: Lego, leg: int) -> None:
     of c with the leg bit clear and e ^ L in c' is exactly zero.
     """
     table = codewords(lego.group)
-    two_n, k = 2 * table.precision, len(table.entries)
+    two_n, k = 2 * table.precision, len(table.orbits.e_m)
     flip = 1 << (table.n - 1 - leg)
-    rows = np.array([(e, ph, c) for c, cw in enumerate(table.entries) for e, ph in cw],
-                    dtype=np.int64)
-    strings, phases, owner = rows[np.argsort(rows[:, 0])].T
+    strings, phases, owner = table.strings, table.phases, table.owner
     is_set = (strings & flip) != 0
     counts = np.bincount(owner + k * is_set, minlength=2 * k)
     src = np.flatnonzero(~is_set)

@@ -271,6 +271,8 @@ def group_from_json(doc: dict) -> tuple[XpGroup, tuple[str, ...]]:
         entries = [n, precision] + [v for x, z, p in rows for v in (*x, *z, p)]
         if not all(is_int(v) for v in entries):
             raise TypeError("n, precision, x, z and p must hold integers only")
+        if any(v not in (0, 1) for x, _, _ in rows for v in x):
+            raise ValueError("x entries must be 0 or 1")
         group = XpGroup(precision, n, tuple(XpOperator(precision, x, z, p) for x, z, p in rows))
         designation = tuple(doc.get("designation", ["P"] * n))
         known = set(designation) <= {"P", "L"}

@@ -17,6 +17,7 @@ from xplego.code_structure import (
     PrecisionError,
     SizeLimitError,
     XpGroup,
+    _phase_steps,
     canonical_form,
     codewords,
     complete_lid,
@@ -397,6 +398,18 @@ def test_counting_check_fails_on_undersized_group():
     assert counting_check(g)
 
 
+def test_a_phase_step_out_of_the_support_is_an_invariant_error():
+    code = canonical_form(lookup("steane-xp").group)
+    table = codewords(code)
+    strings, phases = table.strings, table.phases
+    dirs = [op.x_mask for op in code.x_block] + list(table.orbits.logical_x_dirs)
+    assert _phase_steps(strings, phases, dirs).tolist() == [
+        [phases[strings == e ^ w][0] - ph for e, ph in zip(strings, phases)] for w in dirs]
+    outside = next(w for w in range(1, 1 << table.n) if not np.isin(strings ^ w, strings).all())
+    with pytest.raises(InvariantError, match="out of the Z-support"):
+        _phase_steps(strings, phases, dirs + [outside])
+
+
 def test_css_mapping_unitary_strips_phases():
     # The diagonal unitary built from codeword phases conjugates a regular
     # code's projector onto the projector of its phase-stripped CSS twin
@@ -406,11 +419,10 @@ def test_css_mapping_unitary_strips_phases():
     for name in ("steane-xp", "second-713", "722", "lego6-second"):
         code = canonical_form(lookup(name).group)
         n, precision = code.n, code.precision
-        phases = codewords(code).phase_map()
+        codes = codewords(code)
         table = omega_table(precision)
         diag = np.ones(2 ** n, dtype=complex)
-        for e, ph in phases.items():
-            diag[e] = table[(-ph) % (2 * precision)]
+        diag[codes.strings] = table[(-codes.phases) % (2 * precision)]
         u = np.diag(diag)
         css_rows = [XpOperator(precision, op.x, (0,) * n, 0) for op in code.x_block]
         css_rows += r_z_generators(code)

@@ -120,6 +120,13 @@ def test_contract_with_x_insertion_is_orthogonal():
     assert abs(vec[0]) < 1e-12
 
 
+@pytest.mark.parametrize("insertions", [[None], [None, None, None]])
+def test_contract_needs_one_insertion_per_bond(insertions):
+    ghz4 = state_from_pairs([(0, 0), (15, 0)], 4, 2)
+    with pytest.raises(ValueError, match="one insertion each"):
+        contract([ghz4], [(0, 1), (2, 3)], insertions)
+
+
 def test_contract_traced_counterexample_state():
     state = state_from_pairs(codewords(lookup("lego6-second").group).entries[0], 6, 8)
     vec, legs = contract([state], [(0, 1)])

@@ -294,6 +294,12 @@ def test_codewords_and_orbits_match_the_per_string_loops(g):
             z_support(g)
         return
     assert table.entries == reference_codewords(g)
+    assert np.all(np.diff(table.strings) > 0)
+    assert tuple(table.strings.tolist()) == z_support(g)
+    by_owner = [table.owner == c for c in range(len(table.orbits.e_m))]
+    assert table.entries == tuple(
+        tuple(zip(table.strings[c].tolist(), table.phases[c].tolist())) for c in by_owner)
+    assert not any(a.flags.writeable for a in (table.strings, table.phases, table.owner))
     od = orbit_decomposition(g)
     assert (od.e_m, od.e_q, od.regular, od.logical_x_dirs) == reference_orbits(g)
 
@@ -321,7 +327,8 @@ def solve_constraints(precision, n, strings, targets, orbit_ids):
 
 def span_kernel(precision, n, strings):
     """Howell basis of every diagonal operator fixing each of ``strings``."""
-    return _lid(dict.fromkeys(strings, 0), (), n, precision)
+    strings = np.array(strings, dtype=np.int64)
+    return _lid(strings, np.zeros_like(strings), (), n, precision)
 
 
 def brute_solvable(precision, n, strings, targets, orbit_ids):

@@ -27,6 +27,7 @@ from xplego.code_structure import (
 )
 from xplego.dense_oracle import contract, projector, stabilizes, state_from_pairs
 from xplego.registry import (
+    MalformedMatrixError,
     UnknownCodeError,
     _entry_from_state,
     group_from_json,
@@ -472,6 +473,8 @@ MALFORMED_NETWORKS = {
     "matrix-without-rows": {"legos": [{"matrix": {"n": 1, "precision": 2}}]},
     "matrix-ragged-row": {"legos": [{"matrix": {"n": 2, "precision": 2, "rows": [
         {"x": [1, 1], "z": [0], "p": 0}]}}]},
+    "matrix-x-entry-two": {"legos": [{"matrix": {"n": 1, "precision": 2, "rows": [
+        {"x": [2], "z": [0], "p": 0}]}}]},
     "matrix-unknown-designation": {"legos": [{"matrix": {
         "n": 2, "precision": 2, "designation": ["P", "Q"],
         "rows": [{"x": [1, 1], "z": [0, 0], "p": 0}]}}]},
@@ -520,6 +523,8 @@ MALFORMED_MATRICES = {
     "float-n": one_row_matrix(n=1.0),
     "precision-over-cap": one_row_matrix(precision=2 ** 62),
     "rowless-precision-over-cap": {"n": 1, "precision": 2 ** 62, "rows": []},
+    "x-entry-two": one_row_matrix(x=[2]),
+    "x-entry-three": one_row_matrix(x=[3]),
 }
 
 
@@ -537,3 +542,22 @@ def test_cli_malformed_matrix_file_exits_with_message(tmp_path, name, command):
     assert rc == 1 and out == ""
     assert err.getvalue().startswith("error: malformed check matrix")
     assert "Traceback" not in err.getvalue()
+
+
+def test_json_x_entries_must_be_bits_while_z_and_p_are_reduced():
+    group, _ = group_from_json(one_row_matrix(z=[5], p=9))
+    assert group.generators == (XpOperator(4, (1,), (1,), 1),)
+    for x in (2, 3, -1):
+        with pytest.raises(MalformedMatrixError, match="x entries must be 0 or 1"):
+            group_from_json(one_row_matrix(x=[x]))
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "-inf", "abc"])
+def test_cli_tolerance_must_be_finite_and_positive(value):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc, out = run_cli(f"--tolerance={value}", "verify", "bell")
+    assert rc == 1 and out == ""
+    assert err.getvalue().startswith("usage: xplego")
+    reason = "invalid tolerance value" if value == "abc" else "must be finite and above 0"
+    assert f"argument --tolerance: {reason}" in err.getvalue()
