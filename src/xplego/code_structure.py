@@ -661,7 +661,7 @@ def lid_from_phase_table(pairs: Sequence[tuple[int, int]], n: int, precision: in
     if strings.size != 2 ** len(dirs):
         return None
     group = _lid(strings, values, dirs, n, precision)
-    if group is None or len(codewords(group).orbits.e_m) != 1:
+    if group is None or len(orbit_decomposition(group).e_m) != 1:
         return None
     return group
 
