@@ -387,21 +387,38 @@ def ml_decode(syndrome: Syndrome, coeffs: np.ndarray, code: XpGroup) -> DecodeRe
     """Maximum-likelihood class choice for one syndrome.
 
     For each logical class L the residual operator E_sz E_sx L enters the
-    two coset scalars; the joint weight is their sum over K(K+1).  Ties go
-    to the lower-weight logical, then to class order.
+    two coset scalars, all four classes in one ``CosetTrace.scalar_pairs``
+    call; the joint weight is their sum over K(K+1).  Ties go to the
+    lower-weight logical, then to class order.
+
+    Raises:
+        ValueError: when a syndrome part does not hold one bit of 0 or 1
+            per check.
+        ChannelError: when ``coeffs`` is not a finite 4x4 pairing table.
     """
     setup = decoder_setup(canonical_form(code))
     if setup.classes is None:
         raise UnsupportedCodeError("maximum-likelihood classes need k = 1")
+    for bits, checks, kind in ((syndrome.s_z, setup.r_z, "Z"),
+                               (syndrome.s_x, setup.x_checks, "X")):
+        if len(bits) != len(checks) or any(b not in (0, 1) for b in bits):
+            raise ValueError(f"the {kind} syndrome must hold {len(checks)} bits of 0 or 1, "
+                             f"got {tuple(bits)!r}")
+    try:
+        coeffs = np.asarray(coeffs, dtype=complex)
+    except (TypeError, ValueError):
+        coeffs = None
+    if coeffs is None or coeffs.shape != (4, 4) or not np.all(np.isfinite(coeffs)):
+        raise ChannelError("the pairing table must be a finite 4x4 array")
     base = multiply(setup.z_representative(syndrome.s_z),
                     setup.x_representative(syndrome.s_x))
     kdim = setup.dimension
-    coset_trace = setup.coset_trace(coeffs)
+    e_tildes = [multiply(base, logical) for _, logical in setup.classes]
+    scalars = setup.coset_trace(coeffs).scalar_pairs(e_tildes)
     probabilities = {}
     scored = []
-    for idx, (name, logical) in enumerate(setup.classes):
-        e_tilde = multiply(base, logical)
-        a_scalar, b_scalar = coset_trace(e_tilde)
+    for idx, ((name, logical), e_tilde, (a_scalar, b_scalar)) in enumerate(
+            zip(setup.classes, e_tildes, scalars)):
         weight = (b_scalar.real + a_scalar.real) / (kdim * (kdim + 1))
         probabilities[name] = weight
         scored.append((-weight, _op_weight(logical), idx, name, logical, e_tilde))
@@ -499,8 +516,8 @@ def monte_carlo(code: XpGroup, channel: Channel, shots: int, seed: int,
     Shots run max(1, ``MC_AMPLITUDES`` >> n) at a time as (B, 2^n) arrays;
     the result does not depend on the block size.
     """
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ValueError(f"shots must be a positive integer, got {shots!r}")
     if mode not in ("exact", "twirl"):
         raise ValueError(f"unknown sampling mode {mode!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+from typing import Sequence
 
 import numpy as np
 
@@ -52,6 +53,10 @@ DENSE_ENUMERATOR_MAX_QUBITS = 11
 # strings do not; 8 is a margin over 4 that no measurement has shown to be
 # needed.  The == tests in tests/test_enumerator.py check any other build.
 MIN_COSET_SIZE = 8
+# A contraction step of CosetTrace multiplies at most this many spectrum
+# entries at a time, so that its two temporary arrays stay at 256 KiB each
+# while the 4^n arrays of the final sum are held.
+STEP_ENTRIES = 1 << 14
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -123,11 +128,14 @@ def _check_projector(mat: np.ndarray, tol: float = 1e-9) -> int:
     return n
 
 
-def _pauli_butterfly(v: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def _pauli_butterfly(v: np.ndarray, shifts: np.ndarray,
+                     spare: np.ndarray | None = None) -> np.ndarray:
     """Tr[X^a Z^b M] for the x parts a = shifts[s] and every z part b.
 
     Row s of v holds v[s, k] = M[k, k ^ a], the only entries of M that
-    X^a Z^b meets, and row s of the result holds the traces over b; v is
+    X^a Z^b meets, and row s of the result holds the traces over b.  The
+    result is v after an even number of qubits and ``spare`` (a scratch
+    array of v's shape, new when None) after an odd one; both are
     overwritten.  Bit q of k and b belongs to qubit n - 1 - q, as in
     ``XpOperator.x_mask``.  One butterfly per qubit, qubit 0 first: the
     halves of a row that differ in that qubit, lo with a 0 and hi with a 1,
@@ -138,14 +146,17 @@ def _pauli_butterfly(v: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """
     count, size = v.shape
     n = size.bit_length() - 1
-    spare = np.empty_like(v)
+    if spare is None:
+        spare = np.empty_like(v)
+    # Column q: the rows whose x part has qubit q.
+    has_x = (shifts[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 1
     for q in range(n):
         m = v.reshape(count, 2, size >> 1)
         out = spare.reshape(count, size >> 1, 2)
         np.add(m[:, 0], m[:, 1], out=out[..., 0])
         diff = out[..., 1]
         np.subtract(m[:, 0], m[:, 1], out=diff)
-        np.multiply(diff, 1j, out=diff, where=((shifts >> (n - 1 - q)) & 1 == 1)[:, None])
+        np.multiply(diff, 1j, out=diff, where=has_x[:, q, None])
         v, spare = spare, v
     return v
 
@@ -598,19 +609,25 @@ def _ranks(strings: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ContractionStep:
-    """The x offsets that the channel contraction of one qubit pairs up.
+    """The rows that the channel contraction of one qubit reads and writes.
 
-    A spectrum on the x parts x ^ L, for sorted offsets L, is held flat
-    as a (len(L) + 1, 2^n) array over (offset, z part) whose last row is
-    zero.  Row r of ``rows_in`` holds the flat starts of the rows of
-    offsets l and l | bit, which differ only in the qubit's bit, or of the
-    zero row where one is not in L.  ``rows_out`` holds the same pair
-    among the ``support`` offsets after the step, or the last row, which
-    takes the products that have no offset there.
+    A spectrum on the x parts x ^ L, for sorted offsets L, is held as a
+    (len(L) + 1, 2^n) array over (offset, z part) whose last row is zero,
+    with the contracted qubit's z bit leading.  The step pairs the offsets
+    l and l | bit, which differ only in the qubit's bit, and multiplies
+    the four Pauli digits (I, X, Y, Z) of each pair by the pairing table.
+    Digit c takes the offset whose bit is its x part ^ x's bit, so both
+    tables hold one (pairs, 4) array per bit b of x: ``reads[b]`` the z
+    half-rows that digit c reads (its offset's row, z bit ``_DIGIT_Z[c]``),
+    with the zero row for an offset not in L, and ``writes[b]`` the rows
+    among the ``support`` offsets after the step that take the products,
+    with the z bit trailing, or the last row where an offset has no row
+    there.  Both tables are int32, which keeps them below the channel rows
+    from 3 qubits up.
     """
 
-    rows_in: np.ndarray
-    rows_out: np.ndarray
+    reads: np.ndarray
+    writes: np.ndarray
     support: int
 
 
@@ -625,6 +642,7 @@ def _contraction_plan(span: np.ndarray, n: int, mixes: bool,
     size = 1 << n
     steps = []
     support = span
+    by_bit = np.array([_DIGIT_X, _DIGIT_X ^ 1])
     for q in range(n):
         bit = 1 << (n - 1 - q)
         present = np.zeros(size, dtype=bool)
@@ -633,26 +651,52 @@ def _contraction_plan(span: np.ndarray, n: int, mixes: bool,
         low = both[both & bit == 0]
         pairs = np.stack([low, low | bit], axis=1)
         grown = both if mixes else support
-        steps.append(_ContractionStep(_ranks(support, pairs) * size,
-                                      _ranks(grown, pairs) * size, grown.size))
+        reads = 2 * _ranks(support, pairs)[:, by_bit].transpose(1, 0, 2) + _DIGIT_Z
+        writes = _ranks(grown, pairs)[:, by_bit].transpose(1, 0, 2)
+        steps.append(_ContractionStep(reads.astype(np.int32), writes.astype(np.int32),
+                                      grown.size))
         support = grown
     return tuple(steps), support
+
+
+@dataclass(frozen=True)
+class _ShiftPlan:
+    """The indices of one coset trace that depend on Etilde's x part alone.
+
+    ``source[c]`` is the coset that Etilde maps onto coset c, and
+    ``e_entries`` the entries of its blocks that hold Etilde's values.
+    ``spectra`` gathers the spectrum inputs from the stacked block products
+    (Pi Etilde^dag, then Etilde Pi), and ``shifts`` is their x parts.
+    ``bits`` holds x's bit of each contracted qubit.  ``dense1`` and
+    ``dense2`` place the two spectra among the 4^n Pauli strings.
+    """
+
+    source: np.ndarray
+    e_entries: tuple[np.ndarray, ...]
+    spectra: np.ndarray
+    shifts: np.ndarray
+    bits: tuple[int, ...]
+    dense1: np.ndarray
+    dense2: np.ndarray
 
 
 class CosetTrace:
     """The coset trace scalars of one code projector under one channel.
 
     ``coeffs`` is the 4x4 Pauli pairing table of the single-qubit channel.
-    Calling the context with the XP operator Etilde (a residual error times
-    a logical representative) returns (a_scalar, b_scalar) with
+    For the XP operator Etilde (a residual error times a logical
+    representative) the scalars are
 
         a = sum_i Tr[K_i Pi Etilde^dag] Tr[K_i^dag Etilde Pi]
         b = sum_i Tr[K_i Pi K_i^dag Pi_s],   Pi_s = Etilde Pi Etilde^dag
 
     where the index runs over all n-fold tensor products of the Kraus
-    operators.  The a side contracts the Pauli spectra of Pi Etilde^dag and
-    Etilde Pi through coeffs one qubit at a time; the b side reads the
-    channel-applied projector.
+    operators.  ``scalar_pairs`` returns (a, b) for each of a list of
+    operators, such as the logical classes of one syndrome, and calling the
+    context with one operator is the one-element list.  The a side
+    contracts the Pauli spectra of Pi Etilde^dag and Etilde Pi through
+    coeffs one qubit at a time; the b side reads the channel-applied
+    projector.
 
     Pi is block diagonal on the cosets of ``_coset_blocks``, and Etilde
     maps coset c onto coset c ^ x, so the three products with Etilde run as
@@ -669,9 +713,16 @@ class CosetTrace:
 
     Made once here: the projector check, Pi's diagonal blocks, the rows of
     the channel-applied projector in coset order (4^n complex entries),
-    and the index plan of the a side from D and coeffs' zero pattern,
-    which each call translates by x: at most (2n + 7) 2^n integers, less
-    memory than the channel rows from 3 qubits up.
+    and the contraction steps from D and coeffs' zero pattern, as rows for
+    either bit of x.  A step's indices depend on x only through the
+    qubit's bit, so each step moves whole z half-rows.  ``scalar_pairs``
+    makes the indices that depend on all of x once per distinct x among
+    its operators (``_ShiftPlan``), and its scratch arrays once per list:
+    the 4^n arrays of the final sum are zeroed only where an operator
+    wrote them, and the b side's slabs share the first of them.  Steps run
+    in blocks of ``STEP_ENTRIES``, so on a channel that keeps x parts a
+    list holds about two 4^n arrays at its peak, as a one-operator call
+    does; where the support grows, the scratch arrays reach 4^n too.
 
     Bits.  Every float equals the dense computation's, zeros aside, whose
     sign may differ where the dense arrays held zeros outside the support.
@@ -685,7 +736,8 @@ class CosetTrace:
     matrix shape.  Blocks hold at least ``MIN_COSET_SIZE`` strings because
     2-string blocks did not, and the == tests against the dense
     computation check the rest on the build they run on.  The final sum is
-    the dense one, over the same two 4^n arrays.
+    the dense one: the (1, 4^n) @ (4^n, 1) product that ``np.tensordot``
+    makes of the same two 4^n arrays.
     """
 
     def __init__(self, coeffs: np.ndarray, projector: np.ndarray):
@@ -704,80 +756,144 @@ class CosetTrace:
         span = members[0]
         mixes = bool(np.any(self.coeffs[_DIGIT_X[:, None] != _DIGIT_X]))
         self._steps, grown = _contraction_plan(span, self.n, mixes)
-        # A contraction step reads column c of its product at z part
-        # _DIGIT_Z[c] of the leading bit and writes it as the trailing bit.
-        rest = np.arange(size >> 1)[:, None]
-        self._z_in = _DIGIT_Z * (size >> 1) + rest
-        self._z_out = 2 * rest + _DIGIT_Z
-        self._digits = _pauli_index(np.arange(size))
+        # int32, so that the 4^n indices of the final sum are made without
+        # an int64 copy while a list holds its 4^n arrays.
+        self._digits = _pauli_index(np.arange(size, dtype=np.int32))
         self._span_digits = self._digits[span]
         self._grown_digits = self._digits[grown]
 
     def __call__(self, e_tilde: XpOperator) -> tuple[complex, complex]:
+        return self.scalar_pairs([e_tilde])[0]
+
+    def _shift_plan(self, x: int) -> _ShiftPlan:
         n, size = self.n, 1 << self.n
-        if e_tilde.n != n:
-            raise ValueError("the operator's qubit count must equal the projector's")
         members = self._members
         count, width = members.shape
-        batch = np.arange(count)[:, None]
-        x = e_tilde.x_mask
+        span = members[0]  # D, whose size is the block width
         # Block c maps coset source[c] onto coset c: row t holds the value
         # of string members[c, t] in the column of members[c, t] ^ x.
         shifted = members ^ x
-        source = self._coset[shifted[:, 0]]
-        e_blocks = np.zeros((count, width, width), dtype=complex)
-        e_blocks[batch, np.arange(width), self._position[shifted]] = _row_values(e_tilde)[members]
-        e_dag = e_blocks.conj().transpose(0, 2, 1)
-        pi_blocks = self._blocks[source]
-        e_pi = np.matmul(e_blocks, pi_blocks)
-        pi_s = np.matmul(e_pi, e_dag)
-
-        a_scalar = self._a_scalar(x, np.matmul(pi_blocks, e_dag), e_pi)
-
-        # The columns of coset c of Pi_s, zero outside the rows of coset c.
-        slabs = np.zeros((count, size, width), dtype=complex)
-        slabs[batch, members] = pi_s
-        diagonal = np.zeros(size, dtype=complex)
-        diagonal[members] = np.matmul(self._channel_rows, slabs).diagonal(axis1=1, axis2=2)
-        b_scalar = complex(diagonal.sum())
-        return a_scalar, b_scalar
-
-    def _a_scalar(self, x: int, pi_e: np.ndarray, e_pi: np.ndarray) -> complex:
-        """The a side from the blocks of Pi Etilde^dag and Etilde Pi."""
-        n, size = self.n, 1 << self.n
-        span = self._members[0]  # D, whose size is the block width
-        width = span.size
+        e_entries = (np.arange(count)[:, None], np.arange(width), self._position[shifted])
         # Row s of each spectrum input holds M[k, k ^ x ^ span[s]], read in
         # the block of row k at the position of that string in its coset.
         moved = np.arange(size) ^ x
         column = self._position[moved ^ span[:, None]]
-        v = np.concatenate([
-            pi_e.reshape(-1)[(self._coset[moved] * width + self._position) * width + column],
-            e_pi.reshape(-1)[(self._coset * width + self._position) * width + column]])
+        spectra = np.concatenate([
+            (self._coset[moved] * width + self._position) * width + column,
+            ((count + self._coset) * width + self._position) * width + column])
         shifts = span ^ x
-        t = _pauli_butterfly(v, np.concatenate([shifts, shifts]))
-
-        # The second spectrum over (offset, z part), z bits rotating so that
-        # the contracted qubit leads; the last row stays zero.
-        t2 = np.zeros((width + 1) * size, dtype=complex)
-        t2[:-size] = t[width:].reshape(-1)
-        coeffs_t = self.coeffs.T
-        for q, step in enumerate(self._steps):
-            # Digit c reads the offset whose bit is its x part ^ x's bit.
-            digit_x = _DIGIT_X ^ ((x >> (n - 1 - q)) & 1)
-            product = np.dot(t2[step.rows_in[:, None, digit_x] + self._z_in].reshape(-1, 4),
-                             coeffs_t)
-            t2 = np.empty((step.support + 1) * size, dtype=complex)
-            t2[step.rows_out[:, None, digit_x] + self._z_out] = product.reshape(-1, size >> 1, 4)
-            t2[-size:] = 0
-
         x_digits = self._digits[x]
         z_digits = 3 * self._digits
-        dense1 = np.zeros(1 << 2 * n, dtype=complex)
-        dense1[(self._span_digits ^ x_digits)[:, None] ^ z_digits] = t[:width]
-        dense2 = np.zeros(1 << 2 * n, dtype=complex)
-        dense2[(self._grown_digits ^ x_digits)[:, None] ^ z_digits] = t2[:-size].reshape(-1, size)
-        return complex(np.tensordot(dense1.reshape((4,) * n), dense2.reshape((4,) * n), axes=n))
+        # int32 halves what a list holds next to its 4^n arrays.
+        return _ShiftPlan(self._coset[shifted[:, 0]], e_entries, spectra.astype(np.int32),
+                          np.concatenate([shifts, shifts]),
+                          tuple((x >> (n - 1 - q)) & 1 for q in range(n)),
+                          (self._span_digits ^ x_digits)[:, None] ^ z_digits,
+                          (self._grown_digits ^ x_digits)[:, None] ^ z_digits)
+
+    def scalar_pairs(self, e_tildes: Sequence[XpOperator]) -> list[tuple[complex, complex]]:
+        """(a, b) for each operator, in order.
+
+        The operators run x by x, each one's b side before its a side, on
+        scratch arrays made once per list (see the class notes).
+        """
+        n, size = self.n, 1 << self.n
+        if any(op.n != n for op in e_tildes):
+            raise ValueError("the operator's qubit count must equal the projector's")
+        count, width = self._members.shape
+        by_x: dict[int, list[int]] = {}
+        for i, op in enumerate(e_tildes):
+            by_x.setdefault(op.x_mask, []).append(i)
+
+        e_blocks = np.zeros((count, width, width), dtype=complex)
+        dense = np.zeros((2, 1 << 2 * n), dtype=complex)
+        # Two scratch arrays for the spectra, the first of which also holds
+        # the block products (Pi Etilde^dag, then Etilde Pi) until they are
+        # read.
+        rows = max([2 * width] + [step.support + 1 for step in self._steps])
+        scratch = np.empty((2, rows * size), dtype=complex)
+        pairs: list = [None] * len(e_tildes)
+        for x, indices in by_x.items():
+            for i, pair in zip(indices, self._score_x(
+                    x, [e_tildes[i] for i in indices], e_blocks, dense, scratch)):
+                pairs[i] = pair
+        return pairs
+
+    def _score_x(self, x: int, e_tildes: list[XpOperator], e_blocks: np.ndarray,
+                 dense: np.ndarray, scratch: np.ndarray) -> list[tuple[complex, complex]]:
+        """(a, b) for operators that share the x part x.
+
+        ``e_blocks`` and ``dense`` are zero on entry and are left so.
+        """
+        members = self._members
+        count, width = members.shape
+        size = 1 << self.n
+        plan = self._shift_plan(x)
+        pi_blocks = self._blocks[plan.source]
+        e_conj = np.empty_like(e_blocks)
+        e_dag = e_conj.transpose(0, 2, 1)
+        products = scratch[0, :2 * width * size].reshape(2, count, width, width)
+        # The columns of coset c of Pi_s, zero outside the rows of coset c.
+        slabs = dense[0].reshape(count, size, width)
+        slab_entries = (np.arange(count)[:, None], members)
+        diagonal = np.empty(size, dtype=complex)
+        pairs = []
+        for op in e_tildes:
+            e_blocks[plan.e_entries] = _row_values(op)[members]
+            np.conjugate(e_blocks, out=e_conj)
+            e_pi = np.matmul(e_blocks, pi_blocks, out=products[1])
+            slabs[slab_entries] = np.matmul(e_pi, e_dag)  # Pi_s
+            diagonal[members] = np.matmul(self._channel_rows, slabs).diagonal(axis1=1, axis2=2)
+            slabs[slab_entries] = 0
+            b_scalar = complex(diagonal.sum())
+            np.matmul(pi_blocks, e_dag, out=products[0])
+            pairs.append((self._a_scalar(plan, scratch, dense), b_scalar))
+            dense[0, plan.dense1] = 0
+        e_blocks[plan.e_entries] = 0
+        dense[1, plan.dense2] = 0
+        return pairs
+
+    def _a_scalar(self, plan: _ShiftPlan, scratch: np.ndarray, dense: np.ndarray) -> complex:
+        """The a side from the block products at the start of ``scratch[0]``.
+
+        ``dense`` holds the two 4^n arrays of the final sum, zero outside
+        the entries of ``plan``.
+        """
+        n, size = self.n, 1 << self.n
+        half = size >> 1
+        width = self._members.shape[1]
+        length = 2 * width * size
+        v = scratch[1, :length].reshape(2 * width, size)
+        # Every index is in range; "clip" lets np.take write v unbuffered.
+        np.take(scratch[0, :length], plan.spectra, out=v, mode="clip")
+        t = _pauli_butterfly(v, plan.shifts, scratch[0, :length].reshape(v.shape))
+        dense[0, plan.dense1] = t[:width]
+
+        # The second spectrum over (offset, z part), z bits rotating so that
+        # the contracted qubit leads; the last row stays zero.  The
+        # butterfly swaps its two arrays once per qubit.
+        free = n % 2
+        t2 = scratch[free, :(width + 1) * size]
+        t2[:-size] = t[width:].reshape(-1)
+        t2[-size:] = 0
+        coeffs_t = self.coeffs.T
+        pairs = max(1, STEP_ENTRIES // (2 * size))
+        for step, bit in zip(self._steps, plan.bits):
+            reads, writes = step.reads[bit], step.writes[bit]
+            source = t2.reshape(-1, half)
+            free ^= 1
+            t2 = scratch[free, :(step.support + 1) * size]
+            for lo in range(0, len(reads), pairs):
+                product = np.dot(source[reads[lo:lo + pairs]].transpose(0, 2, 1).reshape(-1, 4),
+                                 coeffs_t)
+                t2.reshape(-1, half, 2)[writes[lo:lo + pairs], :, _DIGIT_Z] = \
+                    product.reshape(-1, half, 4).transpose(0, 2, 1)
+            t2[-size:] = 0
+
+        dense[1, plan.dense2] = t2[:-size].reshape(-1, size)
+        # The (1, 4^n) @ (4^n, 1) product that np.tensordot makes of the
+        # two spectra as (4,) * n tensors.
+        return complex(np.dot(dense[0].reshape(1, -1), dense[1].reshape(-1, 1))[0, 0])
 
 
 def coset_scalars(coeffs: np.ndarray, projector: np.ndarray,

@@ -322,3 +322,29 @@ def test_coset_trace_context_is_built_once_per_channel(monkeypatch):
     # Three contexts so far: depolarizing, damping and the cold damping one.
     assert calls == {"apply_channel": 4, "_check_projector": 4}
     assert again == first[::8] == cold(dep, syndromes[::8])
+
+
+@pytest.mark.parametrize("s_z, s_x", [
+    ((0, 0), (0, 0, 0)),         # one Z bit short
+    ((0, 0, 0), (0, 0, 0, 1)),   # one X bit too many
+    ((0, 2, 0), (0, 0, 0)),
+    ((0, 0, 0), (0, -1, 0)),
+    ((0, 0, 0.5), (1, 0, 0)),
+])
+def test_ml_decode_refuses_a_syndrome_that_is_not_one_bit_per_check(s_z, s_x):
+    coeffs = pauli_process_coeffs(depolarizing(0.01))
+    with pytest.raises(ValueError, match="syndrome must hold 3 bits of 0 or 1"):
+        ml_decode(Syndrome(s_z, s_x), coeffs, load_code())
+
+
+@pytest.mark.parametrize("coeffs", [
+    np.eye(3),
+    np.eye(4)[:, :3],
+    np.eye(4)[None],
+    np.full((4, 4), np.nan),
+    np.diag([1.0, 0.0, 0.0, np.inf]),
+    [["not", "a", "table", "!"]] * 4,
+])
+def test_ml_decode_refuses_a_pairing_table_that_is_not_finite_4x4(coeffs):
+    with pytest.raises(ChannelError, match="finite 4x4"):
+        ml_decode(Syndrome((0, 0, 0), (0, 0, 0)), coeffs, load_code())

@@ -22,6 +22,7 @@ from xplego.code_structure import SizeLimitError, XpGroup, canonical_form
 from xplego.decoder import (
     Channel,
     Syndrome,
+    UnsupportedCodeError,
     amplitude_damping,
     decoder_setup,
     depolarizing,
@@ -497,6 +498,37 @@ SMALL_REGISTRY = [name for name, entry in registry().items() if entry.group.n <=
 
 
 @pytest.mark.parametrize("channel", sorted(SCALAR_CHANNELS))
+def test_scoring_a_syndromes_classes_in_one_call_equals_one_call_per_class(channel):
+    # scalar_pairs shares its x plans and scratch arrays across a list;
+    # each one-class call makes its own.  Every eighth syndrome of every
+    # k = 1 code, then all of those classes in one list, whose x parts
+    # change from one operator to the next.
+    coeffs = pauli_process_coeffs(SCALAR_CHANNELS[channel])
+    decoded = 0
+    for name in SMALL_REGISTRY:
+        code = canonical_form(lookup(name).group)
+        try:
+            setup = decoder_setup(code)
+        except UnsupportedCodeError:
+            continue
+        if setup.classes is None:
+            continue
+        decoded += 1
+        context = CosetTrace(coeffs, setup.projector)
+        nz = len(setup.r_z)
+        everything = []
+        for bits in list(product((0, 1), repeat=nz + len(setup.x_checks)))[::8]:
+            e_sz, e_sx = representative_errors(Syndrome(bits[:nz], bits[nz:]), code)
+            ops = [multiply(multiply(e_sz, e_sx), logical) for _, logical in setup.classes]
+            one_by_one = [context(op) for op in ops]
+            assert context.scalar_pairs(ops) == one_by_one, (name, bits)
+            everything += zip(ops, one_by_one)
+        ops, want = zip(*everything)
+        assert context.scalar_pairs(ops) == list(want), name
+    assert decoded == 7
+
+
+@pytest.mark.parametrize("channel", sorted(SCALAR_CHANNELS))
 @pytest.mark.parametrize("name", SMALL_REGISTRY)
 def test_coset_trace_equals_reference_on_random_residuals(name, channel):
     rng = random.Random(f"{name}:{channel}")
@@ -544,17 +576,17 @@ def test_coset_trace_equals_reference_on_a_dense_projector(channel):
 
 
 def test_coset_trace_index_plan_is_smaller_than_the_channel_rows():
-    # The a-side plan of a context: its contraction steps and its z and
-    # digit tables, under channels that keep and that mix x parts.
+    # The a-side plan of a context: the row tables of its contraction
+    # steps, for either bit of x, and its digit tables, under channels that
+    # keep and that mix x parts.
     for name, entry in registry().items():
         if not 3 <= entry.group.n <= 8:
             continue
         pi = code_projector(name)
         for channel in SCALAR_CHANNELS.values():
             context = CosetTrace(pauli_process_coeffs(channel), pi)
-            arrays = [context._z_in, context._z_out, context._digits,
-                      context._span_digits, context._grown_digits]
-            arrays += [a for step in context._steps for a in (step.rows_in, step.rows_out)]
+            arrays = [context._digits, context._span_digits, context._grown_digits]
+            arrays += [a for step in context._steps for a in (step.reads, step.writes)]
             assert sum(a.nbytes for a in arrays) < context._channel_rows.nbytes, name
 
 

@@ -10,6 +10,7 @@ runs of the block loop with different block sizes.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -313,3 +314,18 @@ def test_a_seed_that_is_not_a_non_negative_integer_is_refused_before_any_draw(
     monkeypatch.setattr(decoder, "decoder_setup", lambda code: pytest.fail("set up"))
     with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
         monte_carlo(CODE, depolarizing(0.01), shots=1, seed=seed)
+
+
+@pytest.mark.parametrize("shots", [0, -2, 2.5, True, False, "10", None])
+def test_a_shot_count_that_is_not_a_positive_integer_is_refused_before_any_draw(
+        shots, monkeypatch):
+    monkeypatch.setattr(decoder, "decoder_setup", lambda code: pytest.fail("set up"))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"shots must be a positive integer, got {shots!r}")):
+        monte_carlo(CODE, depolarizing(0.01), shots=shots, seed=1)
+
+
+def test_a_numpy_integer_shot_count_is_accepted():
+    result = monte_carlo(CODE, depolarizing(0.01), shots=np.int64(2), seed=1)
+    assert result.shots == 2
+    assert sum(v["ok"] + v["fail"] for v in result.per_syndrome.values()) == 2
