@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ring_linalg import ModMatrix, howell_form, kernel_mod, solve_linear_mod
+from .ring_linalg import ModMatrix, howell_form, kernel_mod, reduce_row, solve_linear_mod
 from .xp_algebra import MAX_PRECISION, PrecisionError, XpOperator, _row_mul, embed, restrict
 
 
@@ -126,26 +126,6 @@ def _span_basis(values: np.ndarray) -> list[int]:
         basis = _xor_basis(basis + [int(values[0])])
 
 
-def _pivoted(rows) -> list[tuple[int, tuple[int, ...]]]:
-    """The rows of a Howell form as (pivot column, row) pairs."""
-    return [(next(c for c, v in enumerate(row) if v), row) for row in rows]
-
-
-def _howell_basis(vecs: list, modulus: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Howell form of the (v|p) rows, as (pivot column, row) pairs."""
-    return _pivoted(howell_form(ModMatrix.from_rows(vecs, modulus)).entries if vecs else ())
-
-
-def _reduce(vec: list, basis: list, modulus: int) -> list:
-    """Greedy reduction of a (v|p) row against a ``_howell_basis``: zero exactly
-    when the row is in its module (a Howell form decides membership)."""
-    for col, row in basis:
-        q = vec[col] // row[col]
-        if q:
-            vec = [(v - q * w) % modulus for v, w in zip(vec, row)]
-    return vec
-
-
 def _square_vec(a: tuple) -> list:
     """(2z|p) of the square of an (x, z, p) row, unreduced:
     (4z - 4x*z | 2p + 2 x.z)."""
@@ -194,21 +174,22 @@ def canonical_form(g: XpGroup) -> XpGroup:
     pool = [[2 * zi for zi in z] + [p] for _, z, p in work] + [_square_vec(s) for s in sx]
     commutators = (_commutator_vec(a, b) for i, a in enumerate(sx) for b in sx[i + 1:])
     pool += [vec for vec in commutators if vec is not None]
-    basis = _howell_basis(pool, two_n)
+    basis = howell_form(ModMatrix.from_rows(pool, two_n))
     while True:
         grown = []
         for x, _, _ in sx:
-            for _, row in basis:
+            for row in basis.entries:
                 conj = [(-v if xi else v) % two_n for xi, v in zip(x, row)]
                 conj.append((row[n] + sum(v for xi, v in zip(x, row) if xi)) % two_n)
-                grown.append(_reduce(conj, basis, two_n))
+                grown.append(reduce_row(conj, basis.entries, basis.pivots, two_n))
         grown = [row for row in grown if any(row)]
         if not grown:
             break
-        basis = _howell_basis([row for _, row in basis] + grown, two_n)
+        basis = howell_form(ModMatrix.from_rows(basis.entries + tuple(grown), two_n))
 
-    rows = [(x, _reduce([2 * zi for zi in z] + [p], basis, two_n)) for x, z, p in sx]
-    rows += [((0,) * n, row) for _, row in basis]
+    rows = [(x, reduce_row([2 * zi for zi in z] + [p], basis.entries, basis.pivots, two_n))
+            for x, z, p in sx]
+    rows += [((0,) * n, row) for row in basis.entries]
     gens = tuple(XpOperator(precision, x, tuple(v // 2 for v in vec[:n]), vec[n])
                  for x, vec in rows)
     return XpGroup(precision, n, gens, canonical=True)
@@ -395,10 +376,7 @@ def _r_z_from_support(support: Sequence[int], n: int, precision: int) -> list[Xp
     """``r_z_generators`` for a Z-support listed in any order."""
     e0 = support[0]  # an annihilator row has one parity on the whole support
     dirs = sorted(_span_basis(np.asarray(support) ^ e0), reverse=True)
-    if dirs:
-        vs = kernel_mod(ModMatrix.from_rows(_support_bits(dirs, n).tolist(), 2)).entries
-    else:
-        vs = ModMatrix.identity(n, 2).entries
+    vs = kernel_mod(ModMatrix.from_rows(_support_bits(dirs, n).tolist(), 2)).entries
     half = precision // 2
     out = []
     for v in vs:
@@ -600,18 +578,17 @@ def _lid(strings: np.ndarray, phases: np.ndarray, dirs: Sequence[int], n: int,
     """
     two_n = 2 * precision
     mat = _constraint_matrix(n, precision, strings)
-    basis = _pivoted(kernel_mod(mat).entries)
+    kernel = kernel_mod(mat)
     gens = []
     for w, steps in zip(dirs, _phase_steps(strings, phases, dirs).tolist()):
         sol = solve_linear_mod(mat, steps + [0] * n)
         if sol is None:
             return None
-        vec = _reduce(list(sol[:n + 1]), basis, two_n)
+        vec = reduce_row(sol, kernel.entries, kernel.pivots, two_n)
         gens.append(XpOperator(precision, int_to_bits(w, n), tuple(u // 2 for u in vec[:n]),
                                vec[n]))
-    # Kernel rows are (2z|p) vectors; howell_form has dropped the zero ones.
     gens += [XpOperator(precision, (0,) * n, tuple(u // 2 for u in row[:n]), row[n])
-             for _, row in basis]
+             for row in kernel.entries]
     return XpGroup(precision, n, tuple(gens), canonical=True)
 
 

@@ -75,6 +75,9 @@ class Channel:
             k = np.asarray(k, dtype=complex)
             if k.shape != (2, 2):
                 raise ChannelError("Kraus operators must be 2x2")
+            # Sum K^dagger K = I bounds every entry by 1; refuse before K^dagger K overflows.
+            if not (np.abs(k) <= 1 + TOL).all():
+                raise ChannelError("each Kraus entry must be finite and at most 1 in magnitude")
             total += k.conj().T @ k
         if not np.max(np.abs(total - np.eye(2))) <= TOL:
             raise ChannelError("Kraus operators do not resolve the identity")

@@ -325,19 +325,19 @@ def _trace_front_two(group: XpGroup, mode: str, rebuild: bool = True) -> XpGroup
 
 
 def _trace_blocks(lego: Lego, j: int, k: int, mode: str,
-                  ) -> tuple[tuple[LegBlock, ...], dict[object, object]]:
+                  ) -> tuple[tuple[LegBlock, ...] | None, dict[object, object]]:
     """Trace legs j and k of a lego on the leg blocks that hold them.
 
     Matching runs on the front: the blocks holding j and k, bond legs first.
     Every spectator is brought, once, to what a trace of the whole group
     makes of it, its full logical identity group.  The collision rebuild
     needs the whole code to hold one codeword, so it runs only when every
-    spectator does; an annihilated front or spectator leaves the empty group
-    on every remaining leg.  Completions and front matchings are read from
-    the lego's record when it holds them.
+    spectator does.  Completions and front matchings are read from the
+    lego's record when it holds them.
 
-    Returns the traced blocks and a copy of the record extended with the
-    completions and the matching this trace made.
+    Returns the traced blocks, or None when an annihilated front or
+    spectator makes the traced state vanish, and a copy of the record
+    extended with the completions and the matching this trace made.
     """
     n, precision = lego.n, lego.precision
     record = dict(lego._record)
@@ -352,7 +352,7 @@ def _trace_blocks(lego: Lego, j: int, k: int, mode: str,
                 try:
                     done, table = _completion(block.group)
                 except EmptyCodeError:
-                    return _leg_blocks(XpGroup(precision, n - 2, ())), record
+                    return None, record
                 record[block.group] = done, len(table.orbits.e_m), len(table.orbits.logical_x_dirs)
             block = LegBlock(block.legs, *record[block.group])
         kept.append(block._replace(legs=tuple(shift[leg] for leg in block.legs)))
@@ -367,7 +367,7 @@ def _trace_blocks(lego: Lego, j: int, k: int, mode: str,
         traced = _trace_front_two(rows, mode, rebuild=one_codeword)
         record[key] = None if traced is None else _leg_blocks(traced)
     if record[key] is None:
-        return _leg_blocks(XpGroup(precision, n - 2, ())), record
+        return None, record
     kept += [LegBlock(tuple(shift[front[2 + leg]] for leg in block.legs), block.group)
              for block in record[key]]
     return tuple(kept), record
@@ -422,6 +422,9 @@ def _trace(lego: Lego, j: int, k: int, mode: str, kernel: np.ndarray | None) -> 
         warnings.append("dense-only")
     else:
         blocks, record = _trace_blocks(lego, j, k, mode)
+        if blocks is None:  # the traced state vanished: the empty group on every leg
+            blocks = _leg_blocks(XpGroup(lego.precision, lego.n - 2, ()))
+            warnings.append("empty-trace")
 
     dense = None
     if lego.dense is not None:

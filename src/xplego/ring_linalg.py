@@ -11,11 +11,13 @@ string, thousands at 21 qubits.  The Howell form of such a matrix is the
 dominant cost, so it is factored once: every ``ModMatrix`` caches the
 Howell form of ``[A | I]``, and every solve and kernel on the same matrix
 object reads that one form.  Callers build a constraint matrix once and
-pass the same object to each solve.
+pass the same object to each solve.  ``reduce_row`` is the one reduction
+of a row against a Howell form, here and in the callers' membership tests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -72,6 +74,11 @@ class ModMatrix:
         return [list(r) for r in self.entries]
 
     @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """Leading column of each row; ascending on a Howell form."""
+        return tuple(next(c for c, v in enumerate(r) if v) for r in self.entries)
+
+    @cached_property
     def _augmented_form(self) -> "ModMatrix":
         """Howell form of [A | I], shared by every solve and kernel of A."""
         n = self.rows
@@ -122,8 +129,17 @@ def _row_scale(row: list[int], k: int, m: int) -> list[int]:
     return [(k * v) % m for v in row]
 
 
-def _row_addmul(row: list[int], other: list[int], k: int, m: int) -> list[int]:
-    return [(a + k * b) % m for a, b in zip(row, other)]
+def reduce_row(vec: Sequence[int], rows: Sequence[Sequence[int]], pivots: Sequence[int],
+               modulus: int) -> list[int]:
+    """Greedy reduction of ``vec`` against Howell-form ``rows``: each takes the
+    entry at its pivot into [0, pivot), so against a whole Howell form the
+    result is zero exactly when ``vec`` lies in the row module."""
+    vec = list(vec)
+    for col, row in zip(pivots, rows):
+        q = vec[col] // row[col]
+        if q:
+            vec = [(v - q * w) % modulus for v, w in zip(vec, row)]
+    return vec
 
 
 def howell_form(m: ModMatrix) -> ModMatrix:
@@ -139,6 +155,7 @@ def howell_form(m: ModMatrix) -> ModMatrix:
     ncols = m.cols
     work = [list(r) for r in m.entries if any(r)]
     placed: list[list[int]] = []
+    pivots: list[int] = []
     for col in range(ncols):
         cand = [r for r in work if r[col] != 0]
         rest = [r for r in work if r[col] == 0]
@@ -162,16 +179,13 @@ def howell_form(m: ModMatrix) -> ModMatrix:
         if any(ann):
             rest.append(ann)
         placed.append(pivot)
+        pivots.append(col)
         work = rest
-    # Reduce entries above each pivot into [0, pivot).
-    for i, row in enumerate(placed):
-        col = next(c for c, v in enumerate(row) if v)
-        g = row[col]
-        for j in range(i):
-            q = placed[j][col] // g
-            if q:
-                placed[j] = _row_addmul(placed[j], row, -q, mod)
-    return ModMatrix(mod, tuple(tuple(r) for r in placed if any(r)))
+    # Reduce entries above each pivot into [0, pivot), against the rows below.
+    form = ModMatrix(mod, tuple(tuple(reduce_row(row, placed[i + 1:], pivots[i + 1:], mod))
+                                for i, row in enumerate(placed)))
+    form.__dict__["pivots"] = tuple(pivots)  # known here: no scan of wide rows
+    return form
 
 
 def solve_linear_mod(a: ModMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
@@ -179,50 +193,27 @@ def solve_linear_mod(a: ModMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
 
     Returns one solution with all entries reduced, or None when the system
     has no solution.  The solution returned is the canonical greedy
-    reduction of ``b`` against the Howell form of the row module, so it is
-    deterministic.
+    reduction of ``(b | 0)`` against the rows of the Howell form of
+    ``[A | I]`` that pivot in ``A``, so it is deterministic.
 
     Raises:
         DimensionError: if len(b) != a.cols.
     """
-    mod = a.modulus
-    if len(b) != a.cols:
+    mod, ncols = a.modulus, a.cols
+    if len(b) != ncols:
         raise DimensionError(f"rhs length {len(b)} != matrix cols {a.cols}")
-    residual = [int(v) % mod for v in b]
-    x = [0] * a.rows
-    if a.rows == 0:
-        return tuple(x) if not any(residual) else None
-    ncols = a.cols
-    for row in a._augmented_form.entries:
-        col = next(c for c, v in enumerate(row) if v)
-        if col >= ncols:
-            break  # kernel rows; nothing left to reduce with
-        g = row[col]
-        val = residual[col]
-        if val == 0:
-            continue
-        d = gcd(g, mod)
-        if val % d:
-            return None
-        q = (val // d) * modinv(g // d, mod // d) % (mod // d)
-        residual = [(r - q * y) % mod for r, y in zip(residual, row[:ncols])]
-        for i in range(a.rows):
-            x[i] = (x[i] + q * row[ncols + i]) % mod
-    if any(residual):
+    form = a._augmented_form
+    used = bisect_left(form.pivots, ncols)
+    vec = reduce_row([int(v) % mod for v in b] + [0] * a.rows, form.entries[:used],
+                     form.pivots[:used], mod)
+    if any(vec[:ncols]):
         return None
-    return tuple(x)
+    return tuple(-v % mod for v in vec[ncols:])
 
 
 def kernel_mod(a: ModMatrix) -> ModMatrix:
-    """Generators of the left kernel {x : x^T a = 0 (mod m)}.
-
-    Returns a Howell-form matrix whose rows generate the kernel module.
-    """
-    mod = a.modulus
-    if a.rows == 0:
-        return ModMatrix.from_rows([], mod)
-    ncols = a.cols
-    gens = [row[ncols:] for row in a._augmented_form.entries if not any(row[:ncols])]
-    if not gens:
-        return ModMatrix.from_rows([], mod)
-    return howell_form(ModMatrix.from_rows(gens, mod))
+    """Howell form of the left kernel {x : x^T a = 0 (mod m)}: the ``I`` parts
+    of the rows of the Howell form of ``[A | I]`` whose ``A`` part is zero."""
+    form = a._augmented_form
+    return ModMatrix(a.modulus, tuple(row[a.cols:] for row in
+                                      form.entries[bisect_left(form.pivots, a.cols):]))

@@ -162,7 +162,7 @@ def test_collision_rebuild_needs_one_codeword_in_every_spectator(free_legs):
     # the whole code holds one codeword, and the rebuild finds it empty; a
     # free leg gives the whole code two codewords, so the rebuild does not
     # run, and matching keeps Z and the phase -1, which stabilizes nothing.
-    # Both give the empty group and the same warning.
+    # Both give the empty group and the same warnings.
     n = 3 + free_legs
     group = XpGroup(2, n, (XpOperator(2, (1, 1) + (0,) * (n - 2), (0,) * n, 2),
                            diag(2, (1, 1) + (0,) * (n - 2)),
@@ -170,7 +170,7 @@ def test_collision_rebuild_needs_one_codeword_in_every_spectator(free_legs):
     traced = self_trace(lego_from_group(group), 0, 1)
     assert traced.group == whole_group_trace(group, 0, 1)
     assert traced.group.generators == ()
-    assert traced.warnings == ("trivial-symbolic-group",)
+    assert traced.warnings == ("empty-trace", "trivial-symbolic-group")
 
 
 @pytest.mark.parametrize("rows", [
@@ -185,7 +185,7 @@ def test_an_annihilated_block_or_spectator_empties_the_whole_trace(rows):
     group = XpGroup(2, 3, rows)
     traced = self_trace(lego_from_group(group), 0, 1)
     assert traced.group == whole_group_trace(group, 0, 1) == XpGroup(2, 1, ())
-    assert traced.warnings == ("trivial-symbolic-group",)
+    assert traced.warnings == ("empty-trace", "trivial-symbolic-group")
 
 
 def test_a_raw_presentation_is_traced_from_its_canonical_form():

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -210,6 +211,22 @@ def test_cli_trace_reports_the_shadow_of_a_state_network(tmp_path, doc, rows, wa
     assert rc == 0 and json.loads(out) == {**report, "shadow": shadow}
 
 
+@pytest.mark.parametrize("legos,n,expected", [
+    # rep-z traced on itself through X: |00> + |11> has no |01> or |10> part.
+    ([{"name": "rep-z"}], 0, ["empty-trace"]),
+    # The same beside a spectator: the whole contraction is zero.
+    ([{"name": "rep-z"}, {"name": "zero"}], 1, ["empty-trace", "trivial-symbolic-group"]),
+], ids=["alone", "beside-a-spectator"])
+def test_cli_trace_says_a_vanished_symbolic_trace_is_empty(tmp_path, legos, n, expected):
+    path = tmp_path / "vanished.json"
+    path.write_text(json.dumps({"legos": legos, "bonds": [[0, 0, 0, 1, "X"]]}))
+    for dense in ((), ("--dense",)):
+        rc, out = run_cli("trace", str(path), *dense)
+        report = json.loads(out)
+        assert (rc, report["matrix"]["n"], report["matrix"]["rows"]) == (0, n, [])
+        assert report["warnings"] == expected
+
+
 def test_cli_decode_report():
     rc, out = run_cli("decode", "--code", "steane-xp",
                       "--channel", "depolarizing:0.02", "--shots", "40", "--seed", "1")
@@ -278,6 +295,20 @@ def test_cli_decode_with_kraus_file(tmp_path):
                       "--channel", f"kraus:{path}", "--shots", "30", "--seed", "2")
     assert rc == 0
     assert json.loads(out)["shots"] == 30
+
+
+def test_cli_decode_refuses_a_huge_kraus_entry_before_any_matmul(tmp_path):
+    # K^dagger K would overflow to inf and then meet 0 * inf.  No entry of a
+    # trace-preserving channel exceeds 1 in magnitude, so the check comes first.
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps([[[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]]))
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out = run_cli("decode", "--code", "steane-xp",
+                          "--channel", f"kraus:{path}", "--shots", "1")
+    assert (rc, out) == (1, "")
+    assert err.getvalue() == "error: each Kraus entry must be finite and at most 1 in magnitude\n"
 
 
 def chain_network(tmp_path, bonds):
