@@ -607,37 +607,27 @@ def _ranks(strings: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(strings[at] == values, at, strings.size)
 
 
-@dataclass(frozen=True)
-class _ContractionStep:
-    """The rows that the channel contraction of one qubit reads and writes.
+def _contraction_plan(span: np.ndarray, n: int, mixes: bool,
+                      ) -> tuple[tuple[tuple[np.ndarray, np.ndarray, int], ...], np.ndarray]:
+    """The steps that contract qubits 0..n-1 of a Pauli spectrum on x ^ span.
 
     A spectrum on the x parts x ^ L, for sorted offsets L, is held as a
     (len(L) + 1, 2^n) array over (offset, z part) whose last row is zero,
-    with the contracted qubit's z bit leading.  The step pairs the offsets
+    with the contracted qubit's z bit leading.  A step pairs the offsets
     l and l | bit, which differ only in the qubit's bit, and multiplies
     the four Pauli digits (I, X, Y, Z) of each pair by the pairing table.
-    Digit c takes the offset whose bit is its x part ^ x's bit, so both
-    tables hold one (pairs, 4) array per bit b of x: ``reads[b]`` the z
-    half-rows that digit c reads (its offset's row, z bit ``_DIGIT_Z[c]``),
-    with the zero row for an offset not in L, and ``writes[b]`` the rows
-    among the ``support`` offsets after the step that take the products,
-    with the z bit trailing, or the last row where an offset has no row
-    there.  Both tables are int32, which keeps them below the channel rows
-    from 3 qubits up.
-    """
-
-    reads: np.ndarray
-    writes: np.ndarray
-    support: int
-
-
-def _contraction_plan(span: np.ndarray, n: int, mixes: bool,
-                      ) -> tuple[tuple[_ContractionStep, ...], np.ndarray]:
-    """The steps that contract qubits 0..n-1 of a Pauli spectrum on x ^ span.
-
     A channel whose pairing table couples different x parts lets the
     support take both x parts of each contracted qubit; otherwise it stays
     x ^ span.  Returns the steps and the final sorted offsets.
+
+    A step is ``(reads, writes, size)``.  Digit c takes the offset whose
+    bit is its x part ^ x's bit, so both tables hold one (pairs, 4) array
+    per bit b of x: ``reads[b]`` the z half-rows that digit c reads (its
+    offset's row, z bit ``_DIGIT_Z[c]``), with the zero row for an offset
+    not in L, and ``writes[b]`` the rows among the ``size`` offsets after
+    the step that take the products, with the z bit trailing, or the last
+    row where an offset has no row there.  Both tables are int32, which
+    keeps them below the channel rows from 3 qubits up.
     """
     size = 1 << n
     steps = []
@@ -653,31 +643,9 @@ def _contraction_plan(span: np.ndarray, n: int, mixes: bool,
         grown = both if mixes else support
         reads = 2 * _ranks(support, pairs)[:, by_bit].transpose(1, 0, 2) + _DIGIT_Z
         writes = _ranks(grown, pairs)[:, by_bit].transpose(1, 0, 2)
-        steps.append(_ContractionStep(reads.astype(np.int32), writes.astype(np.int32),
-                                      grown.size))
+        steps.append((reads.astype(np.int32), writes.astype(np.int32), grown.size))
         support = grown
     return tuple(steps), support
-
-
-@dataclass(frozen=True)
-class _ShiftPlan:
-    """The indices of one coset trace that depend on Etilde's x part alone.
-
-    ``source[c]`` is the coset that Etilde maps onto coset c, and
-    ``e_entries`` the entries of its blocks that hold Etilde's values.
-    ``spectra`` gathers the spectrum inputs from the stacked block products
-    (Pi Etilde^dag, then Etilde Pi), and ``shifts`` is their x parts.
-    ``bits`` holds x's bit of each contracted qubit.  ``dense1`` and
-    ``dense2`` place the two spectra among the 4^n Pauli strings.
-    """
-
-    source: np.ndarray
-    e_entries: tuple[np.ndarray, ...]
-    spectra: np.ndarray
-    shifts: np.ndarray
-    bits: tuple[int, ...]
-    dense1: np.ndarray
-    dense2: np.ndarray
 
 
 class CosetTrace:
@@ -692,11 +660,10 @@ class CosetTrace:
 
     where the index runs over all n-fold tensor products of the Kraus
     operators.  ``scalar_pairs`` returns (a, b) for each of a list of
-    operators, such as the logical classes of one syndrome, and calling the
-    context with one operator is the one-element list.  The a side
-    contracts the Pauli spectra of Pi Etilde^dag and Etilde Pi through
-    coeffs one qubit at a time; the b side reads the channel-applied
-    projector.
+    operators, such as the logical classes of one syndrome;
+    ``coset_scalars`` is the one-element list.  The a side contracts the
+    Pauli spectra of Pi Etilde^dag and Etilde Pi through coeffs one qubit
+    at a time; the b side reads the channel-applied projector.
 
     Pi is block diagonal on the cosets of ``_coset_blocks``, and Etilde
     maps coset c onto coset c ^ x, so the three products with Etilde run as
@@ -717,11 +684,11 @@ class CosetTrace:
     either bit of x.  A step's indices depend on x only through the
     qubit's bit, so each step moves whole z half-rows.  ``scalar_pairs``
     makes the indices that depend on all of x once per distinct x among
-    its operators (``_ShiftPlan``), and its scratch arrays once per list:
+    its operators (``_score_x``), and its scratch arrays once per list:
     the 4^n arrays of the final sum are zeroed only where an operator
     wrote them, and the b side's slabs share the first of them.  Steps run
     in blocks of ``STEP_ENTRIES``, so on a channel that keeps x parts a
-    list holds about two 4^n arrays at its peak, as a one-operator call
+    list holds about two 4^n arrays at its peak, as a one-operator list
     does; where the support grows, the scratch arrays reach 4^n too.
 
     Bits.  Every float equals the dense computation's, zeros aside, whose
@@ -762,35 +729,6 @@ class CosetTrace:
         self._span_digits = self._digits[span]
         self._grown_digits = self._digits[grown]
 
-    def __call__(self, e_tilde: XpOperator) -> tuple[complex, complex]:
-        return self.scalar_pairs([e_tilde])[0]
-
-    def _shift_plan(self, x: int) -> _ShiftPlan:
-        n, size = self.n, 1 << self.n
-        members = self._members
-        count, width = members.shape
-        span = members[0]  # D, whose size is the block width
-        # Block c maps coset source[c] onto coset c: row t holds the value
-        # of string members[c, t] in the column of members[c, t] ^ x.
-        shifted = members ^ x
-        e_entries = (np.arange(count)[:, None], np.arange(width), self._position[shifted])
-        # Row s of each spectrum input holds M[k, k ^ x ^ span[s]], read in
-        # the block of row k at the position of that string in its coset.
-        moved = np.arange(size) ^ x
-        column = self._position[moved ^ span[:, None]]
-        spectra = np.concatenate([
-            (self._coset[moved] * width + self._position) * width + column,
-            ((count + self._coset) * width + self._position) * width + column])
-        shifts = span ^ x
-        x_digits = self._digits[x]
-        z_digits = 3 * self._digits
-        # int32 halves what a list holds next to its 4^n arrays.
-        return _ShiftPlan(self._coset[shifted[:, 0]], e_entries, spectra.astype(np.int32),
-                          np.concatenate([shifts, shifts]),
-                          tuple((x >> (n - 1 - q)) & 1 for q in range(n)),
-                          (self._span_digits ^ x_digits)[:, None] ^ z_digits,
-                          (self._grown_digits ^ x_digits)[:, None] ^ z_digits)
-
     def scalar_pairs(self, e_tildes: Sequence[XpOperator]) -> list[tuple[complex, complex]]:
         """(a, b) for each operator, in order.
 
@@ -810,7 +748,7 @@ class CosetTrace:
         # Two scratch arrays for the spectra, the first of which also holds
         # the block products (Pi Etilde^dag, then Etilde Pi) until they are
         # read.
-        rows = max([2 * width] + [step.support + 1 for step in self._steps])
+        rows = max([2 * width] + [grown + 1 for _, _, grown in self._steps])
         scratch = np.empty((2, rows * size), dtype=complex)
         pairs: list = [None] * len(e_tildes)
         for x, indices in by_x.items():
@@ -823,23 +761,49 @@ class CosetTrace:
                  dense: np.ndarray, scratch: np.ndarray) -> list[tuple[complex, complex]]:
         """(a, b) for operators that share the x part x.
 
-        ``e_blocks`` and ``dense`` are zero on entry and are left so.
+        ``e_blocks`` and ``dense`` are zero on entry and are left so.  The
+        indices that depend on x are made once here for all the operators.
         """
+        n, size = self.n, 1 << self.n
+        half = size >> 1
         members = self._members
         count, width = members.shape
-        size = 1 << self.n
-        plan = self._shift_plan(x)
-        pi_blocks = self._blocks[plan.source]
+        span = members[0]  # D, whose size is the block width
+        # Block c maps the coset of members[c] ^ x onto coset c: row t holds
+        # the value of string members[c, t] in the column of members[c, t] ^ x.
+        shifted = members ^ x
+        pi_blocks = self._blocks[self._coset[shifted[:, 0]]]
+        e_entries = (np.arange(count)[:, None], np.arange(width), self._position[shifted])
+        # Row s of each spectrum input holds M[k, k ^ x ^ span[s]], read in
+        # the block of row k at the position of that string in its coset:
+        # Pi Etilde^dag, then Etilde Pi.  int32 halves what a list holds
+        # next to its 4^n arrays.
+        moved = np.arange(size) ^ x
+        column = self._position[moved ^ span[:, None]]
+        spectra = np.concatenate([
+            (self._coset[moved] * width + self._position) * width + column,
+            ((count + self._coset) * width + self._position) * width + column]).astype(np.int32)
+        shifts = np.tile(span ^ x, 2)
+        # The places of the two spectra among the 4^n Pauli strings.
+        x_digits = self._digits[x]
+        z_digits = 3 * self._digits
+        dense1 = (self._span_digits ^ x_digits)[:, None] ^ z_digits
+        dense2 = (self._grown_digits ^ x_digits)[:, None] ^ z_digits
+
         e_conj = np.empty_like(e_blocks)
         e_dag = e_conj.transpose(0, 2, 1)
-        products = scratch[0, :2 * width * size].reshape(2, count, width, width)
+        length = 2 * width * size
+        products = scratch[0, :length].reshape(2, count, width, width)
+        v = scratch[1, :length].reshape(2 * width, size)
         # The columns of coset c of Pi_s, zero outside the rows of coset c.
         slabs = dense[0].reshape(count, size, width)
         slab_entries = (np.arange(count)[:, None], members)
         diagonal = np.empty(size, dtype=complex)
+        coeffs_t = self.coeffs.T
+        block = max(1, STEP_ENTRIES // (2 * size))
         pairs = []
         for op in e_tildes:
-            e_blocks[plan.e_entries] = _row_values(op)[members]
+            e_blocks[e_entries] = _row_values(op)[members]
             np.conjugate(e_blocks, out=e_conj)
             e_pi = np.matmul(e_blocks, pi_blocks, out=products[1])
             slabs[slab_entries] = np.matmul(e_pi, e_dag)  # Pi_s
@@ -847,56 +811,42 @@ class CosetTrace:
             slabs[slab_entries] = 0
             b_scalar = complex(diagonal.sum())
             np.matmul(pi_blocks, e_dag, out=products[0])
-            pairs.append((self._a_scalar(plan, scratch, dense), b_scalar))
-            dense[0, plan.dense1] = 0
-        e_blocks[plan.e_entries] = 0
-        dense[1, plan.dense2] = 0
-        return pairs
 
-    def _a_scalar(self, plan: _ShiftPlan, scratch: np.ndarray, dense: np.ndarray) -> complex:
-        """The a side from the block products at the start of ``scratch[0]``.
-
-        ``dense`` holds the two 4^n arrays of the final sum, zero outside
-        the entries of ``plan``.
-        """
-        n, size = self.n, 1 << self.n
-        half = size >> 1
-        width = self._members.shape[1]
-        length = 2 * width * size
-        v = scratch[1, :length].reshape(2 * width, size)
-        # Every index is in range; "clip" lets np.take write v unbuffered.
-        np.take(scratch[0, :length], plan.spectra, out=v, mode="clip")
-        t = _pauli_butterfly(v, plan.shifts, scratch[0, :length].reshape(v.shape))
-        dense[0, plan.dense1] = t[:width]
-
-        # The second spectrum over (offset, z part), z bits rotating so that
-        # the contracted qubit leads; the last row stays zero.  The
-        # butterfly swaps its two arrays once per qubit.
-        free = n % 2
-        t2 = scratch[free, :(width + 1) * size]
-        t2[:-size] = t[width:].reshape(-1)
-        t2[-size:] = 0
-        coeffs_t = self.coeffs.T
-        pairs = max(1, STEP_ENTRIES // (2 * size))
-        for step, bit in zip(self._steps, plan.bits):
-            reads, writes = step.reads[bit], step.writes[bit]
-            source = t2.reshape(-1, half)
-            free ^= 1
-            t2 = scratch[free, :(step.support + 1) * size]
-            for lo in range(0, len(reads), pairs):
-                product = np.dot(source[reads[lo:lo + pairs]].transpose(0, 2, 1).reshape(-1, 4),
-                                 coeffs_t)
-                t2.reshape(-1, half, 2)[writes[lo:lo + pairs], :, _DIGIT_Z] = \
-                    product.reshape(-1, half, 4).transpose(0, 2, 1)
+            # Every index is in range; "clip" lets np.take write v unbuffered.
+            np.take(scratch[0, :length], spectra, out=v, mode="clip")
+            t = _pauli_butterfly(v, shifts, scratch[0, :length].reshape(v.shape))
+            dense[0, dense1] = t[:width]
+            # The second spectrum over (offset, z part), z bits rotating so
+            # that the contracted qubit leads; the last row stays zero.  The
+            # butterfly swaps its two arrays once per qubit.
+            free = n % 2
+            t2 = scratch[free, :(width + 1) * size]
+            t2[:-size] = t[width:].reshape(-1)
             t2[-size:] = 0
-
-        dense[1, plan.dense2] = t2[:-size].reshape(-1, size)
-        # The (1, 4^n) @ (4^n, 1) product that np.tensordot makes of the
-        # two spectra as (4,) * n tensors.
-        return complex(np.dot(dense[0].reshape(1, -1), dense[1].reshape(-1, 1))[0, 0])
+            for q, (reads, writes, grown) in enumerate(self._steps):
+                bit = (x >> (n - 1 - q)) & 1
+                reads, writes = reads[bit], writes[bit]
+                source = t2.reshape(-1, half)
+                free ^= 1
+                t2 = scratch[free, :(grown + 1) * size]
+                for lo in range(0, len(reads), block):
+                    product = np.dot(source[reads[lo:lo + block]].transpose(0, 2, 1).reshape(-1, 4),
+                                     coeffs_t)
+                    t2.reshape(-1, half, 2)[writes[lo:lo + block], :, _DIGIT_Z] = \
+                        product.reshape(-1, half, 4).transpose(0, 2, 1)
+                t2[-size:] = 0
+            dense[1, dense2] = t2[:-size].reshape(-1, size)
+            # The (1, 4^n) @ (4^n, 1) product that np.tensordot makes of the
+            # two spectra as (4,) * n tensors.
+            a_scalar = complex(np.dot(dense[0].reshape(1, -1), dense[1].reshape(-1, 1))[0, 0])
+            pairs.append((a_scalar, b_scalar))
+            dense[0, dense1] = 0
+        e_blocks[e_entries] = 0
+        dense[1, dense2] = 0
+        return pairs
 
 
 def coset_scalars(coeffs: np.ndarray, projector: np.ndarray,
                   e_tilde: XpOperator) -> tuple[complex, complex]:
     """The two trace scalars of ``CosetTrace`` for a single residual error."""
-    return CosetTrace(coeffs, projector)(e_tilde)
+    return CosetTrace(coeffs, projector).scalar_pairs([e_tilde])[0]

@@ -637,7 +637,7 @@ def run_network(doc: dict) -> Lego:
         a = offsets[la] + ja
         b = offsets[lb] + jb
         if a not in alive or b not in alive:
-            raise LegError("bond endpoint already contracted")
+            raise LegError(f"bond {bond}: endpoint already contracted")
         insertion = rest[0] if rest else None
         current = trace_with_insertion(current, alive.index(a), alive.index(b), insertion)
         alive = [leg for leg in alive if leg not in (a, b)]

@@ -459,7 +459,7 @@ def random_operator(rng: random.Random, n: int, precision: int) -> XpOperator:
 
 def assert_equals_reference(coeffs, pi, context, op):
     want = reference_coset_scalars(coeffs, pi, xp_factors(op))
-    assert context(op) == want, op
+    assert context.scalar_pairs([op]) == [want], op
     return want
 
 
@@ -499,8 +499,8 @@ SMALL_REGISTRY = [name for name, entry in registry().items() if entry.group.n <=
 
 @pytest.mark.parametrize("channel", sorted(SCALAR_CHANNELS))
 def test_scoring_a_syndromes_classes_in_one_call_equals_one_call_per_class(channel):
-    # scalar_pairs shares its x plans and scratch arrays across a list;
-    # each one-class call makes its own.  Every eighth syndrome of every
+    # scalar_pairs shares its x indices and scratch arrays across a list;
+    # each one-class list makes its own.  Every eighth syndrome of every
     # k = 1 code, then all of those classes in one list, whose x parts
     # change from one operator to the next.
     coeffs = pauli_process_coeffs(SCALAR_CHANNELS[channel])
@@ -520,7 +520,7 @@ def test_scoring_a_syndromes_classes_in_one_call_equals_one_call_per_class(chann
         for bits in list(product((0, 1), repeat=nz + len(setup.x_checks)))[::8]:
             e_sz, e_sx = representative_errors(Syndrome(bits[:nz], bits[nz:]), code)
             ops = [multiply(multiply(e_sz, e_sx), logical) for _, logical in setup.classes]
-            one_by_one = [context(op) for op in ops]
+            one_by_one = [context.scalar_pairs([op])[0] for op in ops]
             assert context.scalar_pairs(ops) == one_by_one, (name, bits)
             everything += zip(ops, one_by_one)
         ops, want = zip(*everything)
@@ -572,7 +572,7 @@ def test_coset_trace_equals_reference_on_a_dense_projector(channel):
     for _ in range(6):
         assert_equals_reference(coeffs, pi, context, random_operator(ops, n, 4))
     with pytest.raises(ValueError):
-        context(random_operator(ops, n + 1, 4))
+        context.scalar_pairs([random_operator(ops, n + 1, 4)])
 
 
 def test_coset_trace_index_plan_is_smaller_than_the_channel_rows():
@@ -586,7 +586,7 @@ def test_coset_trace_index_plan_is_smaller_than_the_channel_rows():
         for channel in SCALAR_CHANNELS.values():
             context = CosetTrace(pauli_process_coeffs(channel), pi)
             arrays = [context._digits, context._span_digits, context._grown_digits]
-            arrays += [a for step in context._steps for a in (step.reads, step.writes)]
+            arrays += [a for reads, writes, _ in context._steps for a in (reads, writes)]
             assert sum(a.nbytes for a in arrays) < context._channel_rows.nbytes, name
 
 

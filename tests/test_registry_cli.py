@@ -225,6 +225,20 @@ def test_cli_trace_says_a_vanished_symbolic_trace_is_empty(tmp_path, legos, n, e
         report = json.loads(out)
         assert (rc, report["matrix"]["n"], report["matrix"]["rows"]) == (0, n, [])
         assert report["warnings"] == expected
+        # A zero contraction certifies nothing.
+        assert report["counting_check"] is report["state_counting_check"] is False
+
+
+def test_cli_trace_takes_the_x_matrix_as_the_named_x_insertion(tmp_path):
+    reports = []
+    for insertion in ("X", [[0, 1], [1, 0]]):
+        path = tmp_path / "ghz.json"
+        path.write_text(json.dumps({**GHZ_PAIR, "bonds": [[0, 0, 1, 0, insertion]]}))
+        rc, out = run_cli("trace", str(path), "--dense")
+        assert rc == 0
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+    assert reports[0]["warnings"] == [] and len(reports[0]["shadow"]) == 2
 
 
 def test_cli_decode_report():
@@ -234,6 +248,21 @@ def test_cli_decode_report():
     doc = json.loads(out)
     assert doc["shots"] == 40
     assert 0.0 <= doc["rate"] <= 1.0
+
+
+def test_cli_decode_report_under_damping():
+    rc, out = run_cli("decode", "--code", "steane-xp",
+                      "--channel", "damping:0.1", "--shots", "40", "--seed", "1")
+    assert rc == 0
+    assert sorted(json.loads(out)) == ["ci95", "failures", "per_syndrome", "rate", "shots"]
+
+
+def test_cli_decode_unknown_channel_exits_with_message():
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc, out = run_cli("decode", "--code", "steane-xp", "--channel", "bitflip:0.1")
+    assert rc == 1 and out == ""
+    assert err.getvalue() == "error: unknown channel spec 'bitflip:0.1'\n"
 
 
 def test_cli_decode_refuses_a_negative_seed():
@@ -248,10 +277,12 @@ def test_cli_decode_refuses_a_negative_seed():
 def test_python_dash_m_runs_the_cli():
     package = Path(xplego.__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=str(package.parent))
-    done = subprocess.run([sys.executable, "-m", "xplego", "show", "722"], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0 and done.stderr == ""
-    assert done.stdout == run_cli("show", "722")[1]
+    for argv in (["show", "722"], ["enumerate", "422"]):
+        done = subprocess.run([sys.executable, "-m", "xplego", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout == run_cli(*argv)[1]
+    assert done.stdout.startswith("A = ")
 
 
 def test_cli_verify_single_code():
@@ -259,6 +290,14 @@ def test_cli_verify_single_code():
     assert rc == 0
     assert "[ok]" in out and "FAIL" not in out
     assert "[ok] exact enumerators match the dense oracle" in out
+
+
+def test_cli_verify_failure_exits_2_and_names_the_code(monkeypatch):
+    from xplego import cli
+    monkeypatch.setattr(cli, "_verify_entry", lambda name, tolerance, out: name != "422")
+    rc, out = run_cli("verify", "422")
+    assert rc == 2
+    assert out == "422\nverification failed: 422\n"
 
 
 def test_cli_unknown_name_is_usage_error():
@@ -514,6 +553,8 @@ MALFORMED_NETWORKS = {
     "designate-repeated-leg": {"legos": [{"name": "steane-xp"}], "designate": [0, 0]},
     "order-objects": {"legos": [{"name": "722"}], "bonds": [[0, 0, 0, 1]],
                       "order": [{}, 1, 2, 3, 4]},
+    "order-not-a-permutation": {"legos": [{"name": "722"}], "bonds": [[0, 0, 0, 1]],
+                                "order": [0, 1, 2, 2, 3]},
     # json writes and reads NaN; the second shadow's norm overflows at its first bond.
     "insertion-nan": {"legos": [{"name": "bell"}],
                       "bonds": [[0, 0, 0, 1, [[float("nan"), 0], [0, 1]]]]},
@@ -532,6 +573,16 @@ def test_cli_trace_malformed_network_exits_with_message(tmp_path, name):
     assert rc == 1 and out == ""
     assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
     assert "unpack" not in err.getvalue() and "already contracted" not in err.getvalue()
+
+
+def test_cli_trace_second_bond_on_a_contracted_leg_names_the_bond(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"legos": [{"name": "722"}], "bonds": [[0, 0, 0, 1], [0, 1, 0, 2]]}))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc, out = run_cli("trace", str(path))
+    assert rc == 1 and out == ""
+    assert err.getvalue() == "error: bond [0, 1, 0, 2]: endpoint already contracted\n"
 
 
 ONE_ROW_MATRIX = {"n": 1, "precision": 4, "rows": [{"x": [1], "z": [0], "p": 0}]}
